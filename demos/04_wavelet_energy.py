@@ -6,11 +6,16 @@ The wavelet transform correlates the signal with stretched copies of a
 Morlet kernel, giving a time-frequency picture. The feature kept per
 channel is the total energy of that picture, which responds to bursts
 that a global spectrum would average away.
+
+``cwt_morlet`` builds the picture and remains the reference transform;
+this demo plots with it. ``featurize`` never builds it: by Parseval's
+identity it gets the same energy from one FFT of the channel, weighted
+by the kernels' power spectra, minus the edge samples the crop drops.
 """
 
 import numpy as np
 
-from vtalarm.features import cwt_morlet, morlet_scales, wavelet_energy
+from vtalarm.features import FeaturePlan, cwt_morlet, feature_matrix, morlet_scales, spectral_params_for, wavelet_energy
 
 fs = 125.0
 t = np.arange(int(8 * fs)) / fs
@@ -44,3 +49,9 @@ energy1, per_scale = wavelet_energy(coeffs)
 energy2, _ = wavelet_energy(cwt_morlet(2.0 * x, config))
 print("energy ratio for doubled amplitude:", round(energy2 / energy1, 4))
 print("per-scale energies:", per_scale.shape)
+
+# featurize gets the same total without the scalogram. Column 7 of a
+# one-channel feature row is that channel's wavelet energy.
+plan = FeaturePlan.build(fs, t.size, spectral_params_for(fs), config)
+direct = feature_matrix(x[None, :, None], plan)[0, 7]
+print("energy without the scalogram:", round(float(direct), 6), "vs", round(energy1, 6))

@@ -15,6 +15,7 @@ from .evaluate import (
     roc_auc,
 )
 from .features import (
+    FeaturePlan,
     FeatureVector,
     SpectralParams,
     WaveletConfig,
@@ -22,6 +23,7 @@ from .features import (
     coherence,
     cwt_morlet,
     dominant_frequency,
+    feature_matrix,
     feature_names,
     morlet_scales,
     spectral_entropy,
@@ -62,6 +64,7 @@ __all__ = [
     "classification_metrics",
     "decide_alert",
     "roc_auc",
+    "FeaturePlan",
     "FeatureVector",
     "SpectralParams",
     "WaveletConfig",
@@ -69,6 +72,7 @@ __all__ = [
     "coherence",
     "cwt_morlet",
     "dominant_frequency",
+    "feature_matrix",
     "feature_names",
     "morlet_scales",
     "spectral_entropy",

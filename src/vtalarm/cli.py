@@ -19,9 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MissingInput, VtalarmError
+from .errors import ConfigError, EmptyInput, InvalidConfig, MissingInput, VtalarmError
 from .evaluate import classification_metrics, decide_alert
-from .features import build_feature_vector, feature_names, morlet_scales, spectral_params_for
+from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
+    FeaturePlan,
+    build_feature_vector,
+    feature_matrix,
+    feature_names,
+    morlet_scales,
+    spectral_params_for,
+)
 from .imbalance import ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import CNN_DEFAULTS, build_model
@@ -37,7 +44,7 @@ from .preprocess import (
     split_dataset,
 )
 from .synth import SynthConfig, generate_corpus
-from .wfdb_io import AlarmWindow, extract_alarm_window, load_record, read_alarm_index
+from .wfdb_io import extract_alarm_window, load_record, read_alarm_index
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -152,10 +159,29 @@ def _load_features_csv(path):
 
 
 def _load_windows(data_dir: Path):
-    windows = np.load(_require(data_dir / "windows.npy", "run ingest first"))
+    """windows.npy as a read-only memory map, with its labels and meta."""
+    windows = np.load(_require(data_dir / "windows.npy", "run ingest first"), mmap_mode="r")
     labels = np.load(_require(data_dir / "labels.npy", "run ingest first"))
     meta = json.loads(_require(data_dir / "meta.json", "run ingest first").read_text())
     return windows, labels.astype(np.int64), meta
+
+
+class _WindowFile:
+    """A (windows, samples, channels) .npy file that reads from disk only the
+    windows it is sliced to. Pages of a memory map stay resident once read;
+    through this, featurize holds one chunk of windows at a time."""
+
+    def __init__(self, mapped: np.memmap):
+        if mapped.ndim != 3 or not mapped.flags.c_contiguous:
+            raise ConfigError(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array")
+        self.path, self.shape, self.dtype, self.offset = mapped.filename, mapped.shape, mapped.dtype, mapped.offset
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        per_window = self.shape[1] * self.shape[2]
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset + lo * per_window * self.dtype.itemsize)
+            return np.fromfile(fh, dtype=self.dtype, count=(hi - lo) * per_window).reshape((hi - lo,) + self.shape[1:])
 
 
 # ------------------------------------------------------------------- commands
@@ -182,22 +208,38 @@ def cmd_synth(config: dict, out_dir: Path) -> None:
 
 
 def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
-    events = read_alarm_index(_require(Path(data_dir) / "alarms.csv", "synth or supply an alarm index"))
-    windows, labels, record_ids = [], [], []
-    fs = None
-    for record_id, alarm_time, label in events:
-        record = load_record(data_dir, record_id, verify_checksums=True)
-        if fs is None:
-            fs = record.header.sampling_frequency
-        elif record.header.sampling_frequency != fs:
-            raise ConfigError(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
-        window = impute_mean(extract_alarm_window(record, alarm_time, label))
-        windows.append(window.samples.astype(np.float32))
-        labels.append(label)
-        record_ids.append(record_id)
-    stack = np.stack(windows)
+    index = _require(Path(data_dir) / "alarms.csv", "synth or supply an alarm index")
+    events = read_alarm_index(index)
+    if not events:
+        raise EmptyInput(f"{index} lists no alarms")
     out_dir.mkdir(parents=True, exist_ok=True)
-    np.save(out_dir / "windows.npy", stack)
+    # Each window goes to disk as soon as it is cut, so ingest never holds
+    # the whole stack; the file only takes its name once it is complete.
+    partial = out_dir / "windows.npy.partial"
+    shape = None  # (n_events, n, C), fixed by the first window
+    labels, record_ids = [], []
+    fs = None
+    try:
+        with open(partial, "wb") as fh:
+            for record_id, alarm_time, label in events:
+                record = load_record(data_dir, record_id, verify_checksums=True)
+                if fs is None:
+                    fs = record.header.sampling_frequency
+                elif record.header.sampling_frequency != fs:
+                    raise ConfigError(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
+                window = impute_mean(extract_alarm_window(record, alarm_time, label))
+                if shape is None:
+                    shape = (len(events),) + window.samples.shape
+                    np.lib.format.write_array_header_1_0(fh, {"descr": "<f4", "fortran_order": False, "shape": shape})
+                elif window.samples.shape != shape[1:]:
+                    raise ConfigError(f"{record_id} has {window.samples.shape[1]} channels, corpus has {shape[2]}")
+                fh.write(window.samples.astype("<f4").tobytes())
+                labels.append(label)
+                record_ids.append(record_id)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(out_dir / "windows.npy")
     np.save(out_dir / "labels.npy", np.asarray(labels, dtype=np.int64))
     _write_json(
         out_dir / "meta.json",
@@ -207,14 +249,14 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
             "record_ids": record_ids,
             "fs": fs,
             "alarm_index": int(round(300.0 * fs)),
-            "n_windows": int(stack.shape[0]),
-            "window_samples": int(stack.shape[1]),
-            "n_channels": int(stack.shape[2]),
+            "n_windows": shape[0],
+            "window_samples": shape[1],
+            "n_channels": shape[2],
             "dtype": "float32",
             "imputed": True,
         },
     )
-    print(f"ingest: {stack.shape[0]} windows of {stack.shape[1]}x{stack.shape[2]} -> {out_dir} [{_stamp(config)}]")
+    print(f"ingest: {shape[0]} windows of {shape[1]}x{shape[2]} -> {out_dir} [{_stamp(config)}]")
 
 
 def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
@@ -227,24 +269,18 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
     wavelet = morlet_scales(
         fs, f_min=float(w["f_min"]), f_max=float(w["f_max"]), n_scales=int(w["n_scales"]), omega0=float(w["omega0"])
     )
-    mode = config["features"]["coherence_mode"]
     span = config["features"]["analysis_span"]
-    span = None if span is None else (float(span[0]), float(span[1]))
-
-    matrix = []
-    for i in range(windows.shape[0]):
-        window = AlarmWindow(
-            record_id=meta["record_ids"][i],
-            samples=windows[i].astype(np.float64),
-            missing_mask=np.zeros(windows[i].shape, dtype=bool),
-            label=int(labels[i]),
-            alarm_index=int(meta["alarm_index"]),
-            fs=fs,
-        )
-        matrix.append(build_feature_vector(window, spectral, wavelet, coherence_mode=mode, analysis_span=span).values)
-    names = feature_names(windows.shape[2], coherence_mode=mode)
+    if span is not None:
+        try:
+            lo, hi = (float(v) for v in span)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"analysis_span must be [start_s, end_s], got {span!r}") from exc
+        span = (lo, hi)
+    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, config["features"]["coherence_mode"], span)
+    matrix = feature_matrix(_WindowFile(windows), plan)
+    names = feature_names(windows.shape[2], coherence_mode=plan.coherence_mode)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_features_csv(out_dir / "features.csv", meta["record_ids"], labels, np.asarray(matrix), names, _stamp(config))
+    _write_features_csv(out_dir / "features.csv", meta["record_ids"], labels, matrix, names, _stamp(config))
     print(f"featurize: {len(matrix)} x {len(names)} feature matrix -> {out_dir / 'features.csv'} [{_stamp(config)}]")
 
 

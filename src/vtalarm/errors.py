@@ -32,7 +32,9 @@ class WindowOutOfBounds(VtalarmError):
 
 
 class ValueOutOfRange(VtalarmError):
-    """Quantized ADC value falls outside the target format's range."""
+    """A value is outside its valid range: a quantized ADC value beyond the
+    target format's range, a label other than 0/1, a missing sample, or a
+    score or feature that is not finite."""
 
 
 # --- preprocessing ---
@@ -128,4 +130,4 @@ class ConfigError(VtalarmError):
 
 
 class InvalidConfig(VtalarmError):
-    """Synthetic-data configuration is invalid."""
+    """Synthetic-data or feature-extraction configuration is invalid."""

@@ -9,6 +9,12 @@ over frequency. The concatenation order is fixed: channels in record
 order, statistics in the order above, pairs lexicographic, so feature
 names and vector length depend only on the channel count and the
 configuration.
+
+:func:`feature_matrix` computes the features of a whole stack of windows
+from one :class:`FeaturePlan`. Welch and coherence share one segment-FFT
+pass per channel, and the wavelet energy comes from Parseval's identity
+without building the scalogram. :func:`cwt_morlet` stays as the
+reference transform.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LengthMismatch, TooShort
+from .errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
 from .wfdb_io import AlarmWindow
+
+CHUNK_BYTES = 16 << 20  # working memory one chunk of windows may take in feature_matrix
+COHERENCE_MODES = ("per_pair", "global_mean")
 
 
 @dataclass
@@ -46,13 +55,13 @@ class SpectralParams:
 
     def __post_init__(self):
         if self.segment_length < 8:
-            raise ValueError("segment_length must be at least 8")
+            raise InvalidConfig("segment_length must be at least 8")
         if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
+            raise InvalidConfig("overlap must be in [0, 1)")
         if self.window not in ("hann", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+            raise InvalidConfig(f"unknown window {self.window!r}")
+        if not 0.0 < self.fs < np.inf:
+            raise InvalidConfig("fs must be positive and finite")
 
 
 @dataclass
@@ -71,12 +80,12 @@ class WaveletConfig:
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=np.float64)
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        if not 0.0 < self.omega0 < np.inf:
+            raise InvalidConfig("omega0 must be positive and finite")
         if self.scales.ndim != 1 or self.scales.size == 0:
-            raise ValueError("scales must be a non-empty vector")
-        if np.any(self.scales <= 0) or np.any(np.diff(self.scales) <= 0):
-            raise ValueError("scales must be positive and strictly ascending")
+            raise InvalidConfig("scales must be a non-empty vector")
+        if not (np.all(np.isfinite(self.scales)) and np.all(self.scales > 0) and np.all(np.diff(self.scales) > 0)):
+            raise InvalidConfig("scales must be finite, positive and strictly ascending")
 
 
 @dataclass
@@ -107,27 +116,27 @@ def morlet_scales(
     return WaveletConfig(omega0=omega0, scales=scales)
 
 
-def time_domain_stats(channel: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(mean, std, skewness, excess kurtosis, rms) of one channel.
+# ------------------------------------------------------------ shared kernels
+#
+# Each works along the last axis (or the last two) and broadcasts over any
+# leading axes, so one channel and a chunk of windows take the same path.
+# Reductions run per row, so a row's value never depends on its neighbours.
 
-    Population standard deviation; skewness m3/m2^(3/2) and excess
-    kurtosis m4/m2^2 - 3 from central moments. A zero-variance input
-    yields skewness = kurtosis = 0 by convention.
-    """
-    x = np.asarray(channel, dtype=np.float64)
-    if x.size < 2:
-        raise TooShort(f"need at least 2 samples, got {x.size}")
-    mean = x.mean()
+
+def _moments(x: np.ndarray) -> np.ndarray:
+    """(..., n) -> (..., 5): mean, std, skewness, excess kurtosis, rms."""
+    mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
-    m2 = np.mean(centered**2)
-    rms = np.sqrt(np.mean(x**2))
-    if m2 == 0.0:
-        return float(mean), 0.0, 0.0, 0.0, float(rms)
-    m3 = np.mean(centered**3)
-    m4 = np.mean(centered**4)
-    skew = m3 / m2**1.5
-    kurt = m4 / m2**2 - 3.0
-    return float(mean), float(np.sqrt(m2)), float(skew), float(kurt), float(rms)
+    squared = centered * centered  # products, not pow(): several times faster
+    m2 = np.mean(squared, axis=-1)
+    m3 = np.mean(squared * centered, axis=-1)
+    m4 = np.mean(squared * squared, axis=-1)
+    rms = np.sqrt(np.mean(x**2, axis=-1))
+    flat = m2 == 0.0
+    safe = np.where(flat, 1.0, m2)
+    skew = np.where(flat, 0.0, m3 / safe**1.5)
+    kurt = np.where(flat, 0.0, m4 / safe**2 - 3.0)
+    return np.stack([mean[..., 0], np.sqrt(m2), skew, kurt, rms], axis=-1)
 
 
 def _taper(params: SpectralParams) -> np.ndarray:
@@ -146,13 +155,64 @@ def _segment_starts(n: int, params: SpectralParams) -> np.ndarray:
     return np.arange(0, n - seg + 1, step)
 
 
-def _segment_ffts(x: np.ndarray, params: SpectralParams) -> np.ndarray:
-    """Demeaned, tapered rFFT of every segment, one row per segment."""
-    seg = params.segment_length
-    starts = _segment_starts(x.size, params)
-    segments = x[starts[:, None] + np.arange(seg)[None, :]]
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    return np.fft.rfft(segments * _taper(params)[None, :], axis=1)
+def _segment_spectra(x: np.ndarray, starts: np.ndarray, taper: np.ndarray) -> np.ndarray:
+    """(..., n) -> (..., n_segments, n_bins): demeaned, tapered segment rFFTs."""
+    segments = x[..., starts[:, None] + np.arange(taper.size)]
+    segments -= segments.mean(axis=-1, keepdims=True)
+    segments *= taper
+    return np.fft.rfft(segments, axis=-1)
+
+
+def _segment_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over segments (axis -2). numpy may lay a reduction's output out
+    in any order; C order keeps the later sums over bins one row at a time."""
+    return np.ascontiguousarray(values.mean(axis=-2))
+
+
+def _mean_power(spectra: np.ndarray) -> np.ndarray:
+    """Auto-spectrum averaged over segments, before density scaling."""
+    return _segment_mean(np.abs(spectra) ** 2)
+
+
+def _density(power: np.ndarray, params: SpectralParams, taper: np.ndarray) -> np.ndarray:
+    """One-sided PSD: scale by 1/(fs sum w^2), double all bins but DC and Nyquist."""
+    psd = power / (params.fs * np.sum(taper**2))
+    psd[..., 1:] *= 2.0
+    if params.segment_length % 2 == 0:
+        psd[..., -1] /= 2.0  # Nyquist bin is not mirrored
+    return psd
+
+
+def _entropy(psd: np.ndarray) -> np.ndarray:
+    total = psd.sum(axis=-1, keepdims=True)
+    p = psd / np.where(total > 0.0, total, 1.0)
+    h = -np.sum(p * np.log(np.where(psd > 0.0, p, 1.0)), axis=-1)
+    return h / np.log(psd.shape[-1])
+
+
+def _mean_coherence(power_a: np.ndarray, power_b: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    denom = (power_a * power_b)[..., 1:]
+    num = (np.abs(cross) ** 2)[..., 1:]
+    keep = denom > 0
+    ratio = np.where(keep, num / np.where(keep, denom, 1.0), 0.0)
+    count = keep.sum(axis=-1)
+    return np.where(count > 0, ratio.sum(axis=-1) / np.maximum(count, 1), 0.0)
+
+
+# ------------------------------------------------------ single-channel API
+
+
+def time_domain_stats(channel: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(mean, std, skewness, excess kurtosis, rms) of one channel.
+
+    Population standard deviation; skewness m3/m2^(3/2) and excess
+    kurtosis m4/m2^2 - 3 from central moments. A zero-variance input
+    yields skewness = kurtosis = 0 by convention.
+    """
+    x = np.asarray(channel, dtype=np.float64)
+    if x.size < 2:
+        raise TooShort(f"need at least 2 samples, got {x.size}")
+    return tuple(float(v) for v in _moments(x))
 
 
 def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
@@ -164,15 +224,11 @@ def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
     Nyquist, then periodograms are averaged across segments.
     """
     x = np.asarray(channel, dtype=np.float64)
-    spectra = _segment_ffts(x, params)
-    w = _taper(params)
+    taper = _taper(params)
+    spectra = _segment_spectra(x, _segment_starts(x.size, params), taper)
     seg = params.segment_length
-    power = (np.abs(spectra) ** 2).mean(axis=0) / (params.fs * np.sum(w**2))
-    power[1:] *= 2.0
-    if seg % 2 == 0:
-        power[-1] /= 2.0  # Nyquist bin is not mirrored
     freqs = np.fft.rfftfreq(seg, d=1.0 / params.fs)
-    return PsdEstimate(frequencies=freqs, power=power, df=params.fs / seg)
+    return PsdEstimate(frequencies=freqs, power=_density(_mean_power(spectra), params, taper), df=params.fs / seg)
 
 
 def dominant_frequency(psd: PsdEstimate) -> float:
@@ -190,12 +246,7 @@ def spectral_entropy(psd: PsdEstimate) -> float:
     """
     if psd.power.size < 2:
         raise TooShort("PSD needs at least 2 bins")
-    total = psd.power.sum()
-    if total <= 0.0:
-        return 0.0
-    p = psd.power[psd.power > 0] / total
-    h = -np.sum(p * np.log(p))
-    return float(h / np.log(psd.power.size))
+    return float(_entropy(np.asarray(psd.power, dtype=np.float64)))
 
 
 def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
@@ -214,27 +265,12 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
     starts = _segment_starts(a.size, params)
     if starts.size < 2:
         raise TooShort("coherence needs at least 2 segments")
-    fa = _segment_ffts(a, params)
-    fb = _segment_ffts(b, params)
-    s_aa = (np.abs(fa) ** 2).mean(axis=0)
-    s_bb = (np.abs(fb) ** 2).mean(axis=0)
-    s_ab = (fa * np.conj(fb)).mean(axis=0)
-    denom = (s_aa * s_bb)[1:]
-    num = (np.abs(s_ab) ** 2)[1:]
-    keep = denom > 0
-    if not keep.any():
-        return 0.0
-    return float(np.mean(num[keep] / denom[keep]))
-
-
-_KERNEL_CACHE: dict = {}
+    fa, fb = _segment_spectra(np.stack([a, b]), starts, _taper(params))
+    return float(_mean_coherence(_mean_power(fa), _mean_power(fb), _segment_mean(fa * np.conj(fb))))
 
 
 def _morlet_kernels(config: WaveletConfig) -> list[np.ndarray]:
     """Unit-L2-norm sampled Morlet kernels, one per scale."""
-    key = (config.omega0, config.scales.tobytes())
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
     kernels = []
     for s in config.scales:
         half = int(np.floor(4.0 * s))
@@ -242,9 +278,6 @@ def _morlet_kernels(config: WaveletConfig) -> list[np.ndarray]:
         psi = np.pi**-0.25 * np.exp(1j * config.omega0 * t) * np.exp(-0.5 * t**2)
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
         kernels.append(psi)
-    if len(_KERNEL_CACHE) > 8:
-        _KERNEL_CACHE.clear()
-    _KERNEL_CACHE[key] = kernels
     return kernels
 
 
@@ -255,7 +288,8 @@ def cwt_morlet(channel: np.ndarray, config: WaveletConfig) -> np.ndarray:
     analytic Morlet wavelet pi^(-1/4) exp(i omega0 t) exp(-t^2/2)
     sampled at t = (k - center)/s, truncated at |t| <= 4 and normalized
     to unit discrete L2 norm. Edges are zero-padded; the output keeps
-    the input length.
+    the input length. This is the reference transform, used for plots;
+    feature extraction gets the same energy from a :class:`FeaturePlan`.
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.size < 16:
@@ -283,6 +317,209 @@ def wavelet_energy(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     return float(per_scale.sum()), per_scale
 
 
+# ------------------------------------------------------------ feature plan
+
+
+def _fast_len(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length the FFT handles quickly."""
+    best = 1 << max(0, m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _edge_gram(taps: np.ndarray) -> np.ndarray:
+    """Upper triangle of the real symmetric G with
+    sum_q |sum_p z_p taps[q + p]|^2 = z^T G z over q + p < len(taps), for real z.
+
+    G[p, p + d] = sum_{r >= p} Re(conj(taps[r]) taps[r + d]): one running
+    sum over r per lag d, so G costs O(len(taps)^2) rather than a product
+    of two Hankel matrices.
+    """
+    h = taps.size
+    padded = np.concatenate([taps, np.zeros_like(taps)])
+    upper = np.zeros((h, h))
+    suffix = np.zeros(h)
+    for p in range(h - 1, -1, -1):
+        suffix += (np.conj(taps[p]) * padded[p : p + h]).real
+        upper[p, p:] = suffix[: h - p]
+    return upper
+
+
+@dataclass(eq=False)
+class FeaturePlan:
+    """What feature extraction precomputes for one window length and configuration.
+
+    Build it once with :meth:`build` and pass it to :func:`feature_matrix`.
+
+    The wavelet energy of a channel x of n samples is the energy of its
+    full linear correlation with every kernel, minus the edge outputs
+    that ``cwt_morlet``'s same-length crop drops, over n. By Parseval the
+    first term is sum_k |X_k|^2 * ``weights[k]`` for the one-sided rFFT X
+    of length ``fft_len``, where ``weights`` folds sum_s |Psi_s,k|^2 / N
+    onto the non-negative bins. Each dropped edge output depends only on
+    the first (or, reversed, the last) ``edge`` samples, so their energy
+    is a quadratic form: ``head_gram`` on x[:edge], ``tail_gram`` on
+    x[::-1][:edge] (zero-padded when n < ``edge``).
+    """
+
+    n_samples: int
+    span: slice
+    spectral: SpectralParams
+    wavelet: WaveletConfig
+    coherence_mode: str
+    taper: np.ndarray
+    starts: np.ndarray
+    frequencies: np.ndarray
+    fft_len: int
+    weights: np.ndarray
+    head_gram: np.ndarray
+    tail_gram: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        fs: float,
+        n_samples: int,
+        spectral: SpectralParams,
+        wavelet: WaveletConfig,
+        coherence_mode: str = "per_pair",
+        analysis_span: tuple[float, float] | None = None,
+    ) -> FeaturePlan:
+        """Validate the configuration against windows of ``n_samples`` at ``fs``.
+
+        ``analysis_span`` optionally restricts extraction to a sub-window
+        given in seconds relative to the window start.
+        """
+        if coherence_mode not in COHERENCE_MODES:
+            raise InvalidConfig(f"unknown coherence_mode {coherence_mode!r}")
+        lo, hi = 0, n_samples
+        if analysis_span is not None:
+            lo = int(round(analysis_span[0] * fs))
+            hi = int(round(analysis_span[1] * fs))
+            if not 0 <= lo < hi <= n_samples:
+                raise InvalidConfig(f"analysis_span {analysis_span} outside the {n_samples / fs:g} s window")
+        n = hi - lo
+        if n < 16:
+            raise TooShort(f"CWT needs at least 16 samples, got {n}")
+        starts = _segment_starts(n, spectral)
+
+        kernels = _morlet_kernels(wavelet)
+        edge = max(psi.size // 2 for psi in kernels)
+        fft_len = _fast_len(n + 2 * edge)
+        power = np.zeros(fft_len)
+        head_gram = np.zeros((edge, edge))
+        tail_gram = np.zeros((edge, edge))
+        for psi in kernels:
+            half = psi.size // 2
+            taps = np.conj(psi[::-1])  # the correlation filter cwt_morlet convolves with
+            power += np.abs(np.fft.fft(taps, fft_len)) ** 2
+            head_gram[:half, :half] += _edge_gram(taps[:half][::-1])
+            tail_gram[:half, :half] += _edge_gram(taps[half + 1 :])
+        head_gram += np.triu(head_gram, 1).T
+        tail_gram += np.triu(tail_gram, 1).T
+        k = np.arange(fft_len // 2 + 1)
+        mirror = (fft_len - k) % fft_len
+        weights = np.where(mirror == k, power[k], power[k] + power[mirror]) / fft_len
+
+        return cls(
+            n_samples=n_samples,
+            span=slice(lo, hi),
+            spectral=spectral,
+            wavelet=wavelet,
+            coherence_mode=coherence_mode,
+            taper=_taper(spectral),
+            starts=starts,
+            frequencies=np.fft.rfftfreq(spectral.segment_length, d=1.0 / spectral.fs),
+            fft_len=fft_len,
+            weights=weights,
+            head_gram=head_gram,
+            tail_gram=tail_gram,
+        )
+
+    def chunk_windows(self, n_channels: int) -> int:
+        """Windows per chunk under ``CHUNK_BYTES``. Per channel the segment
+        matrix, the zero-padded signal and the signal itself dominate; with
+        their temporaries they take about 12 bytes per sample."""
+        per_channel = 16 * (self.starts.size * self.taper.size + self.fft_len + self.span.stop - self.span.start)
+        return max(1, CHUNK_BYTES // (per_channel * n_channels))
+
+
+def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan) -> np.ndarray:
+    """(..., n) -> (...): sum over scales of the mean-square CWT coefficient."""
+    n = x.shape[-1]
+    spectrum = np.fft.rfft(x, plan.fft_len, axis=-1)
+    full = ((spectrum.real**2 + spectrum.imag**2) * plan.weights).sum(axis=-1)
+    edge = plan.head_gram.shape[0]
+    head = np.zeros(x.shape[:-1] + (edge,))
+    tail = np.zeros_like(head)
+    head[..., : min(n, edge)] = x[..., :edge]
+    tail[..., : min(n, edge)] = x[..., ::-1][..., :edge]
+    # One matrix-vector product per row: a batched product may round a row
+    # differently depending on where it sits in the batch.
+    dropped = [h @ plan.head_gram @ h + t @ plan.tail_gram @ t for h, t in zip(head.reshape(-1, edge), tail.reshape(-1, edge))]
+    return (full - np.reshape(dropped, full.shape)) / n
+
+
+def _chunk_features(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
+    """(b, n_samples, C) windows -> (b, n_features) feature rows."""
+    x = np.array(np.moveaxis(windows[:, plan.span], 1, 2), dtype=np.float64, order="C")  # (b, C, n)
+    b, n_channels, _ = x.shape
+    spectra = _segment_spectra(x, plan.starts, plan.taper)  # (b, C, segments, bins)
+    power = _mean_power(spectra)
+    psd = _density(power, plan.spectral, plan.taper)
+    per_channel = np.concatenate(
+        [
+            _moments(x),
+            plan.frequencies[1 + np.argmax(psd[..., 1:], axis=-1)][..., None],
+            _entropy(psd)[..., None],
+            _total_wavelet_energy(x, plan)[..., None],
+        ],
+        axis=-1,
+    )
+    pairs = [
+        _mean_coherence(power[:, i], power[:, j], _segment_mean(spectra[:, i] * np.conj(spectra[:, j])))
+        for i, j in combinations(range(n_channels), 2)
+    ]
+    coh = np.stack(pairs, axis=-1) if pairs else np.zeros((b, 0))
+    if plan.coherence_mode == "global_mean":
+        coh = coh.mean(axis=-1, keepdims=True) if pairs else np.zeros((b, 1))
+    return np.concatenate([per_channel.reshape(b, -1), coh], axis=1)
+
+
+def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
+    """Feature rows of a (n_windows, n_samples, n_channels) stack of imputed windows.
+
+    Windows go through in chunks of ``plan.chunk_windows`` so working
+    memory stays bounded. ``windows`` needs only a ``shape`` and slicing
+    along its first axis, so a reader that loads each chunk from disk
+    works too; each chunk becomes float64 on its own, so the windows may
+    stay float32 as ingest stores them. A window's row does not depend on
+    the chunk it lands in or its place there.
+    """
+    n_windows, n_samples, n_channels = np.shape(windows)
+    if n_samples != plan.n_samples:
+        raise LengthMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
+    if n_channels > 1 and plan.starts.size < 2:
+        raise TooShort("coherence needs at least 2 segments")
+    out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))
+    step = plan.chunk_windows(n_channels)
+    for lo in range(0, n_windows, step):
+        out[lo : lo + step] = _chunk_features(windows[lo : lo + step], plan)
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")
+    return out
+
+
 _STAT_NAMES = ("mean", "std", "skewness", "kurtosis_excess", "rms")
 
 
@@ -308,49 +545,18 @@ def build_feature_vector(
     coherence_mode: str = "per_pair",
     analysis_span: tuple[float, float] | None = None,
 ) -> FeatureVector:
-    """Concatenate per-channel and per-pair features for one window.
+    """Features of one window: :func:`feature_matrix` on a stack of one.
 
     ``analysis_span`` optionally restricts extraction to a sub-window
     given in seconds relative to the window start; the default uses the
     full 6 minutes. The window must already be imputed.
     """
     if window.missing_mask.any():
-        raise ValueError("window has missing samples; run impute_mean first")
-    if coherence_mode not in ("per_pair", "global_mean"):
-        raise ValueError(f"unknown coherence_mode {coherence_mode!r}")
-
-    samples = window.samples
-    if analysis_span is not None:
-        lo = int(round(analysis_span[0] * window.fs))
-        hi = int(round(analysis_span[1] * window.fs))
-        if not 0 <= lo < hi <= samples.shape[0]:
-            raise ValueError(f"analysis_span {analysis_span} outside window")
-        samples = samples[lo:hi]
-
-    n_channels = samples.shape[1]
-    values = []
-    for c in range(n_channels):
-        x = samples[:, c]
-        values.extend(time_domain_stats(x))
-        psd = welch_psd(x, spectral)
-        values.append(dominant_frequency(psd))
-        values.append(spectral_entropy(psd))
-        total_energy, _ = wavelet_energy(cwt_morlet(x, wavelet))
-        values.append(total_energy)
-
-    pair_values = [
-        coherence(samples[:, i], samples[:, j], spectral)
-        for i, j in combinations(range(n_channels), 2)
-    ]
-    if coherence_mode == "per_pair":
-        values.extend(pair_values)
-    else:
-        values.append(float(np.mean(pair_values)) if pair_values else 0.0)
-
-    vec = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("non-finite feature value")
-    return FeatureVector(values=vec, names=feature_names(n_channels, coherence_mode))
+        raise ValueOutOfRange("window has missing samples; run impute_mean first")
+    samples = np.asarray(window.samples, dtype=np.float64)
+    plan = FeaturePlan.build(window.fs, samples.shape[0], spectral, wavelet, coherence_mode, analysis_span)
+    values = feature_matrix(samples[None], plan)[0]
+    return FeatureVector(values=values, names=feature_names(samples.shape[1], coherence_mode))
 
 
 __all__ = [
@@ -358,6 +564,7 @@ __all__ = [
     "PsdEstimate",
     "WaveletConfig",
     "FeatureVector",
+    "FeaturePlan",
     "spectral_params_for",
     "morlet_scales",
     "time_domain_stats",
@@ -367,6 +574,7 @@ __all__ = [
     "coherence",
     "cwt_morlet",
     "wavelet_energy",
+    "feature_matrix",
     "feature_names",
     "build_feature_vector",
 ]

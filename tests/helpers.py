@@ -7,9 +7,23 @@ test must agree with these, not the other way around.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from vtalarm.features import SpectralParams, _segment_starts, _taper
+from vtalarm.features import (
+    SpectralParams,
+    WaveletConfig,
+    _segment_starts,
+    _taper,
+    coherence,
+    cwt_morlet,
+    dominant_frequency,
+    spectral_entropy,
+    time_domain_stats,
+    wavelet_energy,
+    welch_psd,
+)
 
 
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
@@ -33,6 +47,36 @@ def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
     if seg % 2 == 0:
         power[-1] /= 2.0
     return power
+
+
+def feature_vector_oracle(
+    samples: np.ndarray,
+    fs: float,
+    spectral: SpectralParams,
+    wavelet: WaveletConfig,
+    coherence_mode: str = "per_pair",
+    analysis_span: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """One window's features the long way round: per channel a Welch pass
+    and the whole (n_scales, n) scalogram summed for the wavelet energy;
+    per pair a coherence call that redoes both channels' segment FFTs."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if analysis_span is not None:
+        samples = samples[int(round(analysis_span[0] * fs)) : int(round(analysis_span[1] * fs))]
+    values = []
+    for c in range(samples.shape[1]):
+        x = samples[:, c]
+        values.extend(time_domain_stats(x))
+        psd = welch_psd(x, spectral)
+        values.append(dominant_frequency(psd))
+        values.append(spectral_entropy(psd))
+        values.append(wavelet_energy(cwt_morlet(x, wavelet))[0])
+    pairs = [coherence(samples[:, i], samples[:, j], spectral) for i, j in combinations(range(samples.shape[1]), 2)]
+    if coherence_mode == "per_pair":
+        values.extend(pairs)
+    else:
+        values.append(float(np.mean(pairs)) if pairs else 0.0)
+    return np.asarray(values)
 
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:

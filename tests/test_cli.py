@@ -200,3 +200,35 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     cfg.write_text(json.dumps({"speed": 1}))
     assert run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+def test_ingest_of_an_empty_alarm_index_exits_nonzero(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "alarms.csv").write_text("record_id,alarm_time_s,label\n")
+    assert run("ingest", str(raw), "--out", str(tmp_path / "work")) == 1
+    assert capsys.readouterr().err.startswith("error: EmptyInput:")
+    assert not (tmp_path / "work" / "windows.npy").exists()
+
+
+def test_featurize_with_a_span_outside_the_window_exits_nonzero(pipeline, capsys):
+    root, raw, work, model, cfg = pipeline
+    bad = root / "span.json"
+    bad.write_text(json.dumps({"features": {"analysis_span": [0, 1000]}}))
+    assert run("featurize", str(work), "--config", str(bad), "--out", str(root / "span")) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+
+
+def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    broken = tmp_path / "raw"
+    broken.mkdir()
+    for path in raw.iterdir():
+        (broken / path.name).write_bytes(path.read_bytes())
+    lines = (raw / "alarms.csv").read_text().splitlines()
+    (broken / "alarms.csv").write_text("\n".join(lines + ["missing_record,300,true"]) + "\n")
+    out = tmp_path / "work"
+    assert run("ingest", str(broken), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: MissingInput:")
+    assert not (out / "windows.npy").exists()
+    assert not (out / "windows.npy.partial").exists()

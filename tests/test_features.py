@@ -1,11 +1,16 @@
 """Spectral, wavelet and statistical features against naive oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from helpers import welch_psd_oracle
+from helpers import feature_vector_oracle, welch_psd_oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vtalarm.errors import LengthMismatch, TooShort
+from vtalarm.errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
 from vtalarm.features import (
+    FeaturePlan,
     PsdEstimate,
     SpectralParams,
     WaveletConfig,
@@ -14,6 +19,7 @@ from vtalarm.features import (
     coherence,
     cwt_morlet,
     dominant_frequency,
+    feature_matrix,
     feature_names,
     morlet_scales,
     spectral_entropy,
@@ -88,12 +94,14 @@ def test_welch_too_short_signal():
 
 
 def test_spectral_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         SpectralParams(segment_length=4, fs=10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         SpectralParams(segment_length=64, fs=10.0, overlap=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         SpectralParams(segment_length=64, fs=10.0, window="hamming")
+    with pytest.raises(InvalidConfig):
+        SpectralParams(segment_length=64, fs=float("nan"))
     assert spectral_params_for(125.0).segment_length == 500
 
 
@@ -209,10 +217,12 @@ def test_cwt_minimum_length():
 
 
 def test_wavelet_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         WaveletConfig(omega0=6.0, scales=np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         WaveletConfig(omega0=0.0, scales=np.array([1.0]))
+    with pytest.raises(InvalidConfig):
+        WaveletConfig(omega0=6.0, scales=np.array([1.0, np.nan]))
 
 
 # ------------------------------------------------------------------ statistics
@@ -288,7 +298,7 @@ def test_feature_vector_analysis_span_equals_manual_slice():
 def test_feature_vector_rejects_unimputed_window():
     window = make_window(np.zeros((600, 2)), 50.0)
     window.missing_mask[3, 1] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueOutOfRange):
         build_feature_vector(window, spectral_params_for(50.0), morlet_scales(50.0))
 
 
@@ -296,3 +306,138 @@ def test_feature_names_counts():
     assert len(feature_names(2)) == 17
     assert len(feature_names(3)) == 27
     assert len(feature_names(3, coherence_mode="global_mean")) == 25
+
+
+# ------------------------------------------------------------- feature plan
+
+
+def test_feature_plan_validates_once():
+    spectral, wavelet = spectral_params_for(50.0), morlet_scales(50.0)
+    with pytest.raises(InvalidConfig):
+        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(0.0, 1000.0))
+    with pytest.raises(InvalidConfig):
+        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(12.0, 4.0))
+    with pytest.raises(InvalidConfig):
+        FeaturePlan.build(50.0, 1000, spectral, wavelet, coherence_mode="max")
+    with pytest.raises(TooShort):
+        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(0.0, 2.0))  # 100 samples < one segment
+    plan = FeaturePlan.build(50.0, 1000, spectral, wavelet)
+    with pytest.raises(LengthMismatch):
+        feature_matrix(np.zeros((2, 999, 3)), plan)
+
+
+def test_feature_matrix_rejects_non_finite_windows():
+    plan = FeaturePlan.build(50.0, 1000, spectral_params_for(50.0), morlet_scales(50.0))
+    windows = np.random.default_rng(44).normal(size=(3, 1000, 2))
+    windows[2, 10, 1] = np.inf
+    with pytest.raises(ValueOutOfRange, match="window 2"):
+        feature_matrix(windows, plan)
+
+
+def test_fft_length_is_five_smooth():
+    plan = FeaturePlan.build(50.0, 18000, spectral_params_for(50.0), morlet_scales(50.0))
+    assert plan.head_gram.shape == plan.tail_gram.shape == (381, 381)
+    assert plan.fft_len == 19200  # >= 18000 + 2 * 381, where the next power of two is 32768
+
+
+def _relative_error(got, want):
+    """Worst |got - want| / |want| over the features; a zero needs an exact zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(got == want, 0.0, np.abs(got - want) / np.abs(want))
+    return float(np.max(rel))
+
+
+@st.composite
+def feature_cases(draw):
+    """A stack of float32 windows (as ingest stores them), their settings and a chunk size."""
+    fs = draw(st.sampled_from([50.0, 125.0, 250.0]))
+    spectral = spectral_params_for(fs, seconds=draw(st.sampled_from([1.0, 2.0, 4.0])))
+    wavelet = morlet_scales(fs)
+    seg = spectral.segment_length
+    longest_kernel = _morlet_kernels(wavelet)[-1].size
+    n = draw(st.integers(2 * seg, 2 * longest_kernel))
+    n_channels = draw(st.integers(1, 3))
+    span = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - 2 * seg))
+        hi = draw(st.integers(lo + 2 * seg, n))
+        span = (lo / fs, hi / fs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 7))
+    t = np.arange(n) / fs
+    windows = (
+        rng.normal(size=(batch, n, n_channels)) * rng.uniform(0.1, 50.0, size=n_channels)
+        + rng.uniform(-100.0, 100.0, size=n_channels)
+        + np.sin(2 * np.pi * rng.uniform(0.5, 10.0) * t)[None, :, None]
+    ).astype(np.float32)
+    flat = draw(st.none() | st.integers(0, n_channels - 1))
+    if flat is not None:
+        windows[:, :, flat] = np.float32(rng.uniform(-5.0, 5.0))  # a zero-variance channel
+    return windows, fs, spectral, draw(st.sampled_from(["per_pair", "global_mean"])), span, draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(feature_cases())
+def test_feature_matrix_matches_per_window_oracle(case):
+    """The batched path against the scalogram oracle, whatever the chunking:
+    every fs, n above and below the longest kernel, both coherence modes,
+    with and without a span, a constant channel, ragged last chunks."""
+    windows, fs, spectral, mode, span, chunk = case
+    wavelet = morlet_scales(fs)
+    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, mode, span)
+    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: chunk):
+        rows = feature_matrix(windows, plan)
+        shifted = feature_matrix(np.roll(windows, 1, axis=0), plan)
+    for i, window in enumerate(windows):
+        want = feature_vector_oracle(window, fs, spectral, wavelet, mode, span)
+        assert _relative_error(rows[i], want) <= 1e-12
+        # the same bytes whichever chunk, and whichever place in it, the window lands in
+        assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
+        assert rows[i].tobytes() == shifted[(i + 1) % len(windows)].tobytes()
+
+
+def test_feature_matrix_default_chunks_at_full_window_length():
+    fs = 50.0
+    windows = np.random.default_rng(45).normal(size=(5, 18000, 3)).astype(np.float32)
+    plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
+    assert 5 % plan.chunk_windows(3) != 0
+    rows = feature_matrix(windows, plan)
+    for i in (0, 4):
+        want = feature_vector_oracle(windows[i], fs, plan.spectral, plan.wavelet)
+        assert _relative_error(rows[i], want) <= 1e-12
+        assert rows[i].tobytes() == feature_matrix(windows[i : i + 1], plan)[0].tobytes()
+
+
+def test_build_feature_vector_is_one_row_of_feature_matrix():
+    fs = 50.0
+    samples = np.random.default_rng(46).normal(size=(1500, 3))
+    spectral, wavelet = spectral_params_for(fs), morlet_scales(fs)
+    vec = build_feature_vector(make_window(samples, fs), spectral, wavelet, analysis_span=(2.0, 28.0))
+    plan = FeaturePlan.build(fs, 1500, spectral, wavelet, analysis_span=(2.0, 28.0))
+    assert vec.values.tobytes() == feature_matrix(samples[None], plan)[0].tobytes()
+
+
+# ------------------------------------------------------------- scipy oracle
+
+
+def test_welch_and_coherence_match_scipy():
+    pytest.importorskip("scipy")
+    from scipy import signal
+
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        seg = int(rng.choice([64, 128, 200, 256, 500]))
+        overlap = float(rng.choice([0.0, 0.25, 0.5]))
+        window = str(rng.choice(["hann", "rect"]))
+        fs = float(rng.uniform(50, 500))
+        params = SpectralParams(segment_length=seg, fs=fs, overlap=overlap, window=window)
+        step = max(1, int(round(seg * (1.0 - overlap))))
+        n = int(rng.integers(seg + step, 4097))
+        a = rng.normal(size=n) + np.sin(2 * np.pi * 0.1 * np.arange(n))
+        b = 0.5 * a + rng.normal(size=n)
+        kwargs = {"fs": fs, "window": "hann" if window == "hann" else "boxcar", "nperseg": seg, "noverlap": seg - step}
+
+        _, expected = signal.welch(a, detrend="constant", scaling="density", **kwargs)
+        assert np.max(np.abs(welch_psd(a, params).power - expected)) <= 1e-12 * np.max(expected)
+        _, cxy = signal.coherence(a, b, **kwargs)
+        assert coherence(a, b, params) == pytest.approx(np.mean(cxy[1:]), rel=1e-12, abs=1e-15)
