@@ -301,21 +301,20 @@ def _resample_config(config: dict) -> ResampleConfig:
         raise ConfigError(f"bad resample settings: {exc}") from exc
 
 
-def _prepare_arrays(config: dict, data_dir: Path, arch: str, hyperparams: dict, scaler=None):
-    """Load + scale model inputs. Returns (record_ids, labels, x, scaler).
+def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
+    """Load unscaled model inputs. Returns (record_ids, labels, x).
 
     fcnn consumes the feature table; cnn consumes raw windows, decimated
-    by the architecture's stride and min-max scaled per channel. When
-    ``scaler`` is None it is fit later by the caller on training rows.
+    by the architecture's stride. The caller scales x per column.
     """
     data_dir = Path(data_dir)
     if arch == "fcnn":
         ids, labels, x, _ = _load_features_csv(_require(data_dir / "features.csv", "run featurize first"))
-        return ids, labels, x, None
+        return ids, labels, x
     windows, labels, meta = _load_windows(data_dir)
     decimation = int(hyperparams.get("decimation", CNN_DEFAULTS["decimation"]))
     x = windows[:, ::decimation, :].astype(np.float64)
-    return meta["record_ids"], labels, x, None
+    return meta["record_ids"], labels, x
 
 
 def _scale(x: np.ndarray, scaler) -> np.ndarray:
@@ -335,10 +334,10 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     use_weights = bool(config["train"]["use_class_weights"])
     if use_weights and rcfg.method != "none":
         raise ConfigError("class weights and resampling are mutually exclusive; pick one")
-    ids, labels, x, _ = _prepare_arrays(config, data_dir, arch, hyperparams)
+    _, labels, x = _prepare_arrays(data_dir, arch, hyperparams)
     split = _get_split(config, labels)
-    if split.train_indices.size and int(max(np.max(split.train_indices), np.max(split.val_indices), np.max(split.test_indices))) >= x.shape[0]:
-        raise ConfigError("split file indices exceed the dataset size")
+    for which in ("train", "val", "test"):
+        _split_rows(split, which, x.shape[0])
 
     train_rows = x[split.train_indices]
     scaler = fit_scaler(train_rows.reshape(-1, x.shape[-1]) if x.ndim == 3 else train_rows)
@@ -374,25 +373,29 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     )
 
 
-def _scored_rows(config: dict, model_dir: Path, data_dir: Path):
-    """Shared by evaluate/predict: load model + data, return scored rows."""
-    model = load_checkpoint(_require(Path(model_dir) / "model.ckpt", "run train first"))
-    scaler = load_scaler(_require(Path(model_dir) / "scaler.txt", "run train first"))
-    ids, labels, x, _ = _prepare_arrays(config, data_dir, model.architecture, model.hyperparams)
-    scores = model.predict(_scale(x, scaler))
-    return model, ids, labels, scores
-
-
-def _subset_indices(which: str, model_dir: Path, n: int) -> np.ndarray:
-    if which == "all":
-        return np.arange(n)
-    split = load_split(_require(Path(model_dir) / "split.json", "run train first"))
+def _split_rows(split, which: str, n: int) -> np.ndarray:
+    """One of a split's lists, checked to be non-empty and within n rows."""
     idx = {"train": split.train_indices, "val": split.val_indices, "test": split.test_indices}[which]
     if idx.size == 0:
-        raise ConfigError(f"split has no {which} rows")
-    if int(idx.max()) >= n:
-        raise ConfigError(f"split {which} indices exceed the dataset ({n} rows)")
+        raise ConfigError(f"split has an empty {which} list")
+    if int(idx.min()) < 0 or int(idx.max()) >= n:
+        raise ConfigError(f"split {which} indices fall outside the dataset ({n} rows)")
     return idx
+
+
+def _scored_rows(model_dir: Path, data_dir: Path, subset: str):
+    """Shared by evaluate/predict: load the model and score only the rows
+    of ``subset`` (a split list, or "all"). Returns (model, record_ids,
+    labels, scores) for those rows."""
+    model = load_checkpoint(_require(Path(model_dir) / "model.ckpt", "run train first"))
+    scaler = load_scaler(_require(Path(model_dir) / "scaler.txt", "run train first"))
+    ids, labels, x = _prepare_arrays(data_dir, model.architecture, model.hyperparams)
+    if subset != "all":
+        split = load_split(_require(Path(model_dir) / "split.json", "run train first"))
+        idx = _split_rows(split, subset, len(ids))
+        ids, labels, x = [ids[i] for i in idx], labels[idx], x[idx]
+    scores = model.predict(_scale(x, scaler))
+    return model, ids, labels, scores
 
 
 def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: float) -> None:
@@ -405,22 +408,21 @@ def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: f
 
 def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, subset: str = "test") -> None:
     threshold = float(config["threshold"])
-    model, ids, labels, scores = _scored_rows(config, model_dir, data_dir)
-    idx = _subset_indices(subset, model_dir, len(ids))
-    report = classification_metrics(scores[idx], labels[idx], threshold)
+    model, ids, labels, scores = _scored_rows(model_dir, data_dir, subset)
+    report = classification_metrics(scores, labels, threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"config_hash": config_hash(config), "seed": config["seed"], "subset": subset, **report.to_dict()}
     _write_json(out_dir / "report.json", payload)
-    _write_scores_csv(out_dir / "scores.csv", _stamp(config), [ids[i] for i in idx], scores[idx], threshold)
+    _write_scores_csv(out_dir / "scores.csv", _stamp(config), ids, scores, threshold)
     print(
-        f"evaluate: {model.architecture} on {len(idx)} {subset} rows, auc {report.roc_auc:.4f} "
+        f"evaluate: {model.architecture} on {len(ids)} {subset} rows, auc {report.roc_auc:.4f} "
         f"-> {out_dir / 'report.json'} [{_stamp(config)}]"
     )
 
 
 def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) -> None:
     threshold = float(config["threshold"])
-    model, ids, _, scores = _scored_rows(config, model_dir, data_dir)
+    model, ids, _, scores = _scored_rows(model_dir, data_dir, "all")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)
     n_alerts = int(np.sum(scores >= threshold))

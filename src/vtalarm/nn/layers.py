@@ -13,9 +13,12 @@ import numpy as np
 from ..errors import (
     BatchTooSmall,
     DimensionNotDivisible,
+    InvalidHyperparams,
     LabelOutOfRange,
     ShapeMismatch,
 )
+
+TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -201,7 +204,14 @@ class MaxPool1D(Layer):
 class MultiHeadAttention(Layer):
     """Self-attention: per head softmax(Q K^T / sqrt(d_k)) V, heads
     concatenated and projected back to the model dimension. Projections
-    are bias-free; no masking."""
+    are bias-free; no masking.
+
+    The (T, T) score matrices are never held whole. Each (batch, head)
+    slice is worked through in blocks of query rows whose (rows, T)
+    float64 tile fits ``TILE_BYTES``. A tile holds whole key rows, so its
+    softmax is exact and needs no online rescaling; backward recomputes
+    the tiles instead of caching them (Rabe & Staats 2021; Dao et al. 2022).
+    """
 
     def __init__(self, model_dim: int, n_heads: int, rng):
         super().__init__()
@@ -214,14 +224,38 @@ class MultiHeadAttention(Layer):
             name: rng.normal(0.0, std, size=(model_dim, model_dim))
             for name in ("Wq", "Wk", "Wv", "Wo")
         }
+        self._cache = None
 
     def _split(self, x):
         b, t, _ = x.shape
         return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
 
-    def _merge(self, x):
-        b, h, t, d = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+    @staticmethod
+    def _tile_rows(t: int) -> int:
+        return max(1, min(t, TILE_BYTES // (8 * t)))
+
+    def _tiles(self, q, k):
+        """Yield (batch, head, query rows, probabilities) for every tile.
+
+        The probabilities live in one scratch array that the next tile
+        overwrites. Each row is computed as the dense softmax computes it:
+        scores over sqrt(d_k), minus the row max, exp, over the row sum.
+        """
+        b, h, t, _ = q.shape
+        step = self._tile_rows(t)
+        scratch = np.empty((step, t))
+        scale = np.sqrt(self.d_k)
+        for bi in range(b):
+            for hi in range(h):
+                for r0 in range(0, t, step):
+                    rows = slice(r0, min(r0 + step, t))
+                    tile = scratch[: rows.stop - r0]
+                    np.matmul(q[bi, hi, rows], k[bi, hi].T, out=tile)
+                    tile /= scale
+                    tile -= tile.max(axis=1, keepdims=True)
+                    np.exp(tile, out=tile)
+                    tile /= tile.sum(axis=1, keepdims=True)
+                    yield bi, hi, rows, tile
 
     def forward(self, x, train):
         if x.ndim != 3 or x.shape[2] != self.model_dim:
@@ -230,35 +264,57 @@ class MultiHeadAttention(Layer):
         q = self._split(x @ p["Wq"])
         k = self._split(x @ p["Wk"])
         v = self._split(x @ p["Wv"])
-        scores = q @ k.swapaxes(-1, -2) / np.sqrt(self.d_k)
-        attn = softmax(scores, axis=-1)
-        heads = attn @ v
-        merged = self._merge(heads)
-        self._cache = (x, q, k, v, attn, merged)
+        b, h, t, d = q.shape
+        heads = np.empty((b, t, h, d))  # the heads already in merged order
+        for bi, hi, rows, attn in self._tiles(q, k):
+            np.matmul(attn, v[bi, hi], out=heads[bi, rows, hi])
+        merged = heads.reshape(b, t, h * d)
+        self._cache = (x, q, k, v, merged) if train else None
         return merged @ p["Wo"]
 
     def attention_weights(self, x):
         """Per-head attention matrices for inspection, (B, H, T, T)."""
         q = self._split(x @ self.params["Wq"])
         k = self._split(x @ self.params["Wk"])
-        return softmax(q @ k.swapaxes(-1, -2) / np.sqrt(self.d_k), axis=-1)
+        weights = np.empty(q.shape[:3] + (q.shape[2],))
+        for bi, hi, rows, attn in self._tiles(q, k):
+            weights[bi, hi, rows] = attn
+        return weights
 
     def backward(self, dout):
-        x, q, k, v, attn, merged = self._cache
+        x, q, k, v, merged = self._cache
         p = self.params
+        b, h, t, d = q.shape
         d_wo = np.einsum("bti,btj->ij", merged, dout)
-        d_merged = dout @ p["Wo"].T
-        d_heads = self._split(d_merged)
+        d_heads = self._split(dout @ p["Wo"].T)
 
-        d_attn = d_heads @ v.swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_heads
-        # softmax backward, rowwise over the key axis
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_scores /= np.sqrt(self.d_k)
-        d_q = d_scores @ k
-        d_k_ = d_scores.swapaxes(-1, -2) @ q
+        # d_q, d_k, d_v in merged (B, T, H, d) order, viewed per head
+        grads = np.zeros((3, b, t, h, d))
+        d_q, d_k, d_v = (g.transpose(0, 2, 1, 3) for g in grads)
+        step = self._tile_rows(t)
+        whole = step == t  # one tile per slice: write the key-side sums directly
+        d_attn_buf, prod_buf = np.empty((step, t)), np.empty((step, t))
+        scale = np.sqrt(self.d_k)
+        for bi, hi, rows, attn in self._tiles(q, k):
+            dh = d_heads[bi, hi, rows]
+            d_attn, prod = d_attn_buf[: len(attn)], prod_buf[: len(attn)]
+            np.matmul(dh, v[bi, hi].T, out=d_attn)
+            if whole:
+                np.matmul(attn.T, dh, out=d_v[bi, hi])
+            else:
+                d_v[bi, hi] += attn.T @ dh
+            # softmax backward, rowwise over the key axis: the tile becomes d_scores
+            np.multiply(d_attn, attn, out=prod)
+            d_attn -= prod.sum(axis=1, keepdims=True)
+            d_attn *= attn
+            d_attn /= scale
+            np.matmul(d_attn, k[bi, hi], out=d_q[bi, hi, rows])
+            if whole:
+                np.matmul(d_attn.T, q[bi, hi], out=d_k[bi, hi])
+            else:
+                d_k[bi, hi] += d_attn.T @ q[bi, hi, rows]
 
-        dq_full, dk_full, dv_full = (self._merge(g) for g in (d_q, d_k_, d_v))
+        dq_full, dk_full, dv_full = (g.reshape(b, t, h * d) for g in grads)
         self.grads = {
             "Wq": np.einsum("bti,btj->ij", x, dq_full),
             "Wk": np.einsum("bti,btj->ij", x, dk_full),
@@ -287,7 +343,7 @@ class Dropout(Layer):
     def __init__(self, p: float, rng: np.random.Generator | None = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
-            raise ShapeMismatch(f"dropout probability must be in [0, 1), got {p}")
+            raise InvalidHyperparams(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng
 

@@ -8,8 +8,6 @@ two models built with the same seed are bit-identical.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..errors import InvalidHyperparams, ShapeMismatch
@@ -27,6 +25,7 @@ from .layers import (
 )
 
 ARCHITECTURES = ("fcnn", "cnn")
+PREDICT_BYTES = 16 << 20  # bytes of the widest activation in one predict batch
 
 FCNN_DEFAULTS = {"hidden_sizes": [256, 192, 128, 64], "dropout_p": 0.3}
 CNN_DEFAULTS = {
@@ -108,17 +107,30 @@ class Model:
     def parameter_count(self) -> int:
         return int(sum(arr.size for _, arr in self.named_parameters()))
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference-mode probabilities in [0, 1], shape (B,)."""
+    def _row_bytes(self) -> int:
+        """Bytes of one example's widest activation: the input or the widest
+        dense layer for the fcnn, the (T, n_filters) convolution output for
+        the cnn."""
+        hp = self.hyperparams
+        if self.architecture == "fcnn":
+            return 8 * max([self.input_shape[0]] + hp["hidden_sizes"])
+        t, c = self.input_shape
+        return 8 * max([t * max(c, hp["n_filters"])] + hp["dense_sizes"])
+
+    def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        """Inference-mode probabilities in [0, 1], shape (B,).
+
+        By default a batch holds as many rows as keep its widest
+        activation within ``PREDICT_BYTES``.
+        """
         x = np.asarray(x, dtype=np.float64)
+        if batch_size is None:
+            batch_size = max(1, PREDICT_BYTES // self._row_bytes())
         scores = np.empty(x.shape[0])
         for start in range(0, x.shape[0], batch_size):
             stop = min(start + batch_size, x.shape[0])
             scores[start:stop] = sigmoid(self.forward(x[start:stop], train=False))
         return scores
-
-    def clone(self) -> "Model":
-        return copy.deepcopy(self)
 
 
 def _fcnn_layers(n_features: int, hp: dict, rng) -> list:

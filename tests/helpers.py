@@ -24,6 +24,7 @@ from vtalarm.features import (
     wavelet_energy,
     welch_psd,
 )
+from vtalarm.nn.layers import softmax
 
 
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
@@ -93,6 +94,47 @@ def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
             elif p == q:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def dense_attention_oracle(layer, x: np.ndarray, dout: np.ndarray):
+    """A MultiHeadAttention layer's forward and backward with every
+    (B, H, T, T) score, probability and gradient array held whole.
+
+    Returns (output, input gradient, parameter gradients) for the
+    objective sum(output * dout), using the layer's parameters.
+    """
+    p, n_heads, d_k = layer.params, layer.n_heads, layer.d_k
+
+    def split(a):
+        b, t, _ = a.shape
+        return a.reshape(b, t, n_heads, d_k).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        b, h, t, d = a.shape
+        return a.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+
+    q, k, v = split(x @ p["Wq"]), split(x @ p["Wk"]), split(x @ p["Wv"])
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(d_k)
+    attn = softmax(scores, axis=-1)
+    merged = merge(attn @ v)
+    out = merged @ p["Wo"]
+
+    d_heads = split(dout @ p["Wo"].T)
+    d_attn = d_heads @ v.swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ d_heads
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_scores /= np.sqrt(d_k)
+    d_q = d_scores @ k
+    d_k_ = d_scores.swapaxes(-1, -2) @ q
+    dq_full, dk_full, dv_full = (merge(g) for g in (d_q, d_k_, d_v))
+    grads = {
+        "Wq": np.einsum("bti,btj->ij", x, dq_full),
+        "Wk": np.einsum("bti,btj->ij", x, dk_full),
+        "Wv": np.einsum("bti,btj->ij", x, dv_full),
+        "Wo": np.einsum("bti,btj->ij", merged, dout),
+    }
+    dx = dq_full @ p["Wq"].T + dk_full @ p["Wk"].T + dv_full @ p["Wv"].T
+    return out, dx, grads
 
 
 def numeric_input_grad(layer, x: np.ndarray, dout: np.ndarray, train: bool = True, eps: float = 1e-6):

@@ -7,6 +7,7 @@ import pytest
 
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import ConfigError
+from vtalarm.nn.model import Model
 
 
 def run(*argv):
@@ -177,6 +178,20 @@ def test_cnn_training_path(tmp_path):
     assert report["n_samples"] == 12
 
 
+def test_evaluate_scores_only_the_subset_rows(pipeline, monkeypatch):
+    root, raw, work, model, cfg = pipeline
+    scored, predict = [], Model.predict
+
+    def counting_predict(self, x, **kwargs):
+        scored.append(len(x))
+        return predict(self, x, **kwargs)
+
+    monkeypatch.setattr(Model, "predict", counting_predict)
+    assert run("evaluate", str(model), str(work), "--config", str(cfg), "--out", str(root / "eval_rows")) == 0
+    split = json.loads((model / "split.json").read_text())
+    assert scored == [len(split["test"])]
+
+
 # --------------------------------------------------------------------- errors
 
 
@@ -184,6 +199,21 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert run("train", str(tmp_path), "--out", str(tmp_path / "m")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MissingInput:")
+
+
+@pytest.mark.parametrize("empty", ["val", "test"])
+def test_train_with_an_empty_split_list_exits_nonzero(pipeline, tmp_path, capsys, empty):
+    root, raw, work, model, cfg = pipeline
+    lists = {"train": list(range(16)), "val": list(range(16, 20)), "test": list(range(20, 24))}
+    lists[empty] = []
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(lists))
+    bad = tmp_path / "train.json"
+    bad.write_text(json.dumps({**json.loads(cfg.read_text()), "split": {"file": str(split)}}))
+    assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
+    assert f"empty {empty} list" in err
 
 
 def test_class_weights_and_resampling_conflict(tmp_path, capsys):

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from helpers import check_layer_gradients, max_rel_error
+from helpers import check_layer_gradients, dense_attention_oracle, max_rel_error
 
 from vtalarm.errors import (
     BatchTooSmall,
     DimensionNotDivisible,
+    InvalidHyperparams,
     LabelOutOfRange,
     ShapeMismatch,
 )
+from vtalarm.nn import layers as nn_layers
 from vtalarm.nn.layers import (
     Adam,
     BatchNorm,
@@ -86,6 +88,16 @@ def test_attention_gradients(seed):
     b, t = int(data_rng.integers(1, 3)), int(data_rng.integers(3, 7))
     layer = MultiHeadAttention(model_dim, heads, init_rng)
     x = data_rng.normal(size=(b, t, model_dim))
+    assert check_layer_gradients(layer, x, data_rng) <= GRAD_TOL
+
+
+@pytest.mark.parametrize("tile_rows", [1, 2, 3])
+def test_attention_gradients_with_tiles_smaller_than_t(tile_rows, monkeypatch):
+    data_rng, init_rng = rngs(tile_rows + 45)
+    b, t = 2, 7  # tiles of 1, 2 and 3 rows; the last two leave a ragged last tile
+    monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
+    layer = MultiHeadAttention(4, 2, init_rng)
+    x = data_rng.normal(size=(b, t, 4))
     assert check_layer_gradients(layer, x, data_rng) <= GRAD_TOL
 
 
@@ -223,6 +235,47 @@ def test_attention_weights_are_row_stochastic():
     assert np.all(weights >= 0)
 
 
+def attention_case(seed, b, t, model_dim=8, heads=2):
+    rng = np.random.default_rng(seed)
+    layer = MultiHeadAttention(model_dim, heads, rng)
+    return layer, rng.normal(size=(b, t, model_dim)), rng.normal(size=(b, t, model_dim))
+
+
+@pytest.mark.parametrize("b, t", [(1, 3), (2, 17), (3, 64), (2, 300)])
+def test_attention_matches_dense_oracle_bit_for_bit_in_one_tile(b, t):
+    layer, x, dout = attention_case(111 + t, b, t)
+    assert layer._tile_rows(t) == t
+    out, dx, grads = dense_attention_oracle(layer, x, dout)
+    assert np.array_equal(layer.forward(x, train=True), out)
+    assert np.array_equal(layer.backward(dout), dx)
+    for name, grad in grads.items():
+        assert np.array_equal(layer.grads[name], grad), name
+
+
+@pytest.mark.parametrize("tile_rows", [1, 5, 16, 63])
+def test_attention_matches_dense_oracle_in_tiles_smaller_than_t(tile_rows, monkeypatch):
+    b, t = 2, 64  # 5 and 63 rows leave a ragged last tile
+    layer, x, dout = attention_case(112 + tile_rows, b, t)
+    out, dx, grads = dense_attention_oracle(layer, x, dout)
+    monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
+    assert layer._tile_rows(t) == tile_rows
+    assert max_rel_error(out, layer.forward(x, train=True)) <= 1e-12
+    assert max_rel_error(dx, layer.backward(dout)) <= 1e-12
+    for name, grad in grads.items():
+        assert max_rel_error(grad, layer.grads[name]) <= 1e-12, name
+    weights = layer.attention_weights(x)
+    assert weights.shape == (b, 2, t, t)
+    assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_attention_inference_forward_keeps_no_cache():
+    layer, x, _ = attention_case(113, 2, 9)
+    layer.forward(x, train=True)
+    assert layer._cache is not None
+    layer.forward(x, train=False)
+    assert layer._cache is None
+
+
 def test_attention_rejects_indivisible_heads():
     with pytest.raises(DimensionNotDivisible):
         MultiHeadAttention(10, 4, np.random.default_rng(0))
@@ -256,7 +309,7 @@ def test_dropout_zero_fraction_and_inverted_scaling():
 
 
 def test_dropout_rejects_bad_probability():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidHyperparams):
         Dropout(1.0)
 
 

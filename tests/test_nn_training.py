@@ -1,9 +1,16 @@
 """Model assembly, training loop behavior, and checkpoint format."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import vtalarm
 
 from vtalarm.errors import (
     ArchitectureMismatch,
@@ -173,6 +180,39 @@ def test_class_weights_change_the_fit():
         TrainConfig(max_epochs=3, patience=50, seed=4, class_weights=ClassWeights(weight_true=0.5, weight_false=5.0)),
     )
     assert not np.array_equal(plain.predict(x_va), weighted.predict(x_va))
+
+
+def test_cnn_predict_scores_do_not_depend_on_a_batch_of_at_least_48_rows():
+    model = build_model("cnn", (600, 3), seed=1)
+    x = np.random.default_rng(0).normal(size=(96, 600, 3))
+    model.forward(x[:8], train=True)  # move the batch-norm running stats off their start
+    whole = model.predict(x, batch_size=96)
+    assert np.array_equal(model.predict(x), whole)  # the byte budget's batch
+    for batch_size in (48, 64):
+        assert np.array_equal(model.predict(x, batch_size=batch_size), whole), batch_size
+
+
+DEFAULT_CNN_STEP = """
+import json, resource
+import numpy as np
+from vtalarm.nn import TrainConfig, build_model, train
+rng = np.random.default_rng(0)
+model = build_model("cnn", (4500, 3), seed=0)
+x, y = rng.normal(size=(36, 4500, 3)), np.arange(36) % 2
+history = train(model, x[:32], y[:32], x[32:], y[32:], TrainConfig(max_epochs=1, batch_size=32, seed=0))
+print(json.dumps({"loss": history[0]["train_loss"],
+                  "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_default_cnn_trains_one_step_at_batch_32_within_1_gb():
+    """2250 attention tokens at batch 32: dense (B, H, T, T) scores would need ~25 GB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vtalarm.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", DEFAULT_CNN_STEP], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert np.isfinite(result["loss"])
+    assert result["max_rss_kb"] <= 1 << 20  # ru_maxrss is in KiB on Linux
 
 
 # ----------------------------------------------------------------- checkpoint
