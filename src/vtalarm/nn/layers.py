@@ -292,27 +292,20 @@ class MultiHeadAttention(Layer):
         grads = np.zeros((3, b, t, h, d))
         d_q, d_k, d_v = (g.transpose(0, 2, 1, 3) for g in grads)
         step = self._tile_rows(t)
-        whole = step == t  # one tile per slice: write the key-side sums directly
         d_attn_buf, prod_buf = np.empty((step, t)), np.empty((step, t))
         scale = np.sqrt(self.d_k)
         for bi, hi, rows, attn in self._tiles(q, k):
             dh = d_heads[bi, hi, rows]
             d_attn, prod = d_attn_buf[: len(attn)], prod_buf[: len(attn)]
             np.matmul(dh, v[bi, hi].T, out=d_attn)
-            if whole:
-                np.matmul(attn.T, dh, out=d_v[bi, hi])
-            else:
-                d_v[bi, hi] += attn.T @ dh
+            d_v[bi, hi] += attn.T @ dh
             # softmax backward, rowwise over the key axis: the tile becomes d_scores
             np.multiply(d_attn, attn, out=prod)
             d_attn -= prod.sum(axis=1, keepdims=True)
             d_attn *= attn
             d_attn /= scale
             np.matmul(d_attn, k[bi, hi], out=d_q[bi, hi, rows])
-            if whole:
-                np.matmul(d_attn.T, q[bi, hi], out=d_k[bi, hi])
-            else:
-                d_k[bi, hi] += d_attn.T @ q[bi, hi, rows]
+            d_k[bi, hi] += d_attn.T @ q[bi, hi, rows]
 
         dq_full, dk_full, dv_full = (g.reshape(b, t, h * d) for g in grads)
         self.grads = {
