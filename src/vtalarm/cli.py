@@ -287,7 +287,10 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
 def _get_split(config: dict, labels: np.ndarray):
     if config["split"]["file"]:
         return load_split(_require(Path(config["split"]["file"]), "split file from config"))
-    ratios = tuple(float(r) for r in config["split"]["ratios"])
+    try:
+        ratios = tuple(float(r) for r in config["split"]["ratios"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad split ratios: {exc}") from exc
     return split_dataset(labels, seed=int(config["seed"]), ratios=ratios)
 
 

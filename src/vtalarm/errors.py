@@ -130,4 +130,4 @@ class ConfigError(VtalarmError):
 
 
 class InvalidConfig(VtalarmError):
-    """Synthetic-data or feature-extraction configuration is invalid."""
+    """Synthetic-data, feature-extraction, resampling or split configuration is invalid."""

@@ -19,7 +19,7 @@ reference transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
 from .wfdb_io import AlarmWindow
 
-CHUNK_BYTES = 16 << 20  # working memory one chunk of windows may take in feature_matrix
+CHUNK_BYTES = 10 << 20  # bytes of the workspace one chunk of windows takes in feature_matrix
 COHERENCE_MODES = ("per_pair", "global_mean")
 
 
@@ -121,17 +121,26 @@ def morlet_scales(
 # Each works along the last axis (or the last two) and broadcasts over any
 # leading axes, so one channel and a chunk of windows take the same path.
 # Reductions run per row, so a row's value never depends on its neighbours.
+# Intermediates as large as the input go into arrays the caller passes:
+# feature_matrix's workspace, or fresh arrays for the single-channel API.
 
 
-def _moments(x: np.ndarray) -> np.ndarray:
-    """(..., n) -> (..., 5): mean, std, skewness, excess kurtosis, rms."""
+def _moments(x: np.ndarray, centered: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """(..., n) -> (..., 5): mean, std, skewness, excess kurtosis, rms.
+
+    ``centered`` and ``squared`` are scratch arrays of x's shape. Each
+    product is rounded once whichever array it lands in, so writing it
+    over an input gives the bits a fresh array would.
+    """
     mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    squared = centered * centered  # products, not pow(): several times faster
+    np.subtract(x, mean, out=centered)
+    np.multiply(centered, centered, out=squared)  # products, not pow(): several times faster
     m2 = np.mean(squared, axis=-1)
-    m3 = np.mean(squared * centered, axis=-1)
-    m4 = np.mean(squared * squared, axis=-1)
-    rms = np.sqrt(np.mean(x**2, axis=-1))
+    centered *= squared
+    m3 = np.mean(centered, axis=-1)
+    squared *= squared
+    m4 = np.mean(squared, axis=-1)
+    rms = np.sqrt(np.mean(np.multiply(x, x, out=centered), axis=-1))
     flat = m2 == 0.0
     safe = np.where(flat, 1.0, m2)
     skew = np.where(flat, 0.0, m3 / safe**1.5)
@@ -155,12 +164,20 @@ def _segment_starts(n: int, params: SpectralParams) -> np.ndarray:
     return np.arange(0, n - seg + 1, step)
 
 
-def _segment_spectra(x: np.ndarray, starts: np.ndarray, taper: np.ndarray) -> np.ndarray:
-    """(..., n) -> (..., n_segments, n_bins): demeaned, tapered segment rFFTs."""
-    segments = x[..., starts[:, None] + np.arange(taper.size)]
+def _segment_index(n: int, params: SpectralParams) -> np.ndarray:
+    """(n_segments, segment_length): the sample index of every segment."""
+    return _segment_starts(n, params)[:, None] + np.arange(params.segment_length)
+
+
+def _segment_spectra(
+    x: np.ndarray, index: np.ndarray, taper: np.ndarray, segments: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """(..., n) -> ``out`` (..., n_segments, n_bins): demeaned, tapered segment
+    rFFTs, cut through ``segments`` (float64 scratch, (..., n_segments, n_taper))."""
+    np.take(x, index, axis=-1, out=segments, mode="clip")  # every index is valid; "clip" skips a buffered copy
     segments -= segments.mean(axis=-1, keepdims=True)
     segments *= taper
-    return np.fft.rfft(segments, axis=-1)
+    return np.fft.rfft(segments, axis=-1, out=out)
 
 
 def _segment_mean(values: np.ndarray) -> np.ndarray:
@@ -169,9 +186,23 @@ def _segment_mean(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.mean(axis=-2))
 
 
-def _mean_power(spectra: np.ndarray) -> np.ndarray:
-    """Auto-spectrum averaged over segments, before density scaling."""
-    return _segment_mean(np.abs(spectra) ** 2)
+def _mean_power(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Auto-spectrum averaged over segments, before density scaling.
+    ``out`` (real, spectra's shape) takes |spectra|^2."""
+    np.abs(spectra, out=out)
+    out *= out
+    return _segment_mean(out)
+
+
+def _mean_cross(spectra_a: np.ndarray, spectra_b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cross-spectrum a * conj(b) averaged over segments; ``out`` (complex,
+    spectra_b's shape) takes the products. The operands go in one fixed order:
+    with fused multiply-add, conj(b) * a and a * conj(b) round the imaginary
+    part differently, and numpy's elision of large temporaries would pick
+    the order by the array's size."""
+    np.conjugate(spectra_b, out=out)
+    out *= spectra_a
+    return _segment_mean(out)
 
 
 def _density(power: np.ndarray, params: SpectralParams, taper: np.ndarray) -> np.ndarray:
@@ -212,7 +243,7 @@ def time_domain_stats(channel: np.ndarray) -> tuple[float, float, float, float, 
     x = np.asarray(channel, dtype=np.float64)
     if x.size < 2:
         raise TooShort(f"need at least 2 samples, got {x.size}")
-    return tuple(float(v) for v in _moments(x))
+    return tuple(float(v) for v in _moments(x, np.empty_like(x), np.empty_like(x)))
 
 
 def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
@@ -225,10 +256,13 @@ def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
     """
     x = np.asarray(channel, dtype=np.float64)
     taper = _taper(params)
-    spectra = _segment_spectra(x, _segment_starts(x.size, params), taper)
-    seg = params.segment_length
-    freqs = np.fft.rfftfreq(seg, d=1.0 / params.fs)
-    return PsdEstimate(frequencies=freqs, power=_density(_mean_power(spectra), params, taper), df=params.fs / seg)
+    index = _segment_index(x.size, params)
+    n_bins = params.segment_length // 2 + 1
+    spectra = np.empty((index.shape[0], n_bins), np.complex128)
+    _segment_spectra(x, index, taper, np.empty(index.shape), spectra)
+    freqs = np.fft.rfftfreq(params.segment_length, d=1.0 / params.fs)
+    power = _density(_mean_power(spectra, np.empty(spectra.shape)), params, taper)
+    return PsdEstimate(frequencies=freqs, power=power, df=params.fs / params.segment_length)
 
 
 def dominant_frequency(psd: PsdEstimate) -> float:
@@ -262,11 +296,14 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
         raise LengthMismatch(f"channel lengths differ: {a.size} vs {b.size}")
-    starts = _segment_starts(a.size, params)
-    if starts.size < 2:
+    index = _segment_index(a.size, params)
+    if index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
-    fa, fb = _segment_spectra(np.stack([a, b]), starts, _taper(params))
-    return float(_mean_coherence(_mean_power(fa), _mean_power(fb), _segment_mean(fa * np.conj(fb))))
+    n_bins = params.segment_length // 2 + 1
+    spectra = np.empty((2, index.shape[0], n_bins), np.complex128)
+    _segment_spectra(np.stack([a, b]), index, _taper(params), np.empty((2,) + index.shape), spectra)
+    power = _mean_power(spectra, np.empty(spectra.shape))
+    return float(_mean_coherence(power[0], power[1], _mean_cross(spectra[0], spectra[1], np.empty_like(spectra[1]))))
 
 
 def _morlet_kernels(config: WaveletConfig) -> list[np.ndarray]:
@@ -377,7 +414,7 @@ class FeaturePlan:
     wavelet: WaveletConfig
     coherence_mode: str
     taper: np.ndarray
-    starts: np.ndarray
+    segment_index: np.ndarray
     frequencies: np.ndarray
     fft_len: int
     weights: np.ndarray
@@ -410,7 +447,7 @@ class FeaturePlan:
         n = hi - lo
         if n < 16:
             raise TooShort(f"CWT needs at least 16 samples, got {n}")
-        starts = _segment_starts(n, spectral)
+        segment_index = _segment_index(n, spectral)
 
         kernels = _morlet_kernels(wavelet)
         edge = max(psi.size // 2 for psi in kernels)
@@ -437,7 +474,7 @@ class FeaturePlan:
             wavelet=wavelet,
             coherence_mode=coherence_mode,
             taper=_taper(spectral),
-            starts=starts,
+            segment_index=segment_index,
             frequencies=np.fft.rfftfreq(spectral.segment_length, d=1.0 / spectral.fs),
             fft_len=fft_len,
             weights=weights,
@@ -446,18 +483,72 @@ class FeaturePlan:
         )
 
     def chunk_windows(self, n_channels: int) -> int:
-        """Windows per chunk under ``CHUNK_BYTES``. Per channel the segment
-        matrix, the zero-padded signal and the signal itself dominate; with
-        their temporaries they take about 12 bytes per sample."""
-        per_channel = 16 * (self.starts.size * self.taper.size + self.fft_len + self.span.stop - self.span.start)
-        return max(1, CHUNK_BYTES // (per_channel * n_channels))
+        """Windows per chunk: as many as keep the chunk's workspace within
+        ``CHUNK_BYTES``, and at least one."""
+        layout = _Workspace.layout(self, n_channels)
+        per_window = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
+        return max(1, CHUNK_BYTES // per_window)
 
 
-def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan) -> np.ndarray:
-    """(..., n) -> (...): sum over scales of the mean-square CWT coefficient."""
+@dataclass
+class _Workspace:
+    """Every chunk-sized array :func:`feature_matrix` writes, one row per window.
+
+    It is allocated once per call and every chunk overwrites it, so no
+    chunk allocates an array the size of its windows.
+    """
+
+    x: np.ndarray
+    centered: np.ndarray
+    squared: np.ndarray
+    segments: np.ndarray
+    spectra: np.ndarray
+    power: np.ndarray
+    wavelet_spectrum: np.ndarray
+    wavelet_power: np.ndarray
+    cross: np.ndarray
+
+    @staticmethod
+    def layout(plan: FeaturePlan, n_channels: int) -> dict[str, tuple[tuple[int, ...], type]]:
+        """Each array's shape for one window, and its dtype. ``cross`` holds
+        one channel pair at a time."""
+        signal = (n_channels, plan.span.stop - plan.span.start)
+        segments = (n_channels,) + plan.segment_index.shape
+        bins = segments[:-1] + (plan.frequencies.size,)
+        wavelet = (n_channels, plan.fft_len // 2 + 1)
+        return {
+            "x": (signal, np.float64),
+            "centered": (signal, np.float64),
+            "squared": (signal, np.float64),
+            "segments": (segments, np.float64),
+            "spectra": (bins, np.complex128),
+            "power": (bins, np.float64),
+            "wavelet_spectrum": (wavelet, np.complex128),
+            "wavelet_power": (wavelet, np.float64),
+            "cross": (bins[1:], np.complex128),
+        }
+
+    @classmethod
+    def allocate(cls, plan: FeaturePlan, rows: int, n_channels: int) -> _Workspace:
+        layout = cls.layout(plan, n_channels)
+        return cls(**{name: np.empty((rows,) + shape, dtype) for name, (shape, dtype) in layout.items()})
+
+    def head(self, rows: int) -> _Workspace:
+        """The first ``rows`` windows' part of every array, for a ragged last chunk."""
+        return _Workspace(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
+
+
+def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """(..., n) -> (...): sum over scales of the mean-square CWT coefficient.
+    ``spectrum`` (complex) and ``power`` (real) are (..., fft_len // 2 + 1) scratch."""
     n = x.shape[-1]
-    spectrum = np.fft.rfft(x, plan.fft_len, axis=-1)
-    full = ((spectrum.real**2 + spectrum.imag**2) * plan.weights).sum(axis=-1)
+    np.fft.rfft(x, plan.fft_len, axis=-1, out=spectrum)
+    re, im = spectrum.real, spectrum.imag
+    np.multiply(re, re, out=power)
+    im *= im
+    power += im
+    power *= plan.weights
+    full = power.sum(axis=-1)
     edge = plan.head_gram.shape[0]
     head = np.zeros(x.shape[:-1] + (edge,))
     tail = np.zeros_like(head)
@@ -469,24 +560,26 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     return (full - np.reshape(dropped, full.shape)) / n
 
 
-def _chunk_features(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
-    """(b, n_samples, C) windows -> (b, n_features) feature rows."""
-    x = np.array(np.moveaxis(windows[:, plan.span], 1, 2), dtype=np.float64, order="C")  # (b, C, n)
+def _chunk_features(windows: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> np.ndarray:
+    """(b, n_samples, C) windows -> (b, n_features) feature rows, computed in
+    ``ws``, a workspace of exactly b rows."""
+    x = ws.x  # (b, C, n)
+    np.copyto(x, np.moveaxis(windows[:, plan.span], 1, 2))
     b, n_channels, _ = x.shape
-    spectra = _segment_spectra(x, plan.starts, plan.taper)  # (b, C, segments, bins)
-    power = _mean_power(spectra)
+    spectra = _segment_spectra(x, plan.segment_index, plan.taper, ws.segments, ws.spectra)
+    power = _mean_power(spectra, ws.power)
     psd = _density(power, plan.spectral, plan.taper)
     per_channel = np.concatenate(
         [
-            _moments(x),
+            _moments(x, ws.centered, ws.squared),
             plan.frequencies[1 + np.argmax(psd[..., 1:], axis=-1)][..., None],
             _entropy(psd)[..., None],
-            _total_wavelet_energy(x, plan)[..., None],
+            _total_wavelet_energy(x, plan, ws.wavelet_spectrum, ws.wavelet_power)[..., None],
         ],
         axis=-1,
     )
     pairs = [
-        _mean_coherence(power[:, i], power[:, j], _segment_mean(spectra[:, i] * np.conj(spectra[:, j])))
+        _mean_coherence(power[:, i], power[:, j], _mean_cross(spectra[:, i], spectra[:, j], ws.cross))
         for i, j in combinations(range(n_channels), 2)
     ]
     coh = np.stack(pairs, axis=-1) if pairs else np.zeros((b, 0))
@@ -498,22 +591,26 @@ def _chunk_features(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
 def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     """Feature rows of a (n_windows, n_samples, n_channels) stack of imputed windows.
 
-    Windows go through in chunks of ``plan.chunk_windows`` so working
-    memory stays bounded. ``windows`` needs only a ``shape`` and slicing
-    along its first axis, so a reader that loads each chunk from disk
-    works too; each chunk becomes float64 on its own, so the windows may
-    stay float32 as ingest stores them. A window's row does not depend on
-    the chunk it lands in or its place there.
+    Windows go through in chunks of ``plan.chunk_windows``. Every chunk
+    is computed in one workspace allocated here, so working memory stays
+    within ``CHUNK_BYTES`` and no chunk allocates afresh. ``windows``
+    needs only a ``shape`` and slicing along its first axis, so a reader
+    that loads each chunk from disk works too; each chunk becomes float64
+    on its own, so the windows may stay float32 as ingest stores them. A
+    window's row does not depend on the chunk it lands in, its place
+    there or the chunk's size.
     """
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
         raise LengthMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
-    if n_channels > 1 and plan.starts.size < 2:
+    if n_channels > 1 and plan.segment_index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))
     step = plan.chunk_windows(n_channels)
+    ws = _Workspace.allocate(plan, min(step, n_windows), n_channels)
     for lo in range(0, n_windows, step):
-        out[lo : lo + step] = _chunk_features(windows[lo : lo + step], plan)
+        chunk = windows[lo : lo + step]
+        out[lo : lo + step] = _chunk_features(chunk, plan, ws.head(len(chunk)))
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")

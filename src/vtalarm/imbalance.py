@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MinorityTooSmall, NotEnoughNeighbors, SingleClass
+from .errors import InvalidConfig, MinorityTooSmall, NotEnoughNeighbors, SingleClass
 from .rng import STREAM_ADASYN, STREAM_SMOTE, derive_rng
 
 
@@ -28,11 +28,11 @@ class ResampleConfig:
 
     def __post_init__(self):
         if self.method not in ("smote", "adasyn", "none"):
-            raise ValueError(f"unknown resample method {self.method!r}")
+            raise InvalidConfig(f"unknown resample method {self.method!r}")
         if not 0.0 < self.ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
+            raise InvalidConfig("ratio must be in (0, 1]")
         if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
+            raise InvalidConfig("k_neighbors must be at least 1")
 
 
 @dataclass

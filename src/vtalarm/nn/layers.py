@@ -1,8 +1,10 @@
 """Differentiable layers with explicit forward/backward passes.
 
-Every layer caches what its backward pass needs during forward and
-exposes parameters and gradients as name->array dicts. Gradients follow
-the standard chain-rule derivations; each one is pinned by the central
+Every layer caches what its backward pass needs in ``_cache`` during a
+training forward; an inference forward (``train=False``) clears it, so
+no activation outlives a predict call. Layers expose parameters and
+gradients as name->array dicts. Gradients follow the standard
+chain-rule derivations; each one is pinned by the central
 finite-difference suite in the tests.
 """
 
@@ -46,6 +48,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -66,21 +69,22 @@ class Dense(Layer):
     def forward(self, x, train):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"Dense expects (B, {self.in_dim}), got {x.shape}")
-        self._x = x
+        self._cache = x if train else None
         return x @ self.params["W"].T + self.params["b"]
 
     def backward(self, dout):
-        self.grads = {"W": dout.T @ self._x, "b": dout.sum(axis=0)}
+        self.grads = {"W": dout.T @ self._cache, "b": dout.sum(axis=0)}
         return dout @ self.params["W"]
 
 
 class ReLU(Layer):
     def forward(self, x, train):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._cache = mask if train else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dout):
-        return dout * self._mask
+        return dout * self._cache
 
 
 class Conv1D(Layer):
@@ -104,7 +108,7 @@ class Conv1D(Layer):
         pad = (self.f - 1) // 2
         x_pad = np.zeros((b, t + 2 * pad, self.c))
         x_pad[:, pad : pad + t, :] = x
-        self._x_pad, self._t = x_pad, t
+        self._cache = x_pad if train else None
         out = np.tile(self.params["b"], (b, t, 1))
         w = self.params["W"]
         for f in range(self.f):
@@ -112,12 +116,12 @@ class Conv1D(Layer):
         return out
 
     def backward(self, dout):
-        t, pad = self._t, (self.f - 1) // 2
+        x_pad, t, pad = self._cache, dout.shape[1], (self.f - 1) // 2
         w = self.params["W"]
         dw = np.empty_like(w)
-        dx_pad = np.zeros_like(self._x_pad)
+        dx_pad = np.zeros_like(x_pad)
         for f in range(self.f):
-            dw[:, f, :] = np.einsum("btk,btc->kc", dout, self._x_pad[:, f : f + t, :])
+            dw[:, f, :] = np.einsum("btk,btc->kc", dout, x_pad[:, f : f + t, :])
             dx_pad[:, f : f + t, :] += dout @ w[:, f, :]
         self.grads = {"W": dw, "b": dout.sum(axis=(0, 1))}
         return dx_pad[:, pad : pad + t, :]
@@ -160,8 +164,7 @@ class BatchNorm(Layer):
             mean, var = self.state["running_mean"], self.state["running_var"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        if train:
-            self._cache = (xhat, inv_std, axes, m)
+        self._cache = (xhat, inv_std, axes, m) if train else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dout):
@@ -187,15 +190,15 @@ class MaxPool1D(Layer):
         b, t, k = x.shape
         t2 = t // 2
         view = x[:, : 2 * t2, :].reshape(b, t2, 2, k)
-        self._argmax = view.argmax(axis=2)  # first max wins on ties
-        self._in_shape = x.shape
-        return np.take_along_axis(view, self._argmax[:, :, None, :], axis=2)[:, :, 0, :]
+        argmax = view.argmax(axis=2)  # first max wins on ties
+        self._cache = (argmax, t) if train else None
+        return np.take_along_axis(view, argmax[:, :, None, :], axis=2)[:, :, 0, :]
 
     def backward(self, dout):
-        b, t, k = self._in_shape
-        t2 = t // 2
+        argmax, t = self._cache
+        b, t2, k = dout.shape
         dview = np.zeros((b, t2, 2, k))
-        np.put_along_axis(dview, self._argmax[:, :, None, :], dout[:, :, None, :], axis=2)
+        np.put_along_axis(dview, argmax[:, :, None, :], dout[:, :, None, :], axis=2)
         dx = np.zeros((b, t, k))
         dx[:, : 2 * t2, :] = dview.reshape(b, 2 * t2, k)
         return dx
@@ -224,7 +227,6 @@ class MultiHeadAttention(Layer):
             name: rng.normal(0.0, std, size=(model_dim, model_dim))
             for name in ("Wq", "Wk", "Wv", "Wo")
         }
-        self._cache = None
 
     def _split(self, x):
         b, t, _ = x.shape
@@ -323,11 +325,12 @@ class GlobalAvgPool(Layer):
     def forward(self, x, train):
         if x.ndim != 3:
             raise ShapeMismatch(f"GlobalAvgPool expects (B, T, K), got {x.shape}")
-        self._t = x.shape[1]
+        self._cache = x.shape[1] if train else None
         return x.mean(axis=1)
 
     def backward(self, dout):
-        return np.repeat(dout[:, None, :] / self._t, self._t, axis=1)
+        t = self._cache
+        return np.repeat(dout[:, None, :] / t, t, axis=1)
 
 
 class Dropout(Layer):
@@ -342,13 +345,13 @@ class Dropout(Layer):
 
     def forward(self, x, train):
         if not train or self.p == 0.0:
-            self._mask = None
+            self._cache = None  # backward passes the gradient through
             return x
-        self._mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
+        self._cache = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        return x * self._cache
 
     def backward(self, dout):
-        return dout if self._mask is None else dout * self._mask
+        return dout if self._cache is None else dout * self._cache
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng) -> np.ndarray:

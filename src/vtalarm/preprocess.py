@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, TooFewSamples
+from .errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples
 from .rng import STREAM_SPLIT, derive_rng
 from .wfdb_io import AlarmWindow
 
@@ -120,8 +120,8 @@ def split_dataset(
     n = labels.shape[0]
     if n < 10:
         raise TooFewSamples(f"need at least 10 samples to split, got {n}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise InvalidConfig(f"split ratios must be three fractions in [0, 1] that sum to 1, got {ratios}")
 
     rng = derive_rng(seed, STREAM_SPLIT)
     n_val_total = int(np.floor(ratios[1] * n))

@@ -108,6 +108,8 @@ def _parse_gain_token(token: str) -> tuple[float, int | None, str]:
         token, base_part = token[:-1].split("(", 1)
         baseline = _parse_number(base_part, int, "baseline")
     gain = _parse_number(token, float, "adc gain")
+    if not np.isfinite(gain):
+        raise MalformedHeader(f"adc gain must be finite, got {token!r}")
     if gain == 0:
         gain = 200.0  # WFDB convention: 0 means the default gain
     return gain, baseline, units
@@ -137,8 +139,8 @@ def parse_header(text: str) -> RecordHeader:
     n_samples = _parse_number(first[3], int, "sample count")
     if n_signals <= 0:
         raise MalformedHeader(f"signal count must be positive, got {n_signals}")
-    if fs <= 0:
-        raise MalformedHeader(f"sampling frequency must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise MalformedHeader(f"sampling frequency must be positive and finite, got {fs}")
     if n_samples < 0:
         raise MalformedHeader(f"sample count must be non-negative, got {n_samples}")
 

@@ -216,6 +216,22 @@ def test_train_with_an_empty_split_list_exits_nonzero(pipeline, tmp_path, capsys
     assert f"empty {empty} list" in err
 
 
+@pytest.mark.parametrize(
+    "settings, error",
+    [
+        ({"split": {"ratios": [0.5, 0.2, 0.2]}}, "InvalidConfig"),
+        ({"split": {"ratios": ["half", 0.2, 0.3]}}, "ConfigError"),
+        ({"resample": {"method": "smote", "ratio": 1.5}}, "InvalidConfig"),
+    ],
+)
+def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, settings, error):
+    root, raw, work, model, cfg = pipeline
+    bad = tmp_path / "train.json"
+    bad.write_text(json.dumps({**json.loads(cfg.read_text()), **settings}))
+    assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
 def test_class_weights_and_resampling_conflict(tmp_path, capsys):
     work = tmp_path / "work"
     work.mkdir()

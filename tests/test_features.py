@@ -1,5 +1,7 @@
 """Spectral, wavelet and statistical features against naive oracles."""
 
+import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from vtalarm.errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
 from vtalarm.features import (
+    CHUNK_BYTES,
     FeaturePlan,
     PsdEstimate,
     SpectralParams,
     WaveletConfig,
     _morlet_kernels,
+    _Workspace,
     build_feature_vector,
     coherence,
     cwt_morlet,
@@ -406,6 +410,80 @@ def test_feature_matrix_default_chunks_at_full_window_length():
         want = feature_vector_oracle(windows[i], fs, plan.spectral, plan.wavelet)
         assert _relative_error(rows[i], want) <= 1e-12
         assert rows[i].tobytes() == feature_matrix(windows[i : i + 1], plan)[0].tobytes()
+
+
+def _correlated_windows(rng, n_windows, n):
+    """(n_windows, n, 3) float32 windows whose channels share a weak common component."""
+    common = rng.normal(size=(n_windows, n, 1))
+    return (0.3 * common + rng.normal(size=(n_windows, n, 3)) + [60.0, -3.0, 12.0]).astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [9000, 15000, 17000])
+def test_row_bytes_do_not_depend_on_chunk_size(n):
+    """A window alone and in a chunk of 4 give the same bytes. One channel pair's
+    cross-spectrum takes 140, 235 and 267 KiB per window here, 562-1067 KiB for
+    four: alone, on both sides of the 256 KiB at which numpy elides a temporary,
+    which would flip the operands of the product that makes it."""
+    fs = 50.0
+    windows = _correlated_windows(np.random.default_rng(n), 4, n)
+    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 4):
+        rows = feature_matrix(windows, plan)
+    for i, window in enumerate(windows):
+        assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
+
+
+def test_workspace_leaks_nothing_between_chunks():
+    """Chunks of 2 over 5 windows: a zero-variance channel opens the second
+    chunk and the ragged last one, right after chunks of normal variance."""
+    fs, n = 50.0, 1500
+    windows = _correlated_windows(np.random.default_rng(48), 5, n)
+    windows[2, :, 1] = 4.0
+    windows[4, :, 0] = -1.5
+    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    allocate = _Workspace.allocate
+
+    def poisoned(plan, rows, n_channels):
+        """A workspace filled with NaN, so a read of anything not yet written shows."""
+        ws = allocate(plan, rows, n_channels)
+        for f in fields(ws):
+            getattr(ws, f.name).fill(np.nan)
+        return ws
+
+    with (
+        mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 2),
+        mock.patch.object(_Workspace, "allocate", poisoned),
+    ):
+        rows = feature_matrix(windows, plan)
+    for i, window in enumerate(windows):
+        assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
+        assert _relative_error(rows[i], feature_vector_oracle(window, fs, plan.spectral, plan.wavelet)) <= 1e-12
+    names = feature_names(3)
+    for i, c in ((2, 1), (4, 0)):
+        assert rows[i, names.index(f"ch{c}_std")] == 0.0
+        assert rows[i, names.index(f"ch{c}_skewness")] == rows[i, names.index(f"ch{c}_kurtosis_excess")] == 0.0
+
+
+def test_one_plan_gives_the_same_bytes_twice():
+    fs, n = 50.0, 3000
+    windows = _correlated_windows(np.random.default_rng(49), 5, n)
+    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 2):
+        assert feature_matrix(windows, plan).tobytes() == feature_matrix(windows, plan).tobytes()
+
+
+def test_feature_matrix_memory_stays_within_chunk_bytes():
+    fs = 50.0
+    windows = np.random.default_rng(50).normal(size=(20, 18000, 3)).astype(np.float32)
+    plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
+    assert 1 < plan.chunk_windows(3) < 20
+    tracemalloc.start()
+    try:
+        feature_matrix(windows, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK_BYTES + (2 << 20)
 
 
 def test_build_feature_vector_is_one_row_of_feature_matrix():

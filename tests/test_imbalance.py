@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import MinorityTooSmall, NotEnoughNeighbors, SingleClass
+from vtalarm.errors import InvalidConfig, MinorityTooSmall, NotEnoughNeighbors, SingleClass
 from vtalarm.imbalance import (
     ClassWeights,
     ResampleConfig,
@@ -176,13 +176,12 @@ def test_resample_none_returns_copies():
 
 
 def test_resample_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         ResampleConfig(method="rose")
-    with pytest.raises(ValueError):
-        ResampleConfig(method="smote", ratio=0.0)
-    with pytest.raises(ValueError):
-        ResampleConfig(method="smote", ratio=1.5)
-    with pytest.raises(ValueError):
+    for ratio in (0.0, 1.5, float("nan")):
+        with pytest.raises(InvalidConfig):
+            ResampleConfig(method="smote", ratio=ratio)
+    with pytest.raises(InvalidConfig):
         ResampleConfig(method="smote", k_neighbors=0)
 
 

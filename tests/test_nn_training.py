@@ -192,6 +192,17 @@ def test_cnn_predict_scores_do_not_depend_on_a_batch_of_at_least_48_rows():
         assert np.array_equal(model.predict(x, batch_size=batch_size), whole), batch_size
 
 
+@pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
+def test_predict_leaves_no_activation_on_any_layer(arch, shape):
+    model = build_model(arch, shape, seed=2)
+    model.set_dropout_rng(np.random.default_rng(3))
+    x = np.random.default_rng(4).normal(size=(6,) + shape)
+    model.backward(np.ones_like(model.forward(x, train=True)))
+    assert sum(layer._cache is not None for layer in model.layers) > len(model.layers) // 2
+    model.predict(x)
+    assert [type(layer).__name__ for layer in model.layers if layer._cache is not None] == []
+
+
 DEFAULT_CNN_STEP = """
 import json, resource
 import numpy as np

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import DimensionMismatch, EmptyInput, TooFewSamples
+from vtalarm.errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples
 from vtalarm.preprocess import (
     ScalerParams,
     apply_scaler,
@@ -135,10 +135,9 @@ def test_split_deterministic_in_seed():
 def test_split_rejects_tiny_and_bad_ratios():
     with pytest.raises(TooFewSamples):
         split_dataset(np.array([0, 1, 0, 1]), seed=0)
-    with pytest.raises(ValueError):
-        split_dataset(np.array([0, 1] * 10), seed=0, ratios=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        split_dataset(np.array([0, 1] * 10), seed=0, ratios=(0.5, 0.2, 0.2))
+    for ratios in [(0.5, 0.2), (0.5, 0.2, 0.2), (1.2, -0.1, -0.1), (0.8, float("nan"), 0.1)]:
+        with pytest.raises(InvalidConfig):
+            split_dataset(np.array([0, 1] * 10), seed=0, ratios=ratios)
 
 
 def test_split_file_round_trip(tmp_path):

@@ -93,6 +93,21 @@ def test_parse_header_rejects_malformed():
         parse_header("rec1 2 250 100\nrec1.dat 16\n")  # one signal line short
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rec1 1 nan 100\nrec1.dat 16 200\n",
+        "rec1 1 inf 100\nrec1.dat 16 200\n",
+        "rec1 1 -inf 100\nrec1.dat 16 200\n",
+        "rec1 1 250 100\nrec1.dat 16 nan\n",
+        "rec1 1 250 100\nrec1.dat 16 inf(0)/mV\n",
+    ],
+)
+def test_parse_header_rejects_non_finite_values(text):
+    with pytest.raises(MalformedHeader):
+        parse_header(text)
+
+
 def test_parse_header_rejects_unsupported():
     with pytest.raises(UnsupportedFormat):
         parse_header("rec1/3 1 250 100\nrec1.dat 16\n")  # multi-segment
