@@ -316,7 +316,12 @@ def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
         return ids, labels, x
     windows, labels, meta = _load_windows(data_dir)
     decimation = int(hyperparams.get("decimation", CNN_DEFAULTS["decimation"]))
-    x = windows[:, ::decimation, :].astype(np.float64)
+    # one window at a time through file reads: decimating the memory map
+    # would touch, and keep resident, every page of windows.npy
+    source = _WindowFile(windows)
+    x = np.empty((windows.shape[0], len(range(0, windows.shape[1], decimation)), windows.shape[2]))
+    for i in range(windows.shape[0]):
+        x[i] = source[i : i + 1][0, ::decimation]
     return meta["record_ids"], labels, x
 
 
@@ -341,6 +346,10 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     split = _get_split(config, labels)
     for which in ("train", "val", "test"):
         _split_rows(split, which, x.shape[0])
+    val_labels = labels[split.val_indices]
+    n_true, n_false = int(np.sum(val_labels == 1)), int(np.sum(val_labels == 0))
+    if not (n_true and n_false):
+        raise ConfigError(f"the val list needs both classes to score AUC; it holds {n_true} true and {n_false} false alarms")
 
     train_rows = x[split.train_indices]
     scaler = fit_scaler(train_rows.reshape(-1, x.shape[-1]) if x.ndim == 3 else train_rows)

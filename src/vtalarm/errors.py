@@ -106,7 +106,7 @@ class CorruptCheckpoint(VtalarmError):
 
 
 class VersionMismatch(VtalarmError):
-    """Checkpoint written by an incompatible container version."""
+    """Checkpoint or scaler file written in a format version this reader does not know."""
 
 
 class ArchitectureMismatch(VtalarmError):

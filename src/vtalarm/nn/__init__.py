@@ -1,5 +1,5 @@
 from .checkpoint import deserialize_model, load_checkpoint, save_checkpoint, serialize_model
-from .layers import Adam, adam_step, dropout, sigmoid, softmax, weighted_bce_with_logits
+from .layers import Adam, adam_step, sigmoid, softmax, weighted_bce_with_logits
 from .model import Model, build_model
 from .training import TrainConfig, read_history, train, write_history
 
@@ -10,7 +10,6 @@ __all__ = [
     "adam_step",
     "build_model",
     "deserialize_model",
-    "dropout",
     "load_checkpoint",
     "read_history",
     "save_checkpoint",

@@ -11,6 +11,7 @@ finite-difference suite in the tests.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import (
     BatchTooSmall,
@@ -118,11 +119,11 @@ class Conv1D(Layer):
     def backward(self, dout):
         x_pad, t, pad = self._cache, dout.shape[1], (self.f - 1) // 2
         w = self.params["W"]
-        dw = np.empty_like(w)
         dx_pad = np.zeros_like(x_pad)
         for f in range(self.f):
-            dw[:, f, :] = np.einsum("btk,btc->kc", dout, x_pad[:, f : f + t, :])
             dx_pad[:, f : f + t, :] += dout @ w[:, f, :]
+        windows = sliding_window_view(x_pad, t, axis=1)  # (B, F, C, T): [.., f, c, s] = x_pad[.., f + s, c]
+        dw = np.tensordot(dout, windows, axes=([0, 1], [0, 3]))
         self.grads = {"W": dw, "b": dout.sum(axis=(0, 1))}
         return dx_pad[:, pad : pad + t, :]
 
@@ -181,26 +182,24 @@ class BatchNorm(Layer):
 class MaxPool1D(Layer):
     """Non-overlapping windows of 2 over time; an odd tail sample is dropped.
 
-    Backward routes the gradient to the argmax; ties go to the earlier index.
+    Backward routes the gradient to the larger sample; ties go to the earlier one.
     """
 
     def forward(self, x, train):
         if x.ndim != 3 or x.shape[1] < 2:
             raise ShapeMismatch(f"MaxPool1D expects (B, T>=2, K), got {x.shape}")
-        b, t, k = x.shape
-        t2 = t // 2
-        view = x[:, : 2 * t2, :].reshape(b, t2, 2, k)
-        argmax = view.argmax(axis=2)  # first max wins on ties
-        self._cache = (argmax, t) if train else None
-        return np.take_along_axis(view, argmax[:, :, None, :], axis=2)[:, :, 0, :]
+        t2 = x.shape[1] // 2
+        first, second = x[:, 0 : 2 * t2 : 2], x[:, 1 : 2 * t2 : 2]
+        later = second > first
+        self._cache = (later, x.shape[1]) if train else None
+        return np.where(later, second, first)
 
     def backward(self, dout):
-        argmax, t = self._cache
+        later, t = self._cache
         b, t2, k = dout.shape
-        dview = np.zeros((b, t2, 2, k))
-        np.put_along_axis(dview, argmax[:, :, None, :], dout[:, :, None, :], axis=2)
         dx = np.zeros((b, t, k))
-        dx[:, : 2 * t2, :] = dview.reshape(b, 2 * t2, k)
+        dx[:, 0 : 2 * t2 : 2] = np.where(later, 0.0, dout)
+        dx[:, 1 : 2 * t2 : 2] = np.where(later, dout, 0.0)
         return dx
 
 
@@ -354,14 +353,6 @@ class Dropout(Layer):
         return dout if self._cache is None else dout * self._cache
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng) -> np.ndarray:
-    """Functional inverted dropout; ``rng`` is a Generator or an int seed."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.PCG64(rng))
-    layer = Dropout(p, rng)
-    return layer.forward(np.asarray(x, dtype=np.float64), train)
-
-
 def weighted_bce_with_logits(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
@@ -439,7 +430,6 @@ __all__ = [
     "MultiHeadAttention",
     "GlobalAvgPool",
     "Dropout",
-    "dropout",
     "weighted_bce_with_logits",
     "adam_step",
     "Adam",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples
+from .errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples, VersionMismatch
 from .rng import STREAM_SPLIT, derive_rng
 from .wfdb_io import AlarmWindow
 
@@ -98,7 +98,7 @@ def load_scaler(path: str | Path) -> ScalerParams:
             key, value = line.split("=", 1)
             fields[key] = value
     if fields.get("scaler_version") != "1":
-        raise DimensionMismatch(f"unknown scaler version {fields.get('scaler_version')!r}")
+        raise VersionMismatch(f"unknown scaler version {fields.get('scaler_version')!r}")
     minimum = np.array([float(v) for v in fields["min"].split(",")])
     maximum = np.array([float(v) for v in fields["max"].split(",")])
     if minimum.shape[0] != int(fields["n_features"]):

@@ -24,7 +24,7 @@ from vtalarm.features import (
     wavelet_energy,
     welch_psd,
 )
-from vtalarm.nn.layers import softmax
+from vtalarm.nn.layers import Dropout, softmax
 
 
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
@@ -135,6 +135,39 @@ def dense_attention_oracle(layer, x: np.ndarray, dout: np.ndarray):
     }
     dx = dq_full @ p["Wq"].T + dk_full @ p["Wk"].T + dv_full @ p["Wv"].T
     return out, dx, grads
+
+
+def conv1d_weight_grad_oracle(layer, dout: np.ndarray) -> np.ndarray:
+    """A Conv1D layer's weight gradient one filter tap at a time, from the
+    padded input its last training forward cached."""
+    x_pad, t = layer._cache, dout.shape[1]
+    dw = np.empty_like(layer.params["W"])
+    for f in range(layer.f):
+        dw[:, f, :] = np.einsum("btk,btc->kc", dout, x_pad[:, f : f + t, :])
+    return dw
+
+
+def maxpool_argmax_oracle(x: np.ndarray, dout: np.ndarray):
+    """MaxPool1D's output and input gradient through argmax over each
+    window of 2 (the first maximum wins ties); an odd tail gets no gradient."""
+    b, t, k = x.shape
+    t2 = t // 2
+    view = x[:, : 2 * t2, :].reshape(b, t2, 2, k)
+    argmax = view.argmax(axis=2)
+    out = np.take_along_axis(view, argmax[:, :, None, :], axis=2)[:, :, 0, :]
+    dview = np.zeros((b, t2, 2, k))
+    np.put_along_axis(dview, argmax[:, :, None, :], dout[:, :, None, :], axis=2)
+    dx = np.zeros((b, t, k))
+    dx[:, : 2 * t2, :] = dview.reshape(b, 2 * t2, k)
+    return out, dx
+
+
+def dropout(x: np.ndarray, p: float, train: bool, rng) -> np.ndarray:
+    """Functional inverted dropout; ``rng`` is a Generator or an int seed."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.Generator(np.random.PCG64(rng))
+    layer = Dropout(p, rng)
+    return layer.forward(np.asarray(x, dtype=np.float64), train)
 
 
 def numeric_input_grad(layer, x: np.ndarray, dout: np.ndarray, train: bool = True, eps: float = 1e-6):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vtalarm import cli
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import ConfigError
 from vtalarm.nn.model import Model
@@ -178,6 +179,15 @@ def test_cnn_training_path(tmp_path):
     assert report["n_samples"] == 12
 
 
+@pytest.mark.parametrize("decimation", [4, 150])
+def test_cnn_inputs_are_the_decimated_windows(pipeline, decimation):
+    root, raw, work, model, cfg = pipeline
+    _, _, x = cli._prepare_arrays(work, "cnn", {"decimation": decimation})
+    want = np.load(work / "windows.npy")[:, ::decimation].astype(np.float64)
+    assert x.shape == want.shape
+    assert x.tobytes() == want.tobytes()
+
+
 def test_evaluate_scores_only_the_subset_rows(pipeline, monkeypatch):
     root, raw, work, model, cfg = pipeline
     scored, predict = [], Model.predict
@@ -214,6 +224,23 @@ def test_train_with_an_empty_split_list_exits_nonzero(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
     assert f"empty {empty} list" in err
+
+
+def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_path, capsys, monkeypatch):
+    root, raw, work, model, cfg = pipeline
+    labels = np.load(work / "labels.npy")
+    false_rows = np.flatnonzero(labels == 0)
+    val = false_rows[:3].tolist()
+    rest = [i for i in range(labels.size) if i not in val]
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": rest[:-4], "val": val, "test": rest[-4:]}))
+    bad = tmp_path / "train.json"
+    bad.write_text(json.dumps({**json.loads(cfg.read_text()), "split": {"file": str(split)}}))
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+    assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
+    assert "0 true and 3 false alarms" in err
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import check_layer_gradients, dense_attention_oracle, max_rel_error
+from helpers import (
+    check_layer_gradients,
+    conv1d_weight_grad_oracle,
+    dense_attention_oracle,
+    dropout,
+    max_rel_error,
+    maxpool_argmax_oracle,
+)
 
 from vtalarm.errors import (
     BatchTooSmall,
@@ -23,7 +30,6 @@ from vtalarm.nn.layers import (
     MultiHeadAttention,
     ReLU,
     adam_step,
-    dropout,
     sigmoid,
     softmax,
     weighted_bce_with_logits,
@@ -57,6 +63,18 @@ def test_conv1d_gradients(seed):
     layer = Conv1D(c, k, f, init_rng)
     x = data_rng.normal(size=(b, t, c))
     assert check_layer_gradients(layer, x, data_rng) <= GRAD_TOL
+
+
+@pytest.mark.parametrize("b, t, c, k, f", [(2, 9, 2, 3, 1), (3, 10, 3, 4, 3), (2, 12, 3, 5, 7), (4, 600, 3, 32, 7)])
+def test_conv1d_weight_grad_matches_per_tap_oracle(b, t, c, k, f):
+    """The last case is the cnn-train benchmark's shape: batch 4, 600x3, 32 filters of 7."""
+    rng = np.random.default_rng(140 + f + t)
+    layer = Conv1D(c, k, f, rng)
+    out = layer.forward(rng.normal(size=(b, t, c)), train=True)
+    dout = rng.normal(size=out.shape)
+    layer.backward(dout)
+    assert layer.grads["W"].shape == (k, f, c)
+    assert max_rel_error(conv1d_weight_grad_oracle(layer, dout), layer.grads["W"]) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -220,6 +238,20 @@ def test_maxpool_drops_odd_tail_and_prefers_first_on_ties():
     dx = layer.backward(np.ones_like(out))
     # tie in the first window routes to the earlier sample
     assert dx[0, :, 0].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("t", [8, 9])
+def test_maxpool_matches_argmax_form_bit_for_bit(t):
+    rng = np.random.default_rng(150 + t)
+    x = rng.integers(-2, 3, size=(3, t, 4)).astype(float)  # small integers: many tied windows
+    x[0, 0, 0], x[0, 1, 0] = 0.0, -0.0  # a tie between the two zeros keeps the first one's sign
+    x[1, 0, 1], x[1, 1, 1] = -0.0, 0.0
+    layer = MaxPool1D()
+    out = layer.forward(x, train=True)
+    dout = rng.normal(size=out.shape)
+    want_out, want_dx = maxpool_argmax_oracle(x, dout)
+    assert out.tobytes() == want_out.tobytes()
+    assert layer.backward(dout).tobytes() == want_dx.tobytes()
 
 
 # ------------------------------------------------------------------ attention

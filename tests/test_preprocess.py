@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples
+from vtalarm.errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples, VersionMismatch
 from vtalarm.preprocess import (
     ScalerParams,
     apply_scaler,
@@ -95,6 +95,16 @@ def test_scaler_file_round_trip(tmp_path):
     assert np.array_equal(back.minimum, params.minimum)
     assert np.array_equal(back.maximum, params.maximum)
     assert path.read_text().startswith("# config=abc seed=1\n")
+
+
+@pytest.mark.parametrize("version", ["2", None])
+def test_scaler_file_of_an_unknown_version_is_rejected(tmp_path, version):
+    path = tmp_path / "scaler.txt"
+    save_scaler(path, ScalerParams(minimum=np.zeros(2), maximum=np.ones(2)))
+    text = path.read_text().replace("scaler_version=1\n", "" if version is None else f"scaler_version={version}\n")
+    path.write_text(text)
+    with pytest.raises(VersionMismatch, match="unknown scaler version"):
+        load_scaler(path)
 
 
 # ---------------------------------------------------------------------- split
