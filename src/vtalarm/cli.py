@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, InvalidConfig, MissingInput, VtalarmError
+from .errors import EmptyInput, InvalidConfig, MissingInput, VtalarmError
 from .evaluate import classification_metrics, decide_alert
 from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
     FeaturePlan,
@@ -75,14 +75,15 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise InvalidConfig(f"unknown config key {where!r}")
         if isinstance(base[key], dict) and key != "model":
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be a mapping")
+                raise InvalidConfig(f"config key {where!r} must be a mapping")
             out[key] = _merge(base[key], value, where)
         elif key == "model":
-            if not isinstance(value, dict) or not set(value) <= {"fcnn", "cnn"}:
-                raise ConfigError("config key 'model' must map fcnn/cnn to hyperparameters")
+            maps = isinstance(value, dict) and all(isinstance(v, dict) for v in value.values())
+            if not maps or not set(value) <= {"fcnn", "cnn"}:
+                raise InvalidConfig("config key 'model' must map fcnn/cnn to hyperparameters")
             out[key] = {k: dict(base[key].get(k, {}), **value.get(k, {})) for k in ("fcnn", "cnn")}
         else:
             out[key] = value
@@ -99,9 +100,9 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
         try:
             loaded = json.loads(path.read_text())
         except ValueError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+            raise InvalidConfig(f"config file {path} must hold a JSON object")
         config = _merge(config, loaded)
     for dotted, value in (overrides or {}).items():
         if value is None:
@@ -145,16 +146,21 @@ def _write_features_csv(path, record_ids, labels, matrix, names, comment):
 
 def _load_features_csv(path):
     rows = [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
-    header = rows[0].split(",")
+    header = rows[0].split(",") if rows else []
     if header[:2] != ["record_id", "label"]:
-        raise ConfigError(f"{path} is not a feature table (header {header[:2]})")
+        raise InvalidConfig(f"{path} is not a feature table (header {header[:2]})")
     names = header[2:]
     record_ids, labels, data = [], [], []
     for line in rows[1:]:
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise InvalidConfig(f"{path} has a row of {len(parts)} fields, its header has {len(header)}")
+        try:
+            labels.append(int(parts[1]))
+            data.append([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise InvalidConfig(f"{path} has a non-numeric value in row {line!r}") from exc
         record_ids.append(parts[0])
-        labels.append(int(parts[1]))
-        data.append([float(v) for v in parts[2:]])
     return record_ids, np.asarray(labels, dtype=np.int64), np.asarray(data, dtype=np.float64), names
 
 
@@ -173,7 +179,7 @@ class _WindowFile:
 
     def __init__(self, mapped: np.memmap):
         if mapped.ndim != 3 or not mapped.flags.c_contiguous:
-            raise ConfigError(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array")
+            raise InvalidConfig(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array")
         self.path, self.shape, self.dtype, self.offset = mapped.filename, mapped.shape, mapped.dtype, mapped.offset
 
     def __getitem__(self, rows: slice) -> np.ndarray:
@@ -198,7 +204,7 @@ def cmd_synth(config: dict, out_dir: Path) -> None:
             seed=int(config["seed"]),
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth settings: {exc}") from exc
+        raise InvalidConfig(f"bad synth settings: {exc}") from exc
     events = generate_corpus(synth_config, out_dir)
     n_true = sum(label for _, _, label in events)
     print(
@@ -226,13 +232,13 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
                 if fs is None:
                     fs = record.header.sampling_frequency
                 elif record.header.sampling_frequency != fs:
-                    raise ConfigError(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
+                    raise InvalidConfig(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
                 window = impute_mean(extract_alarm_window(record, alarm_time, label))
                 if shape is None:
                     shape = (len(events),) + window.samples.shape
                     np.lib.format.write_array_header_1_0(fh, {"descr": "<f4", "fortran_order": False, "shape": shape})
                 elif window.samples.shape != shape[1:]:
-                    raise ConfigError(f"{record_id} has {window.samples.shape[1]} channels, corpus has {shape[2]}")
+                    raise InvalidConfig(f"{record_id} has {window.samples.shape[1]} channels, corpus has {shape[2]}")
                 fh.write(window.samples.astype("<f4").tobytes())
                 labels.append(label)
                 record_ids.append(record_id)
@@ -290,7 +296,7 @@ def _get_split(config: dict, labels: np.ndarray):
     try:
         ratios = tuple(float(r) for r in config["split"]["ratios"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad split ratios: {exc}") from exc
+        raise InvalidConfig(f"bad split ratios: {exc}") from exc
     return split_dataset(labels, seed=int(config["seed"]), ratios=ratios)
 
 
@@ -301,7 +307,7 @@ def _resample_config(config: dict) -> ResampleConfig:
             method=r["method"], ratio=float(r["ratio"]), k_neighbors=int(r["k_neighbors"]), seed=int(config["seed"])
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad resample settings: {exc}") from exc
+        raise InvalidConfig(f"bad resample settings: {exc}") from exc
 
 
 def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
@@ -335,13 +341,13 @@ def _scale(x: np.ndarray, scaler) -> np.ndarray:
 def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     arch = config["architecture"]
     if arch not in ("fcnn", "cnn"):
-        raise ConfigError(f"architecture must be fcnn or cnn, got {arch!r}")
+        raise InvalidConfig(f"architecture must be fcnn or cnn, got {arch!r}")
     seed = int(config["seed"])
     hyperparams = dict(config["model"][arch])
     rcfg = _resample_config(config)
     use_weights = bool(config["train"]["use_class_weights"])
     if use_weights and rcfg.method != "none":
-        raise ConfigError("class weights and resampling are mutually exclusive; pick one")
+        raise InvalidConfig("class weights and resampling are mutually exclusive; pick one")
     _, labels, x = _prepare_arrays(data_dir, arch, hyperparams)
     split = _get_split(config, labels)
     for which in ("train", "val", "test"):
@@ -349,7 +355,7 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     val_labels = labels[split.val_indices]
     n_true, n_false = int(np.sum(val_labels == 1)), int(np.sum(val_labels == 0))
     if not (n_true and n_false):
-        raise ConfigError(f"the val list needs both classes to score AUC; it holds {n_true} true and {n_false} false alarms")
+        raise InvalidConfig(f"the val list needs both classes to score AUC; it holds {n_true} true and {n_false} false alarms")
 
     train_rows = x[split.train_indices]
     scaler = fit_scaler(train_rows.reshape(-1, x.shape[-1]) if x.ndim == 3 else train_rows)
@@ -389,9 +395,9 @@ def _split_rows(split, which: str, n: int) -> np.ndarray:
     """One of a split's lists, checked to be non-empty and within n rows."""
     idx = {"train": split.train_indices, "val": split.val_indices, "test": split.test_indices}[which]
     if idx.size == 0:
-        raise ConfigError(f"split has an empty {which} list")
+        raise InvalidConfig(f"split has an empty {which} list")
     if int(idx.min()) < 0 or int(idx.max()) >= n:
-        raise ConfigError(f"split {which} indices fall outside the dataset ({n} rows)")
+        raise InvalidConfig(f"split {which} indices fall outside the dataset ({n} rows)")
     return idx
 
 
@@ -508,7 +514,7 @@ def _overrides(args: argparse.Namespace) -> dict:
 def _data_dir(args: argparse.Namespace, config: dict) -> Path:
     chosen = getattr(args, "data_dir", None) or config["data_dir"]
     if chosen is None:
-        raise ConfigError("no data directory: pass it as an argument or set data_dir in the config")
+        raise InvalidConfig("no data directory: pass it as an argument or set data_dir in the config")
     return Path(chosen)
 
 

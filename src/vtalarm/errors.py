@@ -33,8 +33,9 @@ class WindowOutOfBounds(VtalarmError):
 
 class ValueOutOfRange(VtalarmError):
     """A value is outside its valid range: a quantized ADC value beyond the
-    target format's range, a label other than 0/1, a missing sample, or a
-    score or feature that is not finite."""
+    target format's range, a label other than 0/1, a missing sample, a
+    score or feature that is not finite, or a score or threshold outside
+    [0, 1]."""
 
 
 # --- preprocessing ---
@@ -43,22 +44,14 @@ class EmptyInput(VtalarmError):
     """Operation requires at least one row."""
 
 
-class DimensionMismatch(VtalarmError):
-    """Feature dimension disagrees with fitted parameters."""
-
-
 class TooFewSamples(VtalarmError):
-    """Dataset too small to split."""
+    """Dataset too small to split or to train on."""
 
 
 # --- feature extraction ---
 
 class TooShort(VtalarmError):
     """Signal shorter than the operation requires."""
-
-
-class LengthMismatch(VtalarmError):
-    """Paired channels have different lengths."""
 
 
 # --- imbalance handling ---
@@ -78,23 +71,18 @@ class SingleClass(VtalarmError):
 # --- neural network ---
 
 class ShapeMismatch(VtalarmError):
-    """Tensor shapes do not chain."""
-
-
-class DimensionNotDivisible(VtalarmError):
-    """Attention model dimension not divisible by the head count."""
+    """Array shapes disagree: tensors that do not chain, paired channels,
+    scores and labels of different lengths, or a feature count other
+    than the fitted one."""
 
 
 class InvalidHyperparams(VtalarmError):
-    """Model hyperparameters fail validation."""
+    """Model hyperparameters fail validation, including a head count that
+    does not divide the model dimension and an even filter size."""
 
 
 class BatchTooSmall(VtalarmError):
     """Train-mode batch statistics need at least two elements per feature."""
-
-
-class LabelOutOfRange(VtalarmError):
-    """Labels must be 0 or 1."""
 
 
 class DivergedLoss(VtalarmError):
@@ -102,7 +90,7 @@ class DivergedLoss(VtalarmError):
 
 
 class CorruptCheckpoint(VtalarmError):
-    """Checkpoint bytes are truncated or malformed."""
+    """Checkpoint or scaler file bytes are truncated or malformed."""
 
 
 class VersionMismatch(VtalarmError):
@@ -113,21 +101,13 @@ class ArchitectureMismatch(VtalarmError):
     """Checkpoint holds a different architecture than expected."""
 
 
-# --- evaluation ---
-
-class ScoreOutOfRange(VtalarmError):
-    """Alert scores must lie in [0, 1]."""
-
-
 # --- pipeline / CLI ---
 
 class MissingInput(VtalarmError):
     """A required upstream artifact is absent."""
 
 
-class ConfigError(VtalarmError):
-    """Pipeline configuration is invalid."""
-
-
 class InvalidConfig(VtalarmError):
-    """Synthetic-data, feature-extraction, resampling or split configuration is invalid."""
+    """Pipeline configuration is invalid: a config file or flag, a split
+    file, a feature table, or synthetic-data, feature-extraction or
+    resampling settings."""

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ScoreOutOfRange, SingleClass, ValueOutOfRange
+from .errors import ShapeMismatch, SingleClass, ValueOutOfRange
 
 
 def _check_scores_labels(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1:
-        raise LengthMismatch("scores and labels must be 1-D")
+        raise ShapeMismatch("scores and labels must be 1-D")
     if scores.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{scores.shape[0]} scores vs {labels.shape[0]} labels")
+        raise ShapeMismatch(f"{scores.shape[0]} scores vs {labels.shape[0]} labels")
     if not np.all(np.isfinite(scores)):
         raise ValueOutOfRange("scores must be finite")
     if not np.all((labels == 0) | (labels == 1)):
@@ -103,7 +103,7 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> EvalReport
     auc = roc_auc(scores, labels)
     scores, labels = _check_scores_labels(scores, labels)
     if not 0.0 <= threshold <= 1.0:
-        raise ScoreOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+        raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
     predicted = scores >= threshold
     actual = labels == 1
     tp = int(np.sum(predicted & actual))
@@ -134,9 +134,9 @@ class AlertDecision:
 def decide_alert(score: float, threshold: float = 0.5) -> AlertDecision:
     """Alert iff score >= threshold; the boundary itself alerts."""
     if not 0.0 <= score <= 1.0:
-        raise ScoreOutOfRange(f"score must be in [0, 1], got {score}")
+        raise ValueOutOfRange(f"score must be in [0, 1], got {score}")
     if not 0.0 <= threshold <= 1.0:
-        raise ScoreOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+        raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
     return AlertDecision(score=float(score), threshold=float(threshold), alert=bool(score >= threshold))
 
 

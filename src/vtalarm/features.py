@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
+from .errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
 from .wfdb_io import AlarmWindow
 
 CHUNK_BYTES = 10 << 20  # bytes of the workspace one chunk of windows takes in feature_matrix
@@ -295,7 +295,7 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
-        raise LengthMismatch(f"channel lengths differ: {a.size} vs {b.size}")
+        raise ShapeMismatch(f"channel lengths differ: {a.size} vs {b.size}")
     index = _segment_index(a.size, params)
     if index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
@@ -602,7 +602,7 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     """
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
-        raise LengthMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
+        raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
     if n_channels > 1 and plan.segment_index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))

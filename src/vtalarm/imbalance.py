@@ -100,7 +100,7 @@ def _split_classes(labels: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _interpolation_targets(
     features: np.ndarray, labels: np.ndarray, config: ResampleConfig
-) -> tuple[int, np.ndarray, np.ndarray, int, list[np.ndarray]]:
+) -> tuple[int, np.ndarray, int, list[np.ndarray]]:
     minority_label, minority_idx, majority_idx = _split_classes(labels)
     if minority_idx.size < 2:
         raise MinorityTooSmall("oversampling needs at least 2 minority samples")
@@ -110,7 +110,7 @@ def _interpolation_targets(
     neighbors = [
         k_nearest(features, int(i), k, candidates=minority_idx) for i in minority_idx
     ]
-    return minority_label, minority_idx, majority_idx, n_new, neighbors
+    return minority_label, minority_idx, n_new, neighbors
 
 
 def _synthesize(features, minority_idx, neighbors, seed_draws, rng):
@@ -124,6 +124,13 @@ def _synthesize(features, minority_idx, neighbors, seed_draws, rng):
         rows.append(x + gap * (features[nn_idx] - x))
         log.append((x_idx, nn_idx, gap))
     return rows, log
+
+
+def _appended(features, labels, minority_label, rows, log, return_provenance):
+    """The originals in order, then the synthetic rows with the minority label."""
+    out_x = np.vstack([features] + [np.asarray(rows)]) if rows else features.copy()
+    out_y = np.concatenate([labels, np.full(len(rows), minority_label, dtype=labels.dtype)])
+    return (out_x, out_y, log) if return_provenance else (out_x, out_y)
 
 
 def smote(
@@ -141,18 +148,11 @@ def smote(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    minority_label, minority_idx, _, n_new, neighbors = _interpolation_targets(
-        features, labels, config
-    )
+    minority_label, minority_idx, n_new, neighbors = _interpolation_targets(features, labels, config)
     rng = derive_rng(config.seed, STREAM_SMOTE)
     seed_draws = rng.integers(minority_idx.size, size=n_new)
     rows, log = _synthesize(features, minority_idx, neighbors, seed_draws, rng)
-
-    out_x = np.vstack([features] + [np.asarray(rows)]) if rows else features.copy()
-    out_y = np.concatenate([labels, np.full(n_new, minority_label, dtype=labels.dtype)])
-    if return_provenance:
-        return out_x, out_y, log
-    return out_x, out_y
+    return _appended(features, labels, minority_label, rows, log, return_provenance)
 
 
 def adasyn(
@@ -171,9 +171,7 @@ def adasyn(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    minority_label, minority_idx, _, n_new, neighbors = _interpolation_targets(
-        features, labels, config
-    )
+    minority_label, minority_idx, n_new, neighbors = _interpolation_targets(features, labels, config)
 
     k_all = min(config.k_neighbors, features.shape[0] - 1)
     r = np.empty(minority_idx.size)
@@ -186,12 +184,7 @@ def adasyn(
     rng = derive_rng(config.seed, STREAM_ADASYN)
     seed_draws = np.repeat(np.arange(minority_idx.size), alloc)
     rows, log = _synthesize(features, minority_idx, neighbors, seed_draws, rng)
-
-    out_x = np.vstack([features] + [np.asarray(rows)]) if rows else features.copy()
-    out_y = np.concatenate([labels, np.full(n_new, minority_label, dtype=labels.dtype)])
-    if return_provenance:
-        return out_x, out_y, log
-    return out_x, out_y
+    return _appended(features, labels, minority_label, rows, log, return_provenance)
 
 
 def resample(features, labels, config: ResampleConfig):

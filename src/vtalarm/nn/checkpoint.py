@@ -10,11 +10,12 @@ the model without any other context.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from ..errors import ArchitectureMismatch, CorruptCheckpoint, ShapeMismatch, VersionMismatch
+from ..errors import ArchitectureMismatch, CorruptCheckpoint, InvalidHyperparams, ShapeMismatch, VersionMismatch
 from .model import Model, build_model
 
 MAGIC = b"VTCK"
@@ -51,19 +52,21 @@ def deserialize_model(data: bytes, expected_architecture: str | None = None) -> 
         input_shape = tuple(header["input_shape"])
         hyperparams = header["hyperparams"]
         entries = [(e["name"], tuple(int(v) for v in e["shape"])) for e in header["arrays"]]
-    except (ValueError, KeyError, TypeError) as exc:
+        if any(not isinstance(name, str) or min(shape, default=0) < 0 for name, shape in entries):
+            raise ValueError("every array needs a name and a non-negative shape")
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
     if expected_architecture is not None and architecture != expected_architecture:
         raise ArchitectureMismatch(f"checkpoint is {architecture!r}, expected {expected_architecture!r}")
 
     payload = data[16 + header_len :]
-    total = sum(int(np.prod(shape)) for _, shape in entries)
+    total = sum(math.prod(shape) for _, shape in entries)
     if len(payload) != total * 8:
         raise CorruptCheckpoint(f"payload holds {len(payload)} bytes, header promises {total * 8}")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in entries:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         arrays[name] = np.frombuffer(payload, dtype="<f8", count=size, offset=offset * 8).reshape(shape).copy()
         offset += size
 
@@ -72,6 +75,8 @@ def deserialize_model(data: bytes, expected_architecture: str | None = None) -> 
         model.load_arrays(arrays)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"arrays do not fit the declared model: {exc}") from exc
+    except InvalidHyperparams as exc:
+        raise CorruptCheckpoint(f"header declares no valid model: {exc}") from exc
     return model
 
 

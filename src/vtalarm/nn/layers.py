@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import (
-    BatchTooSmall,
-    DimensionNotDivisible,
-    InvalidHyperparams,
-    LabelOutOfRange,
-    ShapeMismatch,
-)
+from ..errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
 
 TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
 
@@ -94,7 +88,7 @@ class Conv1D(Layer):
     def __init__(self, in_channels: int, n_filters: int, filter_size: int, rng):
         super().__init__()
         if filter_size % 2 != 1:
-            raise ShapeMismatch("filter_size must be odd for symmetric same padding")
+            raise InvalidHyperparams("filter_size must be odd for symmetric same padding")
         self.c, self.k, self.f = in_channels, n_filters, filter_size
         fan_in = filter_size * in_channels
         self.params = {
@@ -164,9 +158,13 @@ class BatchNorm(Layer):
         else:
             mean, var = self.state["running_mean"], self.state["running_var"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat = x - mean
+        xhat *= inv_std
         self._cache = (xhat, inv_std, axes, m) if train else None
-        return self.params["gamma"] * xhat + self.params["beta"]
+        # inference keeps no xhat, so the output reuses its array
+        out = xhat * self.params["gamma"] if train else np.multiply(xhat, self.params["gamma"], out=xhat)
+        out += self.params["beta"]
+        return out
 
     def backward(self, dout):
         xhat, inv_std, axes, _ = self._cache
@@ -218,7 +216,7 @@ class MultiHeadAttention(Layer):
     def __init__(self, model_dim: int, n_heads: int, rng):
         super().__init__()
         if model_dim % n_heads != 0:
-            raise DimensionNotDivisible(f"model_dim {model_dim} not divisible by {n_heads} heads")
+            raise InvalidHyperparams(f"model_dim {model_dim} not divisible by {n_heads} heads")
         self.model_dim, self.n_heads = model_dim, n_heads
         self.d_k = model_dim // n_heads
         std = np.sqrt(2.0 / model_dim)
@@ -364,7 +362,7 @@ def weighted_bce_with_logits(
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if not np.all((labels == 0) | (labels == 1)):
-        raise LabelOutOfRange("labels must be 0 or 1")
+        raise ValueOutOfRange("labels must be 0 or 1")
     y = labels.astype(np.float64)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != y.shape or logits.shape != y.shape:

@@ -101,9 +101,6 @@ class Model:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.named_arrays()}
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        self.load_arrays(snap)
-
     def parameter_count(self) -> int:
         return int(sum(arr.size for _, arr in self.named_parameters()))
 
@@ -166,6 +163,51 @@ def _cnn_layers(n_channels: int, hp: dict, rng) -> list:
     return layers
 
 
+def _validated(architecture: str, input_shape: tuple, hyperparams: dict) -> tuple[tuple, dict]:
+    """The integer input shape and the defaults overlaid with ``hyperparams``,
+    each checked against ``architecture``."""
+    if architecture not in ARCHITECTURES:
+        raise InvalidHyperparams(f"unknown architecture {architecture!r}")
+    defaults = FCNN_DEFAULTS if architecture == "fcnn" else CNN_DEFAULTS
+    hp = dict(defaults)
+    for key, value in hyperparams.items():
+        if key not in defaults:
+            raise InvalidHyperparams(f"unknown hyperparameter {key!r} for {architecture}")
+        hp[key] = value
+
+    if not 0.0 <= hp["dropout_p"] < 1.0:
+        raise InvalidHyperparams(f"dropout_p must be in [0, 1), got {hp['dropout_p']}")
+    input_shape = tuple(int(v) for v in input_shape)
+
+    if architecture == "fcnn":
+        if len(input_shape) != 1 or input_shape[0] < 1:
+            raise InvalidHyperparams(f"fcnn input shape must be (n_features,), got {input_shape}")
+        sizes = hp["hidden_sizes"]
+        if not sizes or any(int(s) < 1 for s in sizes):
+            raise InvalidHyperparams(f"bad hidden_sizes {sizes}")
+        hp["hidden_sizes"] = [int(s) for s in sizes]
+        return input_shape, hp
+    if len(input_shape) != 2 or min(input_shape) < 1:
+        raise InvalidHyperparams(f"cnn input shape must be (n_samples, n_channels), got {input_shape}")
+    for key in ("n_filters", "filter_size", "n_heads", "decimation"):
+        hp[key] = int(hp[key])
+        if hp[key] < 1:
+            raise InvalidHyperparams(f"{key} must be positive, got {hp[key]}")
+    if hp["filter_size"] % 2 != 1:
+        raise InvalidHyperparams(f"filter_size must be odd, got {hp['filter_size']}")
+    if hp["n_filters"] % hp["n_heads"] != 0:
+        raise InvalidHyperparams(f"n_filters {hp['n_filters']} not divisible by n_heads {hp['n_heads']}")
+    if input_shape[0] < 2 * hp["filter_size"]:
+        raise InvalidHyperparams(
+            f"window of {input_shape[0]} samples is too short for filter_size {hp['filter_size']} plus pooling"
+        )
+    sizes = hp["dense_sizes"]
+    if any(int(s) < 1 for s in sizes):
+        raise InvalidHyperparams(f"bad dense_sizes {sizes}")
+    hp["dense_sizes"] = [int(s) for s in sizes]
+    return input_shape, hp
+
+
 def build_model(
     architecture: str,
     input_shape: tuple,
@@ -175,54 +217,16 @@ def build_model(
     """Construct a model with freshly initialized weights.
 
     ``input_shape`` is per-example: (n_features,) for "fcnn",
-    (n_samples, n_channels) for "cnn". Unknown hyperparameter keys and
-    out-of-range values are rejected rather than ignored.
+    (n_samples, n_channels) for "cnn". Unknown hyperparameter keys,
+    out-of-range values and values of the wrong type are rejected rather
+    than ignored.
     """
-    if architecture not in ARCHITECTURES:
-        raise InvalidHyperparams(f"unknown architecture {architecture!r}")
-    defaults = FCNN_DEFAULTS if architecture == "fcnn" else CNN_DEFAULTS
-    hp = dict(defaults)
-    for key, value in (hyperparams or {}).items():
-        if key not in defaults:
-            raise InvalidHyperparams(f"unknown hyperparameter {key!r} for {architecture}")
-        hp[key] = value
-
-    if not 0.0 <= hp["dropout_p"] < 1.0:
-        raise InvalidHyperparams(f"dropout_p must be in [0, 1), got {hp['dropout_p']}")
-    input_shape = tuple(int(v) for v in input_shape)
+    try:
+        input_shape, hp = _validated(architecture, input_shape, dict(hyperparams or {}))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidHyperparams(f"{architecture} hyperparameters of the wrong type: {exc}") from exc
     rng = derive_rng(seed, STREAM_INIT)
-
-    if architecture == "fcnn":
-        if len(input_shape) != 1 or input_shape[0] < 1:
-            raise InvalidHyperparams(f"fcnn input shape must be (n_features,), got {input_shape}")
-        sizes = hp["hidden_sizes"]
-        if not sizes or any(int(s) < 1 for s in sizes):
-            raise InvalidHyperparams(f"bad hidden_sizes {sizes}")
-        hp["hidden_sizes"] = [int(s) for s in sizes]
-        layers = _fcnn_layers(input_shape[0], hp, rng)
-    else:
-        if len(input_shape) != 2 or min(input_shape) < 1:
-            raise InvalidHyperparams(
-                f"cnn input shape must be (n_samples, n_channels), got {input_shape}"
-            )
-        for key in ("n_filters", "filter_size", "n_heads", "decimation"):
-            hp[key] = int(hp[key])
-            if hp[key] < 1:
-                raise InvalidHyperparams(f"{key} must be positive, got {hp[key]}")
-        if hp["filter_size"] % 2 != 1:
-            raise InvalidHyperparams(f"filter_size must be odd, got {hp['filter_size']}")
-        if hp["n_filters"] % hp["n_heads"] != 0:
-            raise InvalidHyperparams(
-                f"n_filters {hp['n_filters']} not divisible by n_heads {hp['n_heads']}"
-            )
-        if input_shape[0] < 2 * hp["filter_size"]:
-            raise InvalidHyperparams(
-                f"window of {input_shape[0]} samples is too short for filter_size "
-                f"{hp['filter_size']} plus pooling"
-            )
-        hp["dense_sizes"] = [int(s) for s in hp["dense_sizes"]]
-        layers = _cnn_layers(input_shape[1], hp, rng)
-
+    layers = (_fcnn_layers if architecture == "fcnn" else _cnn_layers)(input_shape[-1], hp, rng)
     model = Model(architecture, input_shape, hp, layers)
     model.set_dropout_rng(derive_rng(seed, STREAM_DROPOUT))
     return model

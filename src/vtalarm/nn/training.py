@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatch, DivergedLoss, InvalidHyperparams
+from ..errors import DivergedLoss, InvalidHyperparams, ShapeMismatch, TooFewSamples
 from ..evaluate import roc_auc
 from ..imbalance import ClassWeights
 from ..rng import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
@@ -65,19 +65,14 @@ def train(
     x_val = np.asarray(x_val, dtype=np.float64)
     y_val = np.asarray(y_val)
     if x_train.shape[0] != y_train.shape[0] or x_val.shape[0] != y_val.shape[0]:
-        raise DimensionMismatch("sample/label counts disagree")
+        raise ShapeMismatch("sample/label counts disagree")
     if x_train.shape[1:] != x_val.shape[1:]:
-        raise DimensionMismatch(f"train {x_train.shape[1:]} vs val {x_val.shape[1:]}")
+        raise ShapeMismatch(f"train {x_train.shape[1:]} vs val {x_val.shape[1:]}")
     n = x_train.shape[0]
     if n < 2:
-        raise DimensionMismatch("need at least 2 training examples")
+        raise TooFewSamples("need at least 2 training examples")
 
-    if config.class_weights is None:
-        sample_w = np.ones(n)
-    else:
-        sample_w = np.where(
-            y_train == 1, config.class_weights.weight_true, config.class_weights.weight_false
-        )
+    sample_w = np.ones(n) if config.class_weights is None else config.class_weights.for_labels(y_train)
 
     shuffle_rng = derive_rng(config.seed, STREAM_SHUFFLE)
     model.set_dropout_rng(derive_rng(config.seed, STREAM_DROPOUT))
@@ -125,7 +120,7 @@ def train(
             if epochs_since_best >= config.patience:
                 break
 
-    model.restore(best_snapshot)
+    model.load_arrays(best_snapshot)
     return history
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples, VersionMismatch
+from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples, VersionMismatch
 from .rng import STREAM_SPLIT, derive_rng
 from .wfdb_io import AlarmWindow
 
@@ -70,7 +70,7 @@ def apply_scaler(features: np.ndarray, params: ScalerParams) -> np.ndarray:
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[-1] != params.minimum.shape[0]:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"got {features.shape[-1]} features, scaler has {params.minimum.shape[0]}"
         )
     span = params.maximum - params.minimum
@@ -99,10 +99,14 @@ def load_scaler(path: str | Path) -> ScalerParams:
             fields[key] = value
     if fields.get("scaler_version") != "1":
         raise VersionMismatch(f"unknown scaler version {fields.get('scaler_version')!r}")
-    minimum = np.array([float(v) for v in fields["min"].split(",")])
-    maximum = np.array([float(v) for v in fields["max"].split(",")])
-    if minimum.shape[0] != int(fields["n_features"]):
-        raise DimensionMismatch("scaler file is inconsistent")
+    try:
+        minimum = np.array([float(v) for v in fields["min"].split(",")])
+        maximum = np.array([float(v) for v in fields["max"].split(",")])
+        n_features = int(fields["n_features"])
+    except (KeyError, ValueError) as exc:
+        raise CorruptCheckpoint(f"scaler file {path} is unreadable: {exc!r}") from exc
+    if not minimum.shape[0] == maximum.shape[0] == n_features:
+        raise CorruptCheckpoint("scaler file is inconsistent")
     return ScalerParams(minimum=minimum, maximum=maximum)
 
 
@@ -175,7 +179,10 @@ def save_split(path: str | Path, split: DatasetSplit, extra: dict | None = None)
 
 def load_split(path: str | Path) -> DatasetSplit:
     """Load a split file; also accepts externally authored benchmark splits."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InvalidConfig(f"split file {path} is not valid JSON: {exc}") from exc
     try:
         split = DatasetSplit(
             train_indices=np.asarray(payload["train"], dtype=np.int64),
@@ -183,11 +190,14 @@ def load_split(path: str | Path) -> DatasetSplit:
             test_indices=np.asarray(payload["test"], dtype=np.int64),
             seed=int(payload.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"split file {path} is missing train/val/test lists") from exc
-    combined = np.concatenate([split.train_indices, split.val_indices, split.test_indices])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"split file {path} is missing train/val/test lists") from exc
+    lists = [split.train_indices, split.val_indices, split.test_indices]
+    if any(idx.ndim != 1 for idx in lists):
+        raise InvalidConfig(f"split file {path} has a train/val/test entry that is not a flat index list")
+    combined = np.concatenate(lists)
     if len(np.unique(combined)) != combined.size:
-        raise DimensionMismatch(f"split file {path} assigns some index twice")
+        raise InvalidConfig(f"split file {path} assigns some index twice")
     return split
 
 

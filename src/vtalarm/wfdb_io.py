@@ -380,7 +380,10 @@ def read_alarm_index(path: str | Path) -> list[tuple[str, float, int]]:
         record_id, time_s, label = parts
         if label.lower() not in ("true", "false"):
             raise MalformedHeader(f"alarm label must be true/false, got {label!r}")
-        events.append((record_id, float(time_s), 1 if label.lower() == "true" else 0))
+        alarm_time = _parse_number(time_s, float, "alarm time")
+        if not np.isfinite(alarm_time):
+            raise MalformedHeader(f"alarm time must be finite, got {time_s!r}")
+        events.append((record_id, alarm_time, 1 if label.lower() == "true" else 0))
     return events
 
 

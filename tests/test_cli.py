@@ -1,13 +1,15 @@
 """Config resolution and the command-line pipeline end to end."""
 
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from vtalarm import cli
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
-from vtalarm.errors import ConfigError
+from vtalarm.errors import InvalidConfig
 from vtalarm.nn.model import Model
 
 
@@ -43,10 +45,10 @@ def test_resolve_config_merges_file_then_flags(tmp_path):
 def test_resolve_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"learning_rate": 0.1}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidConfig):
         resolve_config(str(cfg))
     cfg.write_text(json.dumps({"train": {"epochs": 5}}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidConfig):
         resolve_config(str(cfg))
 
 
@@ -222,7 +224,7 @@ def test_train_with_an_empty_split_list_exits_nonzero(pipeline, tmp_path, capsys
     bad.write_text(json.dumps({**json.loads(cfg.read_text()), "split": {"file": str(split)}}))
     assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError:")
+    assert err.startswith("error: InvalidConfig:")
     assert f"empty {empty} list" in err
 
 
@@ -239,7 +241,7 @@ def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_pat
     monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
     assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError:")
+    assert err.startswith("error: InvalidConfig:")
     assert "0 true and 3 false alarms" in err
 
 
@@ -247,8 +249,10 @@ def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_pat
     "settings, error",
     [
         ({"split": {"ratios": [0.5, 0.2, 0.2]}}, "InvalidConfig"),
-        ({"split": {"ratios": ["half", 0.2, 0.3]}}, "ConfigError"),
+        ({"split": {"ratios": ["half", 0.2, 0.3]}}, "InvalidConfig"),
         ({"resample": {"method": "smote", "ratio": 1.5}}, "InvalidConfig"),
+        ({"model": {"fcnn": {"hidden_sizes": ["x"]}}}, "InvalidHyperparams"),
+        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "x"}}}, "InvalidHyperparams"),
     ],
 )
 def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, settings, error):
@@ -265,14 +269,14 @@ def test_class_weights_and_resampling_conflict(tmp_path, capsys):
     assert run("train", str(work), "--class-weights", "--resample", "smote",
                "--out", str(tmp_path / "m")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError:")
+    assert err.startswith("error: InvalidConfig:")
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"speed": 1}))
     assert run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("error: ConfigError:")
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
 
 
 def test_ingest_of_an_empty_alarm_index_exits_nonzero(tmp_path, capsys):
@@ -305,3 +309,101 @@ def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: MissingInput:")
     assert not (out / "windows.npy").exists()
     assert not (out / "windows.npy.partial").exists()
+
+
+# ------------------------------------------------------ malformed input files
+
+
+def _rewrite(path, pattern, replacement):
+    text = path.read_text()
+    edited = re.sub(pattern, replacement, text, count=1)
+    assert edited != text
+    path.write_text(edited)
+
+
+def _evaluate_with_edited(pipeline, tmp_path, capsys, name, edit):
+    """Evaluate after ``edit(path)`` of one file in a copy of the trained model."""
+    root, raw, work, model, cfg = pipeline
+    bad = tmp_path / "model"
+    shutil.copytree(model, bad)
+    edit(bad / name)
+    assert run("evaluate", str(bad), str(work), "--out", str(tmp_path / "eval")) == 1
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement",
+    [
+        (r"min=", "min=x"),
+        (r"min=.*\n", ""),
+        (r"n_features=\d+", "n_features=2.5"),
+        (r"(max=.*),[^,\n]*\n", r"\1\n"),
+    ],
+    ids=["non-numeric", "no-min", "non-integer-count", "one-max-fewer"],
+)
+def test_evaluate_with_a_malformed_scaler_file_exits_nonzero(pipeline, tmp_path, capsys, pattern, replacement):
+    err = _evaluate_with_edited(pipeline, tmp_path, capsys, "scaler.txt", lambda p: _rewrite(p, pattern, replacement))
+    assert err.startswith("error: CorruptCheckpoint:")
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement",
+    [
+        (r"\{", "{{"),
+        (r'"test": \[[^\]]*\]', '"test": [[0, 1], [2, 3]]'),
+    ],
+    ids=["not-json", "nested-lists"],
+)
+def test_evaluate_with_a_malformed_split_file_exits_nonzero(pipeline, tmp_path, capsys, pattern, replacement):
+    err = _evaluate_with_edited(pipeline, tmp_path, capsys, "split.json", lambda p: _rewrite(p, pattern, replacement))
+    assert err.startswith("error: InvalidConfig:")
+
+
+def _edit_checkpoint_header(path, edit):
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(hyperparams=[16]),
+        lambda h: h.update(input_shape=["x"]),
+        lambda h: h["hyperparams"].update(hidden_sizes=["x"]),
+    ],
+    ids=["hyperparams-not-an-object", "non-integer-input-shape", "non-integer-hyperparameter"],
+)
+def test_evaluate_with_a_malformed_checkpoint_header_exits_nonzero(pipeline, tmp_path, capsys, edit):
+    err = _evaluate_with_edited(pipeline, tmp_path, capsys, "model.ckpt", lambda p: _edit_checkpoint_header(p, edit))
+    assert err.startswith("error: CorruptCheckpoint:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "record_id,label,a,b\nr1,1,0.5,x\n",  # non-numeric value
+        "record_id,label,a,b\nr1,1,0.5\n",  # a row shorter than the header
+    ],
+    ids=["empty", "non-numeric", "short-row"],
+)
+def test_evaluate_with_a_malformed_feature_table_exits_nonzero(pipeline, tmp_path, capsys, text):
+    root, raw, work, model, cfg = pipeline
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "features.csv").write_text(text)
+    assert run("evaluate", str(model), str(data), "--out", str(tmp_path / "eval")) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+
+
+@pytest.mark.parametrize("alarm_time", ["soon", "nan", "inf"])
+def test_ingest_with_a_malformed_alarm_time_exits_nonzero(tmp_path, capsys, alarm_time):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "alarms.csv").write_text(f"record_id,alarm_time_s,label\nr1,{alarm_time},true\n")
+    assert run("ingest", str(raw), "--out", str(tmp_path / "work")) == 1
+    assert capsys.readouterr().err.startswith("error: MalformedHeader:")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import auc_pair_oracle
 
-from vtalarm.errors import LengthMismatch, ScoreOutOfRange, SingleClass, ValueOutOfRange
+from vtalarm.errors import ShapeMismatch, SingleClass, ValueOutOfRange
 from vtalarm.evaluate import classification_metrics, decide_alert, roc_auc
 
 
@@ -56,7 +56,7 @@ def test_auc_perfect_and_chance_extremes():
 
 
 def test_auc_input_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         roc_auc(np.zeros(3), np.zeros(4))
     with pytest.raises(SingleClass):
         roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
@@ -148,11 +148,11 @@ def test_decide_alert_boundary_and_sides():
 
 
 def test_decide_alert_range_checks():
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(ValueOutOfRange):
         decide_alert(1.1, 0.5)
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(ValueOutOfRange):
         decide_alert(-0.01, 0.5)
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(ValueOutOfRange):
         decide_alert(0.5, 1.5)
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(ValueOutOfRange):
         decide_alert(float("nan"), 0.5)

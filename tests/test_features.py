@@ -10,7 +10,7 @@ from helpers import feature_vector_oracle, welch_psd_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vtalarm.errors import InvalidConfig, LengthMismatch, TooShort, ValueOutOfRange
+from vtalarm.errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
 from vtalarm.features import (
     CHUNK_BYTES,
     FeaturePlan,
@@ -159,7 +159,7 @@ def test_coherence_requires_two_segments_and_equal_lengths():
     params = SpectralParams(segment_length=128, fs=64.0, overlap=0.0)
     with pytest.raises(TooShort):
         coherence(np.zeros(128), np.zeros(128), params)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         coherence(np.zeros(512), np.zeros(510), params)
 
 
@@ -326,7 +326,7 @@ def test_feature_plan_validates_once():
     with pytest.raises(TooShort):
         FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(0.0, 2.0))  # 100 samples < one segment
     plan = FeaturePlan.build(50.0, 1000, spectral, wavelet)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         feature_matrix(np.zeros((2, 999, 3)), plan)
 
 

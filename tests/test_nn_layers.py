@@ -1,5 +1,7 @@
 """Layer-by-layer gradient checks and numeric edge cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -11,13 +13,7 @@ from helpers import (
     maxpool_argmax_oracle,
 )
 
-from vtalarm.errors import (
-    BatchTooSmall,
-    DimensionNotDivisible,
-    InvalidHyperparams,
-    LabelOutOfRange,
-    ShapeMismatch,
-)
+from vtalarm.errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
 from vtalarm.nn import layers as nn_layers
 from vtalarm.nn.layers import (
     Adam,
@@ -221,6 +217,34 @@ def test_batchnorm_inference_uses_running_stats():
     assert out[0, 1] == pytest.approx(2.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_forward_is_bit_identical_to_the_textbook_formula(train):
+    rng = np.random.default_rng(102)
+    layer = BatchNorm(32)
+    layer.params = {"gamma": rng.normal(size=32), "beta": rng.normal(size=32)}
+    layer.state = {"running_mean": rng.normal(size=32), "running_var": rng.uniform(0.5, 2.0, size=32)}
+    x = rng.normal(loc=1.0, size=(6, 50, 32))
+    if train:
+        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+    else:
+        mean, var = layer.state["running_mean"], layer.state["running_var"]
+    want = layer.params["gamma"] * ((x - mean) * (1.0 / np.sqrt(var + layer.eps))) + layer.params["beta"]
+    assert layer.forward(x, train).tobytes() == want.tobytes()
+
+
+def test_batchnorm_inference_peak_stays_near_the_input_size():
+    # the cnn's BatchNorm input in a default-budget predict batch, about 7.4 MB
+    x = np.random.default_rng(103).normal(size=(48, 600, 32))
+    layer = BatchNorm(32)
+    tracemalloc.start()
+    try:
+        layer.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes
+
+
 def test_batchnorm_rejects_single_element_batch():
     with pytest.raises(BatchTooSmall):
         BatchNorm(3).forward(np.zeros((1, 3)), train=True)
@@ -309,8 +333,13 @@ def test_attention_inference_forward_keeps_no_cache():
 
 
 def test_attention_rejects_indivisible_heads():
-    with pytest.raises(DimensionNotDivisible):
+    with pytest.raises(InvalidHyperparams):
         MultiHeadAttention(10, 4, np.random.default_rng(0))
+
+
+def test_conv1d_rejects_an_even_filter_size():
+    with pytest.raises(InvalidHyperparams):
+        Conv1D(3, 8, 6, np.random.default_rng(0))
 
 
 def test_attention_shape_check():
@@ -373,7 +402,7 @@ def test_bce_clamps_extreme_probabilities():
 
 
 def test_bce_rejects_bad_labels():
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(ValueOutOfRange):
         weighted_bce_with_logits(np.zeros(2), np.array([0, 2]))
 
 

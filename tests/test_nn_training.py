@@ -18,6 +18,7 @@ from vtalarm.errors import (
     DivergedLoss,
     InvalidHyperparams,
     ShapeMismatch,
+    TooFewSamples,
     VersionMismatch,
 )
 from vtalarm.evaluate import roc_auc
@@ -76,6 +77,24 @@ def test_build_model_rejects_bad_settings():
         build_model("fcnn", (17,), seed=0, hyperparams={"dropout_p": 1.0})
     with pytest.raises(InvalidHyperparams):
         build_model("transformer", (17,), seed=0)
+
+
+@pytest.mark.parametrize(
+    "arch, shape, hyperparams",
+    [
+        ("fcnn", (17,), {"hidden_sizes": ["x"]}),
+        ("fcnn", (17,), {"hidden_sizes": 16}),
+        ("fcnn", (17,), {"dropout_p": "0.3"}),
+        ("fcnn", ("x",), {}),
+        ("cnn", (500, 3), {"n_filters": "x"}),
+        ("cnn", (500, 3), {"dense_sizes": [float("inf")]}),
+        ("cnn", (500, 3), {"dense_sizes": [0]}),
+        ("fcnn", (17,), [16]),
+    ],
+)
+def test_build_model_rejects_values_of_the_wrong_type(arch, shape, hyperparams):
+    with pytest.raises(InvalidHyperparams):
+        build_model(arch, shape, seed=0, hyperparams=hyperparams)
 
 
 def test_model_forward_shapes():
@@ -156,6 +175,17 @@ def test_diverged_loss_raises():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DivergedLoss):
             train(model, x_tr, y_tr, x_va, y_va, TrainConfig(learning_rate=1e200, max_epochs=5, seed=0))
+
+
+def test_train_rejects_mismatched_or_too_few_examples():
+    x_tr, y_tr, x_va, y_va = blobs(n=40)
+    model = build_model("fcnn", (17,), seed=0, hyperparams={"hidden_sizes": [8]})
+    with pytest.raises(ShapeMismatch):
+        train(model, x_tr, y_tr[:-1], x_va, y_va, TrainConfig())
+    with pytest.raises(ShapeMismatch):
+        train(model, x_tr, y_tr, x_va[:, :-1], y_va, TrainConfig())
+    with pytest.raises(TooFewSamples):
+        train(model, x_tr[:1], y_tr[:1], x_va, y_va, TrainConfig())
 
 
 def test_train_config_validation():

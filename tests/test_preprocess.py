@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import DimensionMismatch, EmptyInput, InvalidConfig, TooFewSamples, VersionMismatch
+from vtalarm.errors import CorruptCheckpoint, EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples, VersionMismatch
 from vtalarm.preprocess import (
     ScalerParams,
     apply_scaler,
@@ -83,7 +83,7 @@ def test_scaler_errors():
     with pytest.raises(EmptyInput):
         fit_scaler(np.empty((0, 3)))
     params = fit_scaler(np.ones((2, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         apply_scaler(np.ones((2, 4)), params)
 
 
@@ -165,5 +165,5 @@ def test_split_file_round_trip(tmp_path):
 def test_split_file_rejects_duplicates(tmp_path):
     path = tmp_path / "split.json"
     path.write_text('{"seed": 0, "train": [0, 1], "val": [1], "test": [2]}')
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidConfig):
         load_split(path)
