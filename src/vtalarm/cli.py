@@ -31,7 +31,7 @@ from .features import (  # noqa: F401  build_feature_vector stays importable fro
 )
 from .imbalance import ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.model import CNN_DEFAULTS, build_model
+from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train, write_history
 from .preprocess import (
     apply_scaler,
@@ -44,7 +44,7 @@ from .preprocess import (
     split_dataset,
 )
 from .synth import SynthConfig, generate_corpus
-from .wfdb_io import extract_alarm_window, load_record, read_alarm_index
+from .wfdb_io import extract_alarm_window, load_record, read_alarm_index, read_utf8
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -69,49 +69,74 @@ DEFAULT_CONFIG = {
 }
 
 
+# The type of each setting whose default is null, as a template value.
+_NULL_DEFAULT_TYPES = {"data_dir": "", "split.file": "", "features.analysis_span": [0.0, 0.0]}
+_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _typed(where: str, template, value):
+    """``value`` if it has the type of ``template``: an int takes only an int,
+    a float any finite number (returned as a float), a list as many values
+    as the template's."""
+    if isinstance(template, list):
+        if isinstance(value, list) and len(value) == len(template):
+            return [_typed(where, t, v) for t, v in zip(template, value)]
+        kind = f"a list of {len(template)} numbers"
+    elif type(template) is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        kind = "a finite number"
+    elif type(value) is type(template) and not (where == "seed" and value < 0):
+        return value
+    else:
+        kind = "a non-negative integer" if where == "seed" else _KINDS[type(template)]
+    raise InvalidConfig(f"config key {where!r} must be {kind}, got {value!r}")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge ``override`` into ``base``; unknown keys are rejected."""
+    """Deep-merge ``override`` into ``base``; unknown keys and values of the
+    wrong type are rejected."""
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise InvalidConfig(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and key != "model":
-            if not isinstance(value, dict):
-                raise InvalidConfig(f"config key {where!r} must be a mapping")
-            out[key] = _merge(base[key], value, where)
-        elif key == "model":
+        if key == "model":
             maps = isinstance(value, dict) and all(isinstance(v, dict) for v in value.values())
             if not maps or not set(value) <= {"fcnn", "cnn"}:
                 raise InvalidConfig("config key 'model' must map fcnn/cnn to hyperparameters")
             out[key] = {k: dict(base[key].get(k, {}), **value.get(k, {})) for k in ("fcnn", "cnn")}
+        elif isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise InvalidConfig(f"config key {where!r} must be a mapping")
+            out[key] = _merge(base[key], value, where)
+        elif value is None and where in _NULL_DEFAULT_TYPES:
+            out[key] = None
         else:
-            out[key] = value
+            out[key] = _typed(where, _NULL_DEFAULT_TYPES.get(where, base[key]), value)
     return out
 
 
 def resolve_config(config_path: str | None, overrides: dict | None = None) -> dict:
-    """defaults <- config file <- flag overrides."""
+    """defaults <- config file <- flag overrides, whose dotted keys name nested
+    settings. Every value is checked against the type of its default."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
             raise MissingInput(f"config file {path} does not exist")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InvalidConfig(f"config file {path} must hold a JSON object")
         config = _merge(config, loaded)
     for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
-        node = config
-        *parents, leaf = dotted.split(".")
-        for part in parents:
-            node = node[part]
-        node[leaf] = value
+        if value is not None:
+            for part in reversed(dotted.split(".")):
+                value = {part: value}
+            config = _merge(config, value)
     return config
 
 
@@ -145,7 +170,7 @@ def _write_features_csv(path, record_ids, labels, matrix, names, comment):
 
 
 def _load_features_csv(path):
-    rows = [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
+    rows = [line for line in read_utf8(path, InvalidConfig).splitlines() if line and not line.startswith("#")]
     header = rows[0].split(",") if rows else []
     if header[:2] != ["record_id", "label"]:
         raise InvalidConfig(f"{path} is not a feature table (header {header[:2]})")
@@ -165,11 +190,20 @@ def _load_features_csv(path):
 
 
 def _load_windows(data_dir: Path):
-    """windows.npy as a read-only memory map, with its labels and meta."""
-    windows = np.load(_require(data_dir / "windows.npy", "run ingest first"), mmap_mode="r")
-    labels = np.load(_require(data_dir / "labels.npy", "run ingest first"))
-    meta = json.loads(_require(data_dir / "meta.json", "run ingest first").read_text())
-    return windows, labels.astype(np.int64), meta
+    """windows.npy as a read-only memory map, with its labels and meta. Files
+    that ingest did not write whole raise InvalidConfig."""
+    paths = [_require(data_dir / name, "run ingest first") for name in ("windows.npy", "labels.npy", "meta.json")]
+    try:
+        windows = np.load(paths[0], mmap_mode="r")
+        labels = np.load(paths[1]).astype(np.int64)
+        meta = json.loads(read_utf8(paths[2], InvalidConfig))
+        fs = meta["fs"] = float(meta["fs"])
+        counts = {len(windows), len(labels), len(meta["record_ids"])}
+    except (ValueError, TypeError, KeyError, EOFError) as exc:
+        raise InvalidConfig(f"{data_dir} holds a damaged ingest output: {exc!r}") from exc
+    if len(counts) != 1 or not 0.0 < fs < np.inf:
+        raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
+    return windows, labels, meta
 
 
 class _WindowFile:
@@ -194,18 +228,7 @@ class _WindowFile:
 
 
 def cmd_synth(config: dict, out_dir: Path) -> None:
-    s = config["synth"]
-    try:
-        synth_config = SynthConfig(
-            n_events=int(s["n_events"]),
-            class_ratio=float(s["class_ratio"]),
-            fs=float(s["fs"]),
-            separability=float(s["separability"]),
-            seed=int(config["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad synth settings: {exc}") from exc
-    events = generate_corpus(synth_config, out_dir)
+    events = generate_corpus(SynthConfig(**config["synth"], seed=config["seed"]), out_dir)
     n_true = sum(label for _, _, label in events)
     print(
         f"synth: wrote {len(events)} records ({n_true} true / {len(events) - n_true} false) "
@@ -267,22 +290,11 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
 
 def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
     windows, labels, meta = _load_windows(Path(data_dir))
-    fs = float(meta["fs"])
-    spectral = spectral_params_for(
-        fs, seconds=float(config["spectral"]["segment_seconds"]), overlap=float(config["spectral"]["overlap"])
-    )
-    w = config["wavelet"]
-    wavelet = morlet_scales(
-        fs, f_min=float(w["f_min"]), f_max=float(w["f_max"]), n_scales=int(w["n_scales"]), omega0=float(w["omega0"])
-    )
-    span = config["features"]["analysis_span"]
-    if span is not None:
-        try:
-            lo, hi = (float(v) for v in span)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"analysis_span must be [start_s, end_s], got {span!r}") from exc
-        span = (lo, hi)
-    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, config["features"]["coherence_mode"], span)
+    fs = meta["fs"]
+    spectral = spectral_params_for(fs, seconds=config["spectral"]["segment_seconds"], overlap=config["spectral"]["overlap"])
+    wavelet = morlet_scales(fs, **config["wavelet"])
+    features = config["features"]
+    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, features["coherence_mode"], features["analysis_span"])
     matrix = feature_matrix(_WindowFile(windows), plan)
     names = feature_names(windows.shape[2], coherence_mode=plan.coherence_mode)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,21 +305,7 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
 def _get_split(config: dict, labels: np.ndarray):
     if config["split"]["file"]:
         return load_split(_require(Path(config["split"]["file"]), "split file from config"))
-    try:
-        ratios = tuple(float(r) for r in config["split"]["ratios"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad split ratios: {exc}") from exc
-    return split_dataset(labels, seed=int(config["seed"]), ratios=ratios)
-
-
-def _resample_config(config: dict) -> ResampleConfig:
-    r = config["resample"]
-    try:
-        return ResampleConfig(
-            method=r["method"], ratio=float(r["ratio"]), k_neighbors=int(r["k_neighbors"]), seed=int(config["seed"])
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad resample settings: {exc}") from exc
+    return split_dataset(labels, seed=config["seed"], ratios=config["split"]["ratios"])
 
 
 def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
@@ -321,7 +319,7 @@ def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
         ids, labels, x, _ = _load_features_csv(_require(data_dir / "features.csv", "run featurize first"))
         return ids, labels, x
     windows, labels, meta = _load_windows(data_dir)
-    decimation = int(hyperparams.get("decimation", CNN_DEFAULTS["decimation"]))
+    decimation = hyperparams["decimation"]
     # one window at a time through file reads: decimating the memory map
     # would touch, and keep resident, every page of windows.npy
     source = _WindowFile(windows)
@@ -342,10 +340,10 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     arch = config["architecture"]
     if arch not in ("fcnn", "cnn"):
         raise InvalidConfig(f"architecture must be fcnn or cnn, got {arch!r}")
-    seed = int(config["seed"])
-    hyperparams = dict(config["model"][arch])
-    rcfg = _resample_config(config)
-    use_weights = bool(config["train"]["use_class_weights"])
+    seed = config["seed"]
+    hyperparams = hyperparams_for(arch, config["model"][arch])
+    rcfg = ResampleConfig(**config["resample"], seed=seed)
+    use_weights = config["train"]["use_class_weights"]
     if use_weights and rcfg.method != "none":
         raise InvalidConfig("class weights and resampling are mutually exclusive; pick one")
     _, labels, x = _prepare_arrays(data_dir, arch, hyperparams)
@@ -369,10 +367,10 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
 
     t = config["train"]
     train_config = TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        batch_size=int(t["batch_size"]),
-        max_epochs=int(t["max_epochs"]),
-        patience=int(t["patience"]),
+        learning_rate=t["learning_rate"],
+        batch_size=t["batch_size"],
+        max_epochs=t["max_epochs"],
+        patience=t["patience"],
         seed=seed,
         class_weights=class_weights(y_train) if use_weights else None,
     )
@@ -425,7 +423,7 @@ def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: f
 
 
 def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, subset: str = "test") -> None:
-    threshold = float(config["threshold"])
+    threshold = config["threshold"]
     model, ids, labels, scores = _scored_rows(model_dir, data_dir, subset)
     report = classification_metrics(scores, labels, threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -439,7 +437,7 @@ def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, s
 
 
 def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) -> None:
-    threshold = float(config["threshold"])
+    threshold = config["threshold"]
     model, ids, _, scores = _scored_rows(model_dir, data_dir, "all")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)

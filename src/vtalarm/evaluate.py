@@ -42,7 +42,11 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative."""
-    scores, labels = _check_scores_labels(scores, labels)
+    return _auc(*_check_scores_labels(scores, labels))
+
+
+def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """roc_auc of arrays that passed _check_scores_labels."""
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     rank_sum = _average_ranks(scores)[labels == 1].sum()
@@ -100,8 +104,8 @@ def _one_class(tp: int, fp: int, fn: int) -> ClassMetrics:
 
 def classification_metrics(scores, labels, threshold: float = 0.5) -> EvalReport:
     """Threshold the scores and report both classes' metrics plus AUC."""
-    auc = roc_auc(scores, labels)
     scores, labels = _check_scores_labels(scores, labels)
+    auc = _auc(scores, labels)
     if not 0.0 <= threshold <= 1.0:
         raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
     predicted = scores >= threshold

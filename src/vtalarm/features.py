@@ -111,6 +111,8 @@ def morlet_scales(
     The scale-frequency map is f = omega0 * fs / (2 pi s); descending
     frequencies give ascending scales.
     """
+    if n_scales < 1 or min(f_min, f_max) <= 0:
+        raise InvalidConfig(f"need n_scales >= 1 and positive frequencies, got {n_scales}, {f_min}, {f_max}")
     freqs = np.logspace(np.log10(f_max), np.log10(f_min), n_scales)
     scales = omega0 * fs / (2.0 * np.pi * freqs)
     return WaveletConfig(omega0=omega0, scales=scales)
@@ -608,9 +610,10 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))
     step = plan.chunk_windows(n_channels)
     ws = _Workspace.allocate(plan, min(step, n_windows), n_channels)
-    for lo in range(0, n_windows, step):
-        chunk = windows[lo : lo + step]
-        out[lo : lo + step] = _chunk_features(chunk, plan, ws.head(len(chunk)))
+    with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
+        for lo in range(0, n_windows, step):
+            chunk = windows[lo : lo + step]
+            out[lo : lo + step] = _chunk_features(chunk, plan, ws.head(len(chunk)))
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")

@@ -43,7 +43,7 @@ class Model:
 
     def __init__(self, architecture: str, input_shape: tuple, hyperparams: dict, layers: list):
         self.architecture = architecture
-        self.input_shape = tuple(int(v) for v in input_shape)
+        self.input_shape = tuple(input_shape)
         self.hyperparams = hyperparams
         self.layers = layers
 
@@ -163,49 +163,43 @@ def _cnn_layers(n_channels: int, hp: dict, rng) -> list:
     return layers
 
 
-def _validated(architecture: str, input_shape: tuple, hyperparams: dict) -> tuple[tuple, dict]:
-    """The integer input shape and the defaults overlaid with ``hyperparams``,
-    each checked against ``architecture``."""
+def _count(name: str, value) -> int:
+    """``value`` if it is a positive integer; a bool, a float or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidHyperparams(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def hyperparams_for(architecture: str, hyperparams: dict) -> dict:
+    """The defaults of ``architecture`` overlaid with ``hyperparams``. Unknown
+    keys are rejected; every count must be a positive int and ``dropout_p``
+    a number in [0, 1)."""
     if architecture not in ARCHITECTURES:
         raise InvalidHyperparams(f"unknown architecture {architecture!r}")
+    if not isinstance(hyperparams, dict):
+        raise InvalidHyperparams(f"{architecture} hyperparameters must be a mapping, got {hyperparams!r}")
     defaults = FCNN_DEFAULTS if architecture == "fcnn" else CNN_DEFAULTS
-    hp = dict(defaults)
-    for key, value in hyperparams.items():
+    for key in hyperparams:
         if key not in defaults:
             raise InvalidHyperparams(f"unknown hyperparameter {key!r} for {architecture}")
-        hp[key] = value
-
-    if not 0.0 <= hp["dropout_p"] < 1.0:
-        raise InvalidHyperparams(f"dropout_p must be in [0, 1), got {hp['dropout_p']}")
-    input_shape = tuple(int(v) for v in input_shape)
-
+    hp = {**defaults, **hyperparams}
+    p = hp["dropout_p"]
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p < 1.0:
+        raise InvalidHyperparams(f"dropout_p must be a number in [0, 1), got {p!r}")
+    hp["dropout_p"] = float(p)
+    sizes = "hidden_sizes" if architecture == "fcnn" else "dense_sizes"
+    if not isinstance(hp[sizes], (list, tuple)) or (architecture == "fcnn" and not hp[sizes]):
+        raise InvalidHyperparams(f"bad {sizes} {hp[sizes]!r}")
+    hp[sizes] = [_count(sizes, s) for s in hp[sizes]]
     if architecture == "fcnn":
-        if len(input_shape) != 1 or input_shape[0] < 1:
-            raise InvalidHyperparams(f"fcnn input shape must be (n_features,), got {input_shape}")
-        sizes = hp["hidden_sizes"]
-        if not sizes or any(int(s) < 1 for s in sizes):
-            raise InvalidHyperparams(f"bad hidden_sizes {sizes}")
-        hp["hidden_sizes"] = [int(s) for s in sizes]
-        return input_shape, hp
-    if len(input_shape) != 2 or min(input_shape) < 1:
-        raise InvalidHyperparams(f"cnn input shape must be (n_samples, n_channels), got {input_shape}")
+        return hp
     for key in ("n_filters", "filter_size", "n_heads", "decimation"):
-        hp[key] = int(hp[key])
-        if hp[key] < 1:
-            raise InvalidHyperparams(f"{key} must be positive, got {hp[key]}")
+        hp[key] = _count(key, hp[key])
     if hp["filter_size"] % 2 != 1:
         raise InvalidHyperparams(f"filter_size must be odd, got {hp['filter_size']}")
     if hp["n_filters"] % hp["n_heads"] != 0:
         raise InvalidHyperparams(f"n_filters {hp['n_filters']} not divisible by n_heads {hp['n_heads']}")
-    if input_shape[0] < 2 * hp["filter_size"]:
-        raise InvalidHyperparams(
-            f"window of {input_shape[0]} samples is too short for filter_size {hp['filter_size']} plus pooling"
-        )
-    sizes = hp["dense_sizes"]
-    if any(int(s) < 1 for s in sizes):
-        raise InvalidHyperparams(f"bad dense_sizes {sizes}")
-    hp["dense_sizes"] = [int(s) for s in sizes]
-    return input_shape, hp
+    return hp
 
 
 def build_model(
@@ -217,14 +211,19 @@ def build_model(
     """Construct a model with freshly initialized weights.
 
     ``input_shape`` is per-example: (n_features,) for "fcnn",
-    (n_samples, n_channels) for "cnn". Unknown hyperparameter keys,
-    out-of-range values and values of the wrong type are rejected rather
-    than ignored.
+    (n_samples, n_channels) for "cnn". ``hyperparams`` are checked by
+    :func:`hyperparams_for`.
     """
-    try:
-        input_shape, hp = _validated(architecture, input_shape, dict(hyperparams or {}))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidHyperparams(f"{architecture} hyperparameters of the wrong type: {exc}") from exc
+    hp = hyperparams_for(architecture, {} if hyperparams is None else hyperparams)
+    input_shape = tuple(_count("every input dimension", v) for v in input_shape)
+    if architecture == "fcnn" and len(input_shape) != 1:
+        raise InvalidHyperparams(f"fcnn input shape must be (n_features,), got {input_shape}")
+    if architecture == "cnn" and len(input_shape) != 2:
+        raise InvalidHyperparams(f"cnn input shape must be (n_samples, n_channels), got {input_shape}")
+    if architecture == "cnn" and input_shape[0] < 2 * hp["filter_size"]:
+        raise InvalidHyperparams(
+            f"window of {input_shape[0]} samples is too short for filter_size {hp['filter_size']} plus pooling"
+        )
     rng = derive_rng(seed, STREAM_INIT)
     layers = (_fcnn_layers if architecture == "fcnn" else _cnn_layers)(input_shape[-1], hp, rng)
     model = Model(architecture, input_shape, hp, layers)
@@ -232,4 +231,4 @@ def build_model(
     return model
 
 
-__all__ = ["Model", "build_model", "ARCHITECTURES", "FCNN_DEFAULTS", "CNN_DEFAULTS"]
+__all__ = ["Model", "build_model", "hyperparams_for", "ARCHITECTURES", "FCNN_DEFAULTS", "CNN_DEFAULTS"]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples, VersionMismatch
 from .rng import STREAM_SPLIT, derive_rng
-from .wfdb_io import AlarmWindow
+from .wfdb_io import AlarmWindow, read_utf8
 
 
 @dataclass
@@ -93,7 +93,7 @@ def save_scaler(path: str | Path, params: ScalerParams, comment: str | None = No
 
 def load_scaler(path: str | Path) -> ScalerParams:
     fields = {}
-    for line in Path(path).read_text().splitlines():
+    for line in read_utf8(path, CorruptCheckpoint).splitlines():
         if "=" in line and not line.startswith("#"):
             key, value = line.split("=", 1)
             fields[key] = value
@@ -180,22 +180,17 @@ def save_split(path: str | Path, split: DatasetSplit, extra: dict | None = None)
 def load_split(path: str | Path) -> DatasetSplit:
     """Load a split file; also accepts externally authored benchmark splits."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_utf8(path, InvalidConfig))
     except ValueError as exc:
         raise InvalidConfig(f"split file {path} is not valid JSON: {exc}") from exc
+    lists = [payload.get(key) for key in ("train", "val", "test")] if isinstance(payload, dict) else [None]
+    if not all(isinstance(idx, list) and all(type(i) is int for i in idx) for idx in lists):
+        raise InvalidConfig(f"split file {path} needs train/val/test lists of integer indices")
     try:
-        split = DatasetSplit(
-            train_indices=np.asarray(payload["train"], dtype=np.int64),
-            val_indices=np.asarray(payload["val"], dtype=np.int64),
-            test_indices=np.asarray(payload["test"], dtype=np.int64),
-            seed=int(payload.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"split file {path} is missing train/val/test lists") from exc
-    lists = [split.train_indices, split.val_indices, split.test_indices]
-    if any(idx.ndim != 1 for idx in lists):
-        raise InvalidConfig(f"split file {path} has a train/val/test entry that is not a flat index list")
-    combined = np.concatenate(lists)
+        split = DatasetSplit(*(np.asarray(idx, dtype=np.int64) for idx in lists), seed=int(payload.get("seed", 0)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"split file {path} has an index or seed out of range: {exc}") from exc
+    combined = np.concatenate([split.train_indices, split.val_indices, split.test_indices])
     if len(np.unique(combined)) != combined.size:
         raise InvalidConfig(f"split file {path} assigns some index twice")
     return split

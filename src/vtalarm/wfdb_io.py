@@ -25,6 +25,7 @@ from .errors import (
     TruncatedData,
     UnsupportedFormat,
     ValueOutOfRange,
+    VtalarmError,
     WindowOutOfBounds,
 )
 
@@ -365,10 +366,18 @@ def extract_alarm_window(
 
 # --- alarm index sidecar ---
 
+def read_utf8(path: str | Path, error: type[VtalarmError]) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_alarm_index(path: str | Path) -> list[tuple[str, float, int]]:
     """Read the sidecar CSV: one ``record_id,alarm_time_s,label`` per event."""
     events = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_utf8(path, MalformedHeader).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -397,7 +406,7 @@ def write_alarm_index(path: str | Path, events: list[tuple[str, float, int]]) ->
 def load_record(data_dir: str | Path, record_id: str, verify_checksums: bool = False) -> WaveformRecord:
     """Read ``<data_dir>/<record_id>.hea`` and its ``.dat`` from disk."""
     data_dir = Path(data_dir)
-    header = parse_header((data_dir / f"{record_id}.hea").read_text())
+    header = parse_header(read_utf8(data_dir / f"{record_id}.hea", MalformedHeader))
     dat = (data_dir / header.signals[0].file_name).read_bytes()
     return read_signal(header, dat, verify_checksums=verify_checksums)
 
@@ -424,6 +433,7 @@ __all__ = [
     "read_signal",
     "write_record",
     "extract_alarm_window",
+    "read_utf8",
     "read_alarm_index",
     "write_alarm_index",
     "load_record",

@@ -50,6 +50,44 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
     cfg.write_text(json.dumps({"train": {"epochs": 5}}))
     with pytest.raises(InvalidConfig):
         resolve_config(str(cfg))
+    with pytest.raises(InvalidConfig, match="train.epochs"):
+        resolve_config(None, {"train.epochs": 5})
+
+
+def test_resolve_config_types_each_setting_against_its_default():
+    config = resolve_config(None, {"threshold": 1, "split.ratios": [1, 0, 0], "features.analysis_span": [0, 60]})
+    assert config["threshold"] == 1.0 and type(config["threshold"]) is float
+    assert config["split"]["ratios"] == [1.0, 0.0, 0.0] and all(type(r) is float for r in config["split"]["ratios"])
+    assert config["features"]["analysis_span"] == [0.0, 60.0]
+    assert resolve_config(None, {"data_dir": "raw", "split.file": "split.json"})["split"]["file"] == "split.json"
+    assert config_hash(resolve_config(None, {"seed": 0, "threshold": 0.5})) == config_hash(resolve_config(None))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"train.batch_size": 4.9},
+        {"train.batch_size": True},
+        {"train.use_class_weights": "false"},
+        {"train.use_class_weights": 1},
+        {"train.learning_rate": float("nan")},
+        {"synth.fs": float("inf")},
+        {"synth.fs": 10**400},
+        {"seed": 1.7},
+        {"seed": -1},
+        {"threshold": "0.5"},
+        {"architecture": 1},
+        {"split.ratios": [0.5, 0.5]},
+        {"split.ratios": "0.8"},
+        {"split.file": 3},
+        {"features.analysis_span": [0, "60"]},
+        {"seed.x": 1},
+        {"train": 5},
+    ],
+)
+def test_resolve_config_rejects_a_value_of_the_wrong_type(overrides):
+    with pytest.raises(InvalidConfig):
+        resolve_config(None, overrides)
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -253,14 +291,55 @@ def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_pat
         ({"resample": {"method": "smote", "ratio": 1.5}}, "InvalidConfig"),
         ({"model": {"fcnn": {"hidden_sizes": ["x"]}}}, "InvalidHyperparams"),
         ({"architecture": "cnn", "model": {"cnn": {"n_filters": "x"}}}, "InvalidHyperparams"),
+        ({"train": {"batch_size": 4.9}}, "InvalidConfig"),
+        ({"train": {"use_class_weights": "false"}}, "InvalidConfig"),
+        ({"train": {"learning_rate": float("nan")}}, "InvalidConfig"),
+        ({"seed": 1.7}, "InvalidConfig"),
+        ({"seed": "x"}, "InvalidConfig"),
+        ({"threshold": "x"}, "InvalidConfig"),
+        ({"data_dir": 5}, "InvalidConfig"),
+        ({"split": {"file": 3}}, "InvalidConfig"),
+        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "4"}}}, "InvalidHyperparams"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidHyperparams"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": -5}}}, "InvalidHyperparams"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": "x"}}}, "InvalidHyperparams"),
     ],
 )
-def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, settings, error):
+def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch, settings, error):
     root, raw, work, model, cfg = pipeline
     bad = tmp_path / "train.json"
-    bad.write_text(json.dumps({**json.loads(cfg.read_text()), **settings}))
+    bad.write_text(json.dumps({**json.loads(cfg.read_text()), **settings}))  # json writes nan as NaN
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
     assert run("train", str(work), "--config", str(bad), "--out", str(tmp_path / "m")) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
+@pytest.mark.parametrize(
+    "command, settings, error",
+    [
+        ("synth", {"seed": 1.7}, "InvalidConfig"),
+        ("synth", {"synth": {"n_events": "24"}}, "InvalidConfig"),
+        ("featurize", {"wavelet": {"n_scales": 24.0}}, "InvalidConfig"),
+        ("featurize", {"features": {"analysis_span": [0, "60"]}}, "InvalidConfig"),
+        ("train", {"model": {"fcnn": {"hidden_sizes": [4.7]}}}, "InvalidHyperparams"),
+        ("train", {"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidHyperparams"),
+        ("evaluate", {"threshold": "x"}, "InvalidConfig"),
+        ("evaluate", {"threshold": float("inf")}, "InvalidConfig"),
+    ],
+)
+def test_ill_typed_settings_exit_before_any_data_is_read(tmp_path, capsys, monkeypatch, command, settings, error):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(settings))
+    monkeypatch.setattr(cli, "_require", lambda *args: pytest.fail("a data file was read"))
+    argv = {"synth": [], "featurize": ["data"], "train": ["data"], "evaluate": ["model", "data"]}[command]
+    assert run(command, *argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
+def test_a_negative_seed_flag_exits_nonzero(tmp_path, capsys):
+    assert run("synth", "--seed", "-1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_class_weights_and_resampling_conflict(tmp_path, capsys):
@@ -351,8 +430,9 @@ def test_evaluate_with_a_malformed_scaler_file_exits_nonzero(pipeline, tmp_path,
     [
         (r"\{", "{{"),
         (r'"test": \[[^\]]*\]', '"test": [[0, 1], [2, 3]]'),
+        (r'("train": \[\s*\d+)', r"\1.5"),  # an index that would truncate to itself
     ],
-    ids=["not-json", "nested-lists"],
+    ids=["not-json", "nested-lists", "non-integer-entry"],
 )
 def test_evaluate_with_a_malformed_split_file_exits_nonzero(pipeline, tmp_path, capsys, pattern, replacement):
     err = _evaluate_with_edited(pipeline, tmp_path, capsys, "split.json", lambda p: _rewrite(p, pattern, replacement))
@@ -398,6 +478,44 @@ def test_evaluate_with_a_malformed_feature_table_exits_nonzero(pipeline, tmp_pat
     (data / "features.csv").write_text(text)
     assert run("evaluate", str(model), str(data), "--out", str(tmp_path / "eval")) == 1
     assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("meta.json", lambda p: p.write_text("{")),
+        ("meta.json", lambda p: p.write_text("{}")),
+        ("windows.npy", lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
+    ],
+    ids=["meta-not-json", "meta-without-fields", "truncated-windows"],
+)
+def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, capsys, name, damage):
+    root, raw, work, model, cfg = pipeline
+    data = tmp_path / "work"
+    shutil.copytree(work, data)
+    damage(data / name)
+    assert run("featurize", str(data), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+
+
+@pytest.mark.parametrize(
+    "command, pattern, error",
+    [
+        ("ingest", "raw/alarms.csv", "MalformedHeader"),
+        ("ingest", "raw/*.hea", "MalformedHeader"),
+        ("evaluate", "work/features.csv", "InvalidConfig"),
+        ("evaluate", "model/scaler.txt", "CorruptCheckpoint"),
+    ],
+)
+def test_a_text_file_that_is_not_utf8_exits_nonzero(pipeline, tmp_path, capsys, command, pattern, error):
+    root, raw, work, model, cfg = pipeline
+    for src in (raw, work, model):
+        shutil.copytree(src, tmp_path / src.name)
+    for path in tmp_path.glob(pattern):
+        path.write_bytes(b"\xff" + path.read_bytes())
+    argv = {"ingest": ["raw"], "evaluate": ["model", "work"]}[command]
+    assert run(command, *(str(tmp_path / a) for a in argv), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}:")
 
 
 @pytest.mark.parametrize("alarm_time", ["soon", "nan", "inf"])

@@ -229,6 +229,12 @@ def test_wavelet_config_validation():
         WaveletConfig(omega0=6.0, scales=np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("settings", [{"n_scales": -1}, {"n_scales": 0}, {"f_min": -1.0}, {"f_max": 0.0}])
+def test_morlet_scales_rejects_a_bad_setting(settings):
+    with pytest.raises(InvalidConfig):
+        morlet_scales(fs=50.0, **settings)
+
+
 # ------------------------------------------------------------------ statistics
 
 

@@ -46,6 +46,12 @@ def text_mutations(source):
     return mutations(source, st.one_of(st.sampled_from(SYNTAX), st.characters(min_codepoint=1, max_codepoint=127)))
 
 
+def byte_mutations(source):
+    """Edits of the UTF-8 bytes of ``source``, with any byte value, 0xff among them."""
+    units = st.one_of(st.sampled_from([c.encode() for c in SYNTAX]), st.integers(1, 255).map(lambda b: bytes([b])))
+    return mutations(source.encode(), units)
+
+
 def loads_or_raises_vtalarm_error(load, *args):
     try:
         load(*args)
@@ -122,9 +128,9 @@ def test_file_loader_fuzz(scratch, source, load):
     load(path)  # the unmutated file loads
 
     @FUZZ
-    @given(text_mutations(text))
+    @given(byte_mutations(text))
     def check(mutated):
-        path.write_text(mutated)
+        path.write_bytes(mutated)
         loads_or_raises_vtalarm_error(load, path)
 
     check()

@@ -35,6 +35,7 @@ from vtalarm.nn import (
     write_history,
 )
 from vtalarm.nn.checkpoint import FORMAT_VERSION, MAGIC
+from vtalarm.nn.model import CNN_DEFAULTS, FCNN_DEFAULTS, hyperparams_for
 from vtalarm.nn.training import _batches
 from vtalarm.synth import generate_feature_dataset
 
@@ -90,11 +91,29 @@ def test_build_model_rejects_bad_settings():
         ("cnn", (500, 3), {"dense_sizes": [float("inf")]}),
         ("cnn", (500, 3), {"dense_sizes": [0]}),
         ("fcnn", (17,), [16]),
+        ("fcnn", (17,), {"hidden_sizes": [4.7]}),
+        ("fcnn", (17,), {"hidden_sizes": [True]}),
+        ("fcnn", (17,), {"dropout_p": float("nan")}),
+        ("fcnn", (17.0,), {}),
+        ("cnn", (500, 3), {"n_filters": "4"}),
+        ("cnn", (500, 3), {"n_filters": 4.0}),
+        ("cnn", (500, 3), {"decimation": 0}),
+        ("cnn", (500, 3), {"decimation": -5}),
+        ("cnn", (500, 3), {"decimation": "x"}),
     ],
 )
 def test_build_model_rejects_values_of_the_wrong_type(arch, shape, hyperparams):
     with pytest.raises(InvalidHyperparams):
         build_model(arch, shape, seed=0, hyperparams=hyperparams)
+
+
+def test_hyperparams_for_overlays_the_checked_values_on_the_defaults():
+    hp = hyperparams_for("cnn", {"n_filters": 8, "n_heads": 2, "dropout_p": 0})
+    assert hp == {**CNN_DEFAULTS, "n_filters": 8, "n_heads": 2, "dropout_p": 0.0}
+    assert type(hp["dropout_p"]) is float
+    assert hyperparams_for("fcnn", {}) == FCNN_DEFAULTS
+    with pytest.raises(InvalidHyperparams):
+        hyperparams_for("cnn", {"decimation": 4.7})
 
 
 def test_model_forward_shapes():
