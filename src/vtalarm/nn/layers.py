@@ -209,8 +209,12 @@ class MultiHeadAttention(Layer):
     The (T, T) score matrices are never held whole. Each (batch, head)
     slice is worked through in blocks of query rows whose (rows, T)
     float64 tile fits ``TILE_BYTES``. A tile holds whole key rows, so its
-    softmax is exact and needs no online rescaling; backward recomputes
-    the tiles instead of caching them (Rabe & Staats 2021; Dao et al. 2022).
+    softmax is exact and needs no online rescaling. 1/sqrt(d_k) is applied
+    once, in place, to the query projection. A training forward keeps
+    each query row's softmax max and sum, (B, H, T, 2) floats; backward
+    recomputes each tile from them without reducing again, and takes
+    softmax backward's row term sum_j P_ij dP_ij as dO_i . O_i from the
+    cached head outputs (Rabe & Staats 2021; Dao et al. 2022).
     """
 
     def __init__(self, model_dim: int, n_heads: int, rng):
@@ -229,91 +233,106 @@ class MultiHeadAttention(Layer):
         b, t, _ = x.shape
         return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
 
+    def _queries_keys(self, x):
+        """Per-head queries, already over sqrt(d_k), and keys."""
+        q = x @ self.params["Wq"]
+        q /= np.sqrt(self.d_k)
+        return self._split(q), self._split(x @ self.params["Wk"])
+
     @staticmethod
     def _tile_rows(t: int) -> int:
         return max(1, min(t, TILE_BYTES // (8 * t)))
 
-    def _tiles(self, q, k):
-        """Yield (batch, head, query rows, probabilities) for every tile.
+    def _tiles(self, q, k, stats=None):
+        """Yield (batch, head, query rows, probabilities, row stats) for
+        every tile.
 
         The probabilities live in one scratch array that the next tile
-        overwrites. Each row is computed as the dense softmax computes it:
-        scores over sqrt(d_k), minus the row max, exp, over the row sum.
+        overwrites: scores, minus the row max, exp, over the row sum. The
+        (rows, 2) row stats hold that max and sum. Without ``stats`` they
+        are reduced from the tile into a scratch array; with the
+        (B, H, T, 2) ``stats`` of a training forward they are read from
+        it, which rebuilds the forward's probabilities bit for bit.
         """
         b, h, t, _ = q.shape
         step = self._tile_rows(t)
-        scratch = np.empty((step, t))
-        scale = np.sqrt(self.d_k)
+        scratch, scratch_stats = np.empty((step, t)), np.empty((step, 2))
         for bi in range(b):
             for hi in range(h):
                 for r0 in range(0, t, step):
                     rows = slice(r0, min(r0 + step, t))
                     tile = scratch[: rows.stop - r0]
                     np.matmul(q[bi, hi, rows], k[bi, hi].T, out=tile)
-                    tile /= scale
-                    tile -= tile.max(axis=1, keepdims=True)
+                    row = scratch_stats[: len(tile)] if stats is None else stats[bi, hi, rows]
+                    if stats is None:
+                        tile.max(axis=1, out=row[:, 0])
+                    tile -= row[:, :1]
                     np.exp(tile, out=tile)
-                    tile /= tile.sum(axis=1, keepdims=True)
-                    yield bi, hi, rows, tile
+                    if stats is None:
+                        tile.sum(axis=1, out=row[:, 1])
+                    tile /= row[:, 1:]
+                    yield bi, hi, rows, tile, row
 
     def forward(self, x, train):
         if x.ndim != 3 or x.shape[2] != self.model_dim:
             raise ShapeMismatch(f"attention expects (B, T, {self.model_dim}), got {x.shape}")
-        p = self.params
-        q = self._split(x @ p["Wq"])
-        k = self._split(x @ p["Wk"])
-        v = self._split(x @ p["Wv"])
+        q, k = self._queries_keys(x)
+        v = self._split(x @ self.params["Wv"])
         b, h, t, d = q.shape
         heads = np.empty((b, t, h, d))  # the heads already in merged order
-        for bi, hi, rows, attn in self._tiles(q, k):
+        stats = np.empty((b, h, t, 2)) if train else None
+        for bi, hi, rows, attn, row in self._tiles(q, k):
             np.matmul(attn, v[bi, hi], out=heads[bi, rows, hi])
+            if train:
+                stats[bi, hi, rows] = row
         merged = heads.reshape(b, t, h * d)
-        self._cache = (x, q, k, v, merged) if train else None
-        return merged @ p["Wo"]
+        self._cache = (x, q, k, v, merged, stats) if train else None
+        return merged @ self.params["Wo"]
 
     def attention_weights(self, x):
         """Per-head attention matrices for inspection, (B, H, T, T)."""
-        q = self._split(x @ self.params["Wq"])
-        k = self._split(x @ self.params["Wk"])
+        q, k = self._queries_keys(x)
         weights = np.empty(q.shape[:3] + (q.shape[2],))
-        for bi, hi, rows, attn in self._tiles(q, k):
+        for bi, hi, rows, attn, _ in self._tiles(q, k):
             weights[bi, hi, rows] = attn
         return weights
 
     def backward(self, dout):
-        x, q, k, v, merged = self._cache
+        x, q, k, v, merged, stats = self._cache
         p = self.params
         b, h, t, d = q.shape
-        d_wo = np.einsum("bti,btj->ij", merged, dout)
-        d_heads = self._split(dout @ p["Wo"].T)
+        dim = self.model_dim
+        d_merged = dout @ p["Wo"].T
+        d_heads = self._split(d_merged)
+        # softmax backward's row term sum_j P_ij dP_ij, as dO_i . O_i per head
+        row_term = (d_merged * merged).reshape(b, t, h, d).sum(axis=3).transpose(0, 2, 1)
 
         # d_q, d_k, d_v in merged (B, T, H, d) order, viewed per head
         grads = np.zeros((3, b, t, h, d))
         d_q, d_k, d_v = (g.transpose(0, 2, 1, 3) for g in grads)
-        step = self._tile_rows(t)
-        d_attn_buf, prod_buf = np.empty((step, t)), np.empty((step, t))
-        scale = np.sqrt(self.d_k)
-        for bi, hi, rows, attn in self._tiles(q, k):
+        d_attn_buf = np.empty((self._tile_rows(t), t))
+        for bi, hi, rows, attn, _ in self._tiles(q, k, stats):
             dh = d_heads[bi, hi, rows]
-            d_attn, prod = d_attn_buf[: len(attn)], prod_buf[: len(attn)]
+            d_attn = d_attn_buf[: len(attn)]
             np.matmul(dh, v[bi, hi].T, out=d_attn)
             d_v[bi, hi] += attn.T @ dh
-            # softmax backward, rowwise over the key axis: the tile becomes d_scores
-            np.multiply(d_attn, attn, out=prod)
-            d_attn -= prod.sum(axis=1, keepdims=True)
+            # the tile becomes d_scores, the gradient of q k^T / sqrt(d_k)
+            d_attn -= row_term[bi, hi, rows, None]
             d_attn *= attn
-            d_attn /= scale
             np.matmul(d_attn, k[bi, hi], out=d_q[bi, hi, rows])
             d_k[bi, hi] += d_attn.T @ q[bi, hi, rows]
+        grads[0] /= np.sqrt(self.d_k)  # the scores took q over sqrt(d_k)
 
-        dq_full, dk_full, dv_full = (g.reshape(b, t, h * d) for g in grads)
+        x_rows = x.reshape(b * t, dim)
+        dq_full, dk_full, dv_full = (g.reshape(b * t, dim) for g in grads)
         self.grads = {
-            "Wq": np.einsum("bti,btj->ij", x, dq_full),
-            "Wk": np.einsum("bti,btj->ij", x, dk_full),
-            "Wv": np.einsum("bti,btj->ij", x, dv_full),
-            "Wo": d_wo,
+            "Wq": x_rows.T @ dq_full,
+            "Wk": x_rows.T @ dk_full,
+            "Wv": x_rows.T @ dv_full,
+            "Wo": merged.reshape(b * t, dim).T @ dout.reshape(b * t, dim),
         }
-        return dq_full @ p["Wq"].T + dk_full @ p["Wk"].T + dv_full @ p["Wv"].T
+        dx = dq_full @ p["Wq"].T + dk_full @ p["Wk"].T + dv_full @ p["Wv"].T
+        return dx.reshape(b, t, dim)
 
 
 class GlobalAvgPool(Layer):

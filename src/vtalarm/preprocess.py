@@ -186,10 +186,13 @@ def load_split(path: str | Path) -> DatasetSplit:
     lists = [payload.get(key) for key in ("train", "val", "test")] if isinstance(payload, dict) else [None]
     if not all(isinstance(idx, list) and all(type(i) is int for i in idx) for idx in lists):
         raise InvalidConfig(f"split file {path} needs train/val/test lists of integer indices")
+    seed = payload.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise InvalidConfig(f"split file {path} needs a non-negative integer seed, got {seed!r}")
     try:
-        split = DatasetSplit(*(np.asarray(idx, dtype=np.int64) for idx in lists), seed=int(payload.get("seed", 0)))
+        split = DatasetSplit(*(np.asarray(idx, dtype=np.int64) for idx in lists), seed=seed)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"split file {path} has an index or seed out of range: {exc}") from exc
+        raise InvalidConfig(f"split file {path} has an index out of range: {exc}") from exc
     combined = np.concatenate([split.train_indices, split.val_indices, split.test_indices])
     if len(np.unique(combined)) != combined.size:
         raise InvalidConfig(f"split file {path} assigns some index twice")

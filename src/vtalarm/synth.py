@@ -47,8 +47,8 @@ class SynthConfig:
             raise InvalidConfig(f"n_events must be positive, got {self.n_events}")
         if not 0.0 < self.class_ratio < 1.0:
             raise InvalidConfig(f"class_ratio must be in (0, 1), got {self.class_ratio}")
-        if self.fs < 50:
-            raise InvalidConfig(f"fs must be >= 50 Hz, got {self.fs}")
+        if not 50 <= self.fs <= 1000:  # VTaC records are 250 Hz; also refuses NaN
+            raise InvalidConfig(f"fs must be in [50, 1000] Hz, got {self.fs}")
         if self.separability < 0:
             raise InvalidConfig(f"separability must be >= 0, got {self.separability}")
 

@@ -181,6 +181,10 @@ def parse_header(text: str) -> RecordHeader:
         checksum = ints[3] if len(ints) >= 4 else None
         if baseline is None:
             baseline = adc_zero
+        if not -(2**31) <= baseline < 2**31:
+            raise MalformedHeader(f"baseline must fit in 32 bits, got {baseline}")
+        if not np.isfinite(2.0**32 / gain):  # bounds (ADC code - baseline) / gain
+            raise MalformedHeader(f"adc gain {gain} is too small to give finite samples")
 
         signals.append(
             SignalSpec(

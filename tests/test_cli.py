@@ -342,6 +342,15 @@ def test_a_negative_seed_flag_exits_nonzero(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_synth_with_a_huge_fs_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "fs.json"
+    cfg.write_text(json.dumps({"synth": {"fs": 1e300}}))
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig:") and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_class_weights_and_resampling_conflict(tmp_path, capsys):
     work = tmp_path / "work"
     work.mkdir()

@@ -17,7 +17,7 @@ from vtalarm.cli import _load_features_csv, _write_features_csv, resolve_config
 from vtalarm.errors import VtalarmError
 from vtalarm.nn import build_model, deserialize_model, serialize_model
 from vtalarm.preprocess import ScalerParams, load_scaler, load_split, save_scaler, save_split, split_dataset
-from vtalarm.wfdb_io import parse_header, read_alarm_index
+from vtalarm.wfdb_io import parse_header, read_alarm_index, read_signal
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -105,6 +105,39 @@ def test_parse_header_fuzz(text):
 @given(mutations(CHECKPOINT, CHECKPOINT_BYTES))
 def test_deserialize_model_fuzz(blob):
     loads_or_raises_vtalarm_error(deserialize_model, blob)
+
+
+@st.composite
+def signal_files(draw):
+    """A format 16 or 212 header of 1-3 channels, with or without
+    checksums, and signal bytes of the length it asks for or of any length.
+    One channel may carry a gain or baseline at the edge of what parses."""
+    fmt = draw(st.sampled_from(["16", "212"]))
+    n_signals, n_samples = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    edge = draw(st.one_of(st.none(), st.sampled_from([(1e-300, 2**31 - 1), (1e-320, 0), (1e300, -(2**31)), (200.0, 2**31), (200.0, 10**400)])))
+    lines = [f"r {n_signals} 250 {n_samples}"]
+    for c in range(n_signals):
+        gain, baseline = edge if c == 0 and edge else (draw(st.floats(-1e6, 1e6)), draw(st.integers(-4096, 4096)))
+        checksum = draw(st.one_of(st.none(), st.just(0), st.integers(-(2**15), 2**15 - 1)))
+        fields = f"r.dat {fmt} {gain!r}({baseline})/mV 16 0 0"
+        lines.append(f"{fields} II" if checksum is None else f"{fields} {checksum} 0 II")
+    total = n_samples * n_signals
+    size = 2 * total if fmt == "16" else 3 * (total // 2) + 2 * (total % 2)
+    data = draw(st.one_of(st.binary(min_size=size, max_size=size), st.just(bytes(size)), st.binary(max_size=size + 4)))
+    return "\n".join(lines) + "\n", data, draw(st.booleans())
+
+
+@FUZZ
+@given(signal_files())
+def test_read_signal_fuzz(signal_file):
+    text, data, verify = signal_file
+    try:
+        header = parse_header(text)
+        record = read_signal(header, data, verify_checksums=verify)
+    except VtalarmError:
+        return
+    assert record.samples.shape == record.missing_mask.shape == (header.n_samples, header.n_signals)
+    assert np.all(np.isfinite(record.samples))
 
 
 @pytest.mark.parametrize(

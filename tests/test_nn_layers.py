@@ -302,10 +302,12 @@ def test_attention_matches_dense_oracle_bit_for_bit_in_one_tile(b, t):
     layer, x, dout = attention_case(111 + t, b, t)
     assert layer._tile_rows(t) == t
     out, dx, grads = dense_attention_oracle(layer, x, dout)
+    # d_k = 4: 1/sqrt(d_k) is a power of two, so folding it into q is exact
     assert np.array_equal(layer.forward(x, train=True), out)
-    assert np.array_equal(layer.backward(dout), dx)
+    # the dO.O row term and the GEMM weight gradients round differently
+    assert max_rel_error(dx, layer.backward(dout)) <= 1e-12
     for name, grad in grads.items():
-        assert np.array_equal(layer.grads[name], grad), name
+        assert max_rel_error(grad, layer.grads[name]) <= 1e-12, name
 
 
 @pytest.mark.parametrize("tile_rows", [1, 5, 16, 63])
@@ -324,12 +326,30 @@ def test_attention_matches_dense_oracle_in_tiles_smaller_than_t(tile_rows, monke
     assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("tile_rows", [64, 5, 63])
+def test_attention_backward_rebuilds_the_forward_probabilities_bit_for_bit(tile_rows, monkeypatch):
+    b, t, heads = 2, 64, 4  # one tile, then ragged last tiles
+    layer, x, _ = attention_case(114 + tile_rows, b, t, model_dim=12, heads=heads)
+    monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
+    layer.forward(x, train=True)
+    _, q, k, _, _, stats = layer._cache
+    assert np.allclose(stats[..., 0], (q @ k.swapaxes(-1, -2)).max(axis=-1), rtol=1e-14, atol=0)
+    forward = layer.attention_weights(x)
+    n_tiles = 0
+    for bi, hi, rows, attn, _ in layer._tiles(q, k, stats):
+        assert np.array_equal(attn, forward[bi, hi, rows])
+        n_tiles += 1
+    assert n_tiles == b * heads * -(-t // tile_rows)
+
+
 def test_attention_inference_forward_keeps_no_cache():
     layer, x, _ = attention_case(113, 2, 9)
     layer.forward(x, train=True)
-    assert layer._cache is not None
+    stats = layer._cache[-1]
+    assert stats.shape == (2, 2, 9, 2)  # each query row's softmax max and sum
+    assert np.all(stats[..., 1] >= 1.0)  # the max's own term is exp(0)
     layer.forward(x, train=False)
-    assert layer._cache is None
+    assert layer._cache is None  # the row statistics went with it
 
 
 def test_attention_rejects_indivisible_heads():

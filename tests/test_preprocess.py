@@ -162,6 +162,20 @@ def test_split_file_round_trip(tmp_path):
     assert back.seed == 3
 
 
+@pytest.mark.parametrize("seed", ["1.5", "true", '"3"', "-1", "null", "[1]"])
+def test_split_file_rejects_a_seed_that_is_not_a_non_negative_int(seed, tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(f'{{"seed": {seed}, "train": [0], "val": [1], "test": [2]}}')
+    with pytest.raises(InvalidConfig, match="seed"):
+        load_split(path)
+
+
+def test_split_file_seed_defaults_to_zero(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text('{"train": [0], "val": [1], "test": [2]}')
+    assert load_split(path).seed == 0
+
+
 def test_split_file_rejects_duplicates(tmp_path):
     path = tmp_path / "split.json"
     path.write_text('{"seed": 0, "train": [0, 1], "val": [1], "test": [2]}')

@@ -128,8 +128,10 @@ def test_feature_dataset_separability_controls_auc():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfig):
-        SynthConfig(n_events=10, fs=25.0)
+    for fs in (25.0, 1000.5, 1e300, float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig, match="fs"):
+            SynthConfig(n_events=10, fs=fs)
+    assert SynthConfig(n_events=10, fs=1000.0).fs == 1000.0
     with pytest.raises(InvalidConfig):
         SynthConfig(n_events=10, class_ratio=0.0)
     with pytest.raises(InvalidConfig):

@@ -101,6 +101,10 @@ def test_parse_header_rejects_malformed():
         "rec1 1 -inf 100\nrec1.dat 16 200\n",
         "rec1 1 250 100\nrec1.dat 16 nan\n",
         "rec1 1 250 100\nrec1.dat 16 inf(0)/mV\n",
+        "rec1 1 250 100\nrec1.dat 16 1e-320(0)/mV\n",  # a 30000 ADC code would be 3e324
+        "rec1 1 250 100\nrec1.dat 16 200(2147483648)/mV\n",
+        "rec1 1 250 100\nrec1.dat 16 200/mV 16 -2147483649\n",  # adc_zero stands in for the baseline
+        "rec1 1 250 100\nrec1.dat 16 200(" + "9" * 400 + ")/mV\n",  # too large for a float
     ],
 )
 def test_parse_header_rejects_non_finite_values(text):
