@@ -198,9 +198,12 @@ def _load_windows(data_dir: Path):
         labels = np.load(paths[1]).astype(np.int64)
         meta = json.loads(read_utf8(paths[2], InvalidConfig))
         fs = meta["fs"] = float(meta["fs"])
-        counts = {len(windows), len(labels), len(meta["record_ids"])}
+        record_ids = meta["record_ids"]
+        counts = {len(windows), len(labels), len(record_ids)}
     except (ValueError, TypeError, KeyError, EOFError) as exc:
         raise InvalidConfig(f"{data_dir} holds a damaged ingest output: {exc!r}") from exc
+    if not (isinstance(record_ids, list) and all(isinstance(r, str) for r in record_ids)):
+        raise InvalidConfig(f"{data_dir}/meta.json record_ids must be a list of strings")
     if len(counts) != 1 or not 0.0 < fs < np.inf:
         raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
     return windows, labels, meta
@@ -208,20 +211,19 @@ def _load_windows(data_dir: Path):
 
 class _WindowFile:
     """A (windows, samples, channels) .npy file that reads from disk only the
-    windows it is sliced to. Pages of a memory map stay resident once read;
-    through this, featurize holds one chunk of windows at a time."""
+    window it is indexed by. Pages of a memory map stay resident once read;
+    through this, featurize and the cnn inputs hold one window at a time."""
 
     def __init__(self, mapped: np.memmap):
         if mapped.ndim != 3 or not mapped.flags.c_contiguous:
             raise InvalidConfig(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array")
         self.path, self.shape, self.dtype, self.offset = mapped.filename, mapped.shape, mapped.dtype, mapped.offset
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0])
+    def __getitem__(self, i: int) -> np.ndarray:
         per_window = self.shape[1] * self.shape[2]
         with open(self.path, "rb") as fh:
-            fh.seek(self.offset + lo * per_window * self.dtype.itemsize)
-            return np.fromfile(fh, dtype=self.dtype, count=(hi - lo) * per_window).reshape((hi - lo,) + self.shape[1:])
+            fh.seek(self.offset + i * per_window * self.dtype.itemsize)
+            return np.fromfile(fh, dtype=self.dtype, count=per_window).reshape(self.shape[1:])
 
 
 # ------------------------------------------------------------------- commands
@@ -325,7 +327,7 @@ def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
     source = _WindowFile(windows)
     x = np.empty((windows.shape[0], len(range(0, windows.shape[1], decimation)), windows.shape[2]))
     for i in range(windows.shape[0]):
-        x[i] = source[i : i + 1][0, ::decimation]
+        x[i] = source[i][::decimation]
     return meta["record_ids"], labels, x
 
 
@@ -522,7 +524,6 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(args.config, _overrides(args))
         out_dir = Path(args.out if args.out is not None else config["out_dir"])
         if args.command == "synth":
-            out_dir.mkdir(parents=True, exist_ok=True)
             cmd_synth(config, out_dir)
         elif args.command == "ingest":
             cmd_ingest(config, _data_dir(args, config), out_dir)

@@ -19,7 +19,7 @@ reference transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
 from .wfdb_io import AlarmWindow
 
-CHUNK_BYTES = 10 << 20  # bytes of the workspace one chunk of windows takes in feature_matrix
 COHERENCE_MODES = ("per_pair", "global_mean")
 
 
@@ -121,10 +120,10 @@ def morlet_scales(
 # ------------------------------------------------------------ shared kernels
 #
 # Each works along the last axis (or the last two) and broadcasts over any
-# leading axes, so one channel and a chunk of windows take the same path.
-# Reductions run per row, so a row's value never depends on its neighbours.
-# Intermediates as large as the input go into arrays the caller passes:
-# feature_matrix's workspace, or fresh arrays for the single-channel API.
+# leading axes, so one channel and the channels of a window take the same
+# path. Intermediates as large as the input go into arrays the caller
+# passes: feature_matrix's workspace, or fresh arrays for the single-channel
+# API.
 
 
 def _moments(x: np.ndarray, centered: np.ndarray, squared: np.ndarray) -> np.ndarray:
@@ -484,20 +483,13 @@ class FeaturePlan:
             tail_gram=tail_gram,
         )
 
-    def chunk_windows(self, n_channels: int) -> int:
-        """Windows per chunk: as many as keep the chunk's workspace within
-        ``CHUNK_BYTES``, and at least one."""
-        layout = _Workspace.layout(self, n_channels)
-        per_window = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
-        return max(1, CHUNK_BYTES // per_window)
-
 
 @dataclass
 class _Workspace:
-    """Every chunk-sized array :func:`feature_matrix` writes, one row per window.
+    """Every window-sized array :func:`feature_matrix` writes.
 
-    It is allocated once per call and every chunk overwrites it, so no
-    chunk allocates an array the size of its windows.
+    It is allocated once per call and every window overwrites it, so no
+    window allocates an array of its own size.
     """
 
     x: np.ndarray
@@ -510,34 +502,25 @@ class _Workspace:
     wavelet_power: np.ndarray
     cross: np.ndarray
 
-    @staticmethod
-    def layout(plan: FeaturePlan, n_channels: int) -> dict[str, tuple[tuple[int, ...], type]]:
-        """Each array's shape for one window, and its dtype. ``cross`` holds
-        one channel pair at a time."""
+    @classmethod
+    def allocate(cls, plan: FeaturePlan, n_channels: int) -> _Workspace:
+        """Arrays for one window of ``n_channels``; ``cross`` holds one
+        channel pair at a time."""
         signal = (n_channels, plan.span.stop - plan.span.start)
         segments = (n_channels,) + plan.segment_index.shape
         bins = segments[:-1] + (plan.frequencies.size,)
         wavelet = (n_channels, plan.fft_len // 2 + 1)
-        return {
-            "x": (signal, np.float64),
-            "centered": (signal, np.float64),
-            "squared": (signal, np.float64),
-            "segments": (segments, np.float64),
-            "spectra": (bins, np.complex128),
-            "power": (bins, np.float64),
-            "wavelet_spectrum": (wavelet, np.complex128),
-            "wavelet_power": (wavelet, np.float64),
-            "cross": (bins[1:], np.complex128),
-        }
-
-    @classmethod
-    def allocate(cls, plan: FeaturePlan, rows: int, n_channels: int) -> _Workspace:
-        layout = cls.layout(plan, n_channels)
-        return cls(**{name: np.empty((rows,) + shape, dtype) for name, (shape, dtype) in layout.items()})
-
-    def head(self, rows: int) -> _Workspace:
-        """The first ``rows`` windows' part of every array, for a ragged last chunk."""
-        return _Workspace(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
+        return cls(
+            x=np.empty(signal),
+            centered=np.empty(signal),
+            squared=np.empty(signal),
+            segments=np.empty(segments),
+            spectra=np.empty(bins, np.complex128),
+            power=np.empty(bins),
+            wavelet_spectrum=np.empty(wavelet, np.complex128),
+            wavelet_power=np.empty(wavelet),
+            cross=np.empty(bins[1:], np.complex128),
+        )
 
 
 def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -556,18 +539,14 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray
     tail = np.zeros_like(head)
     head[..., : min(n, edge)] = x[..., :edge]
     tail[..., : min(n, edge)] = x[..., ::-1][..., :edge]
-    # One matrix-vector product per row: a batched product may round a row
-    # differently depending on where it sits in the batch.
-    dropped = [h @ plan.head_gram @ h + t @ plan.tail_gram @ t for h, t in zip(head.reshape(-1, edge), tail.reshape(-1, edge))]
-    return (full - np.reshape(dropped, full.shape)) / n
+    dropped = np.sum((head @ plan.head_gram) * head, axis=-1) + np.sum((tail @ plan.tail_gram) * tail, axis=-1)
+    return (full - dropped) / n
 
 
-def _chunk_features(windows: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> np.ndarray:
-    """(b, n_samples, C) windows -> (b, n_features) feature rows, computed in
-    ``ws``, a workspace of exactly b rows."""
-    x = ws.x  # (b, C, n)
-    np.copyto(x, np.moveaxis(windows[:, plan.span], 1, 2))
-    b, n_channels, _ = x.shape
+def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> np.ndarray:
+    """(n_samples, C) window -> its (n_features,) feature row, computed in ``ws``."""
+    x = ws.x  # (C, n)
+    np.copyto(x, window[plan.span].T)
     spectra = _segment_spectra(x, plan.segment_index, plan.taper, ws.segments, ws.spectra)
     power = _mean_power(spectra, ws.power)
     psd = _density(power, plan.spectral, plan.taper)
@@ -580,27 +559,24 @@ def _chunk_features(windows: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
         ],
         axis=-1,
     )
-    pairs = [
-        _mean_coherence(power[:, i], power[:, j], _mean_cross(spectra[:, i], spectra[:, j], ws.cross))
-        for i, j in combinations(range(n_channels), 2)
+    coh = [
+        _mean_coherence(power[i], power[j], _mean_cross(spectra[i], spectra[j], ws.cross))
+        for i, j in combinations(range(len(x)), 2)
     ]
-    coh = np.stack(pairs, axis=-1) if pairs else np.zeros((b, 0))
     if plan.coherence_mode == "global_mean":
-        coh = coh.mean(axis=-1, keepdims=True) if pairs else np.zeros((b, 1))
-    return np.concatenate([per_channel.reshape(b, -1), coh], axis=1)
+        coh = [np.mean(coh) if coh else 0.0]
+    return np.concatenate([per_channel.ravel(), np.asarray(coh, dtype=np.float64)])
 
 
 def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     """Feature rows of a (n_windows, n_samples, n_channels) stack of imputed windows.
 
-    Windows go through in chunks of ``plan.chunk_windows``. Every chunk
-    is computed in one workspace allocated here, so working memory stays
-    within ``CHUNK_BYTES`` and no chunk allocates afresh. ``windows``
-    needs only a ``shape`` and slicing along its first axis, so a reader
-    that loads each chunk from disk works too; each chunk becomes float64
-    on its own, so the windows may stay float32 as ingest stores them. A
-    window's row does not depend on the chunk it lands in, its place
-    there or the chunk's size.
+    Windows go through one at a time, each in the one workspace allocated
+    here, so working memory is that of one window and no window allocates
+    afresh. ``windows`` needs only a ``shape`` and indexing by window, so a
+    reader that loads each window from disk works too; each window becomes
+    float64 on its own, so the windows may stay float32 as ingest stores
+    them. A window's row does not depend on its place in the stack.
     """
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
@@ -608,12 +584,10 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     if n_channels > 1 and plan.segment_index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))
-    step = plan.chunk_windows(n_channels)
-    ws = _Workspace.allocate(plan, min(step, n_windows), n_channels)
+    ws = _Workspace.allocate(plan, n_channels)
     with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
-        for lo in range(0, n_windows, step):
-            chunk = windows[lo : lo + step]
-            out[lo : lo + step] = _chunk_features(chunk, plan, ws.head(len(chunk)))
+        for i in range(n_windows):
+            out[i] = _window_features(windows[i], plan, ws)
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")

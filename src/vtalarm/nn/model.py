@@ -114,15 +114,14 @@ class Model:
         t, c = self.input_shape
         return 8 * max([t * max(c, hp["n_filters"])] + hp["dense_sizes"])
 
-    def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode probabilities in [0, 1], shape (B,).
 
-        By default a batch holds as many rows as keep its widest
-        activation within ``PREDICT_BYTES``.
+        A batch holds as many rows as keep its widest activation within
+        ``PREDICT_BYTES``.
         """
         x = np.asarray(x, dtype=np.float64)
-        if batch_size is None:
-            batch_size = max(1, PREDICT_BYTES // self._row_bytes())
+        batch_size = max(1, PREDICT_BYTES // self._row_bytes())
         scores = np.empty(x.shape[0])
         for start in range(0, x.shape[0], batch_size):
             stop = min(start + batch_size, x.shape[0])

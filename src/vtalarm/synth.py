@@ -134,10 +134,11 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> list[tuple[str,
 
     Returns the (record_id, alarm_time, label) event list in file order.
     """
+    labels = corpus_labels(config)  # refuses a single-class corpus before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     events = []
-    for idx, label in enumerate(corpus_labels(config)):
+    for idx, label in enumerate(labels):
         record, alarm_time = generate_waveform_event(config, int(label), idx)
         save_record(out_dir, record, fmt=FMT16)
         events.append((record.header.record_name, alarm_time, int(label)))

@@ -351,6 +351,8 @@ def extract_alarm_window(
     fs = record.header.sampling_frequency
     n_pre = int(round(PRE_ALARM_S * fs))
     n_post = int(round(POST_ALARM_S * fs))
+    if not np.isfinite(alarm_time * fs):
+        raise WindowOutOfBounds(f"alarm at {alarm_time} s lies outside any record at {fs} Hz")
     onset = int(round(alarm_time * fs))
     start, end = onset - n_pre, onset + n_post
     if start < 0 or end > record.header.n_samples:

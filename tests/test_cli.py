@@ -348,7 +348,13 @@ def test_synth_with_a_huge_fs_exits_nonzero(tmp_path, capsys):
     assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidConfig:") and "Traceback" not in err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_of_a_single_class_corpus_exits_nonzero(tmp_path, capsys):
+    assert run("synth", "--n-events", "2", "--class-ratio", "0.1", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_class_weights_and_resampling_conflict(tmp_path, capsys):
@@ -489,14 +495,20 @@ def test_evaluate_with_a_malformed_feature_table_exits_nonzero(pipeline, tmp_pat
     assert capsys.readouterr().err.startswith("error: InvalidConfig:")
 
 
+def _number_the_record_ids(path):
+    meta = json.loads(path.read_text())
+    path.write_text(json.dumps({**meta, "record_ids": list(range(len(meta["record_ids"])))}))
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
         ("meta.json", lambda p: p.write_text("{")),
         ("meta.json", lambda p: p.write_text("{}")),
+        ("meta.json", _number_the_record_ids),
         ("windows.npy", lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
     ],
-    ids=["meta-not-json", "meta-without-fields", "truncated-windows"],
+    ids=["meta-not-json", "meta-without-fields", "meta-with-numeric-record-ids", "truncated-windows"],
 )
 def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, capsys, name, damage):
     root, raw, work, model, cfg = pipeline
@@ -525,6 +537,18 @@ def test_a_text_file_that_is_not_utf8_exits_nonzero(pipeline, tmp_path, capsys, 
     argv = {"ingest": ["raw"], "evaluate": ["model", "work"]}[command]
     assert run(command, *(str(tmp_path / a) for a in argv), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
+def test_ingest_with_a_huge_alarm_time_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    huge = tmp_path / "raw"
+    huge.mkdir()
+    for name in ("ev00000.hea", "ev00000.dat"):
+        shutil.copy(raw / name, huge / name)
+    (huge / "alarms.csv").write_text("record_id,alarm_time_s,label\nev00000,1e308,true\n")
+    assert run("ingest", str(huge), "--out", str(tmp_path / "work")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: WindowOutOfBounds:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("alarm_time", ["soon", "nan", "inf"])

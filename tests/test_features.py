@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from vtalarm.errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
 from vtalarm.features import (
-    CHUNK_BYTES,
     FeaturePlan,
     PsdEstimate,
     SpectralParams,
@@ -359,7 +358,7 @@ def _relative_error(got, want):
 
 @st.composite
 def feature_cases(draw):
-    """A stack of float32 windows (as ingest stores them), their settings and a chunk size."""
+    """A stack of float32 windows (as ingest stores them) and their settings."""
     fs = draw(st.sampled_from([50.0, 125.0, 250.0]))
     spectral = spectral_params_for(fs, seconds=draw(st.sampled_from([1.0, 2.0, 4.0])))
     wavelet = morlet_scales(fs)
@@ -383,25 +382,24 @@ def feature_cases(draw):
     flat = draw(st.none() | st.integers(0, n_channels - 1))
     if flat is not None:
         windows[:, :, flat] = np.float32(rng.uniform(-5.0, 5.0))  # a zero-variance channel
-    return windows, fs, spectral, draw(st.sampled_from(["per_pair", "global_mean"])), span, draw(st.integers(1, 3))
+    return windows, fs, spectral, draw(st.sampled_from(["per_pair", "global_mean"])), span
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(feature_cases())
 def test_feature_matrix_matches_per_window_oracle(case):
-    """The batched path against the scalogram oracle, whatever the chunking:
-    every fs, n above and below the longest kernel, both coherence modes,
-    with and without a span, a constant channel, ragged last chunks."""
-    windows, fs, spectral, mode, span, chunk = case
+    """The stack path against the scalogram oracle: every fs, n above and
+    below the longest kernel, both coherence modes, with and without a span,
+    a constant channel."""
+    windows, fs, spectral, mode, span = case
     wavelet = morlet_scales(fs)
     plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, mode, span)
-    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: chunk):
-        rows = feature_matrix(windows, plan)
-        shifted = feature_matrix(np.roll(windows, 1, axis=0), plan)
+    rows = feature_matrix(windows, plan)
+    shifted = feature_matrix(np.roll(windows, 1, axis=0), plan)
     for i, window in enumerate(windows):
         want = feature_vector_oracle(window, fs, spectral, wavelet, mode, span)
         assert _relative_error(rows[i], want) <= 1e-12
-        # the same bytes whichever chunk, and whichever place in it, the window lands in
+        # the same bytes alone and at any place in the stack
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
         assert rows[i].tobytes() == shifted[(i + 1) % len(windows)].tobytes()
 
@@ -410,7 +408,6 @@ def test_feature_matrix_default_chunks_at_full_window_length():
     fs = 50.0
     windows = np.random.default_rng(45).normal(size=(5, 18000, 3)).astype(np.float32)
     plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
-    assert 5 % plan.chunk_windows(3) != 0
     rows = feature_matrix(windows, plan)
     for i in (0, 4):
         want = feature_vector_oracle(windows[i], fs, plan.spectral, plan.wavelet)
@@ -425,23 +422,22 @@ def _correlated_windows(rng, n_windows, n):
 
 
 @pytest.mark.parametrize("n", [9000, 15000, 17000])
-def test_row_bytes_do_not_depend_on_chunk_size(n):
-    """A window alone and in a chunk of 4 give the same bytes. One channel pair's
-    cross-spectrum takes 140, 235 and 267 KiB per window here, 562-1067 KiB for
-    four: alone, on both sides of the 256 KiB at which numpy elides a temporary,
-    which would flip the operands of the product that makes it."""
+def test_row_bytes_do_not_depend_on_the_stack(n):
+    """A window alone and in a stack of 4 give the same bytes. One channel pair's
+    cross-spectrum takes 140, 235 and 267 KiB here: on both sides of the 256 KiB
+    at which numpy elides a temporary, which would flip the operands of the
+    product that makes it."""
     fs = 50.0
     windows = _correlated_windows(np.random.default_rng(n), 4, n)
     plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
-    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 4):
-        rows = feature_matrix(windows, plan)
+    rows = feature_matrix(windows, plan)
     for i, window in enumerate(windows):
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
 
 
-def test_workspace_leaks_nothing_between_chunks():
-    """Chunks of 2 over 5 windows: a zero-variance channel opens the second
-    chunk and the ragged last one, right after chunks of normal variance."""
+def test_workspace_leaks_nothing_between_windows():
+    """A zero-variance channel in the third and the last of 5 windows, each
+    right after a window of normal variance in the same workspace."""
     fs, n = 50.0, 1500
     windows = _correlated_windows(np.random.default_rng(48), 5, n)
     windows[2, :, 1] = 4.0
@@ -449,17 +445,14 @@ def test_workspace_leaks_nothing_between_chunks():
     plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
     allocate = _Workspace.allocate
 
-    def poisoned(plan, rows, n_channels):
+    def poisoned(plan, n_channels):
         """A workspace filled with NaN, so a read of anything not yet written shows."""
-        ws = allocate(plan, rows, n_channels)
+        ws = allocate(plan, n_channels)
         for f in fields(ws):
             getattr(ws, f.name).fill(np.nan)
         return ws
 
-    with (
-        mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 2),
-        mock.patch.object(_Workspace, "allocate", poisoned),
-    ):
+    with mock.patch.object(_Workspace, "allocate", poisoned):
         rows = feature_matrix(windows, plan)
     for i, window in enumerate(windows):
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
@@ -474,22 +467,21 @@ def test_one_plan_gives_the_same_bytes_twice():
     fs, n = 50.0, 3000
     windows = _correlated_windows(np.random.default_rng(49), 5, n)
     plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
-    with mock.patch.object(FeaturePlan, "chunk_windows", lambda self, n_channels: 2):
-        assert feature_matrix(windows, plan).tobytes() == feature_matrix(windows, plan).tobytes()
+    assert feature_matrix(windows, plan).tobytes() == feature_matrix(windows, plan).tobytes()
 
 
 def test_feature_matrix_memory_stays_within_chunk_bytes():
+    """Working memory is one window's workspace (4.3 MiB here), not the stack's."""
     fs = 50.0
     windows = np.random.default_rng(50).normal(size=(20, 18000, 3)).astype(np.float32)
     plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
-    assert 1 < plan.chunk_windows(3) < 20
     tracemalloc.start()
     try:
         feature_matrix(windows, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= CHUNK_BYTES + (2 << 20)
+    assert peak <= 6 << 20
 
 
 def test_build_feature_vector_is_one_row_of_feature_matrix():

@@ -2,8 +2,10 @@
 
 Each property starts from a valid file written by the package itself (or,
 for the text formats read from outside, a hand-written one), applies a
-few random edits, and feeds the result to the matching loader. Examples
-are derandomized, so every run checks the same inputs.
+few random edits, and feeds the result to the matching loader. Any finite
+alarm time, as the alarm index lets through, cuts a window or raises a
+VtalarmError too. Examples are derandomized, so every run checks the same
+inputs.
 """
 
 import json
@@ -17,7 +19,7 @@ from vtalarm.cli import _load_features_csv, _write_features_csv, resolve_config
 from vtalarm.errors import VtalarmError
 from vtalarm.nn import build_model, deserialize_model, serialize_model
 from vtalarm.preprocess import ScalerParams, load_scaler, load_split, save_scaler, save_split, split_dataset
-from vtalarm.wfdb_io import parse_header, read_alarm_index, read_signal
+from vtalarm.wfdb_io import extract_alarm_window, parse_header, read_alarm_index, read_signal
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -138,6 +140,20 @@ def test_read_signal_fuzz(signal_file):
         return
     assert record.samples.shape == record.missing_mask.shape == (header.n_samples, header.n_signals)
     assert np.all(np.isfinite(record.samples))
+
+
+# 380 s at 2 Hz: the alarm times in [300, 320] s have their whole window.
+SMALL_RECORD = read_signal(parse_header("r 1 2 760\nr.dat 16 200(0)/mV 16 0 0 II\n"), bytes(2 * 760))
+
+
+@FUZZ
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(300.0, 320.0))
+def test_extract_alarm_window_fuzz(alarm_time):
+    try:
+        window = extract_alarm_window(SMALL_RECORD, alarm_time, 1)
+    except VtalarmError:
+        return
+    assert window.samples.shape == (720, 1)
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,8 @@ from vtalarm.nn import (
     write_history,
 )
 from vtalarm.nn.checkpoint import FORMAT_VERSION, MAGIC
+from vtalarm.nn import model as nn_model
+from vtalarm.nn.layers import sigmoid
 from vtalarm.nn.model import CNN_DEFAULTS, FCNN_DEFAULTS, hyperparams_for
 from vtalarm.nn.training import _batches
 from vtalarm.synth import generate_feature_dataset
@@ -231,14 +233,15 @@ def test_class_weights_change_the_fit():
     assert not np.array_equal(plain.predict(x_va), weighted.predict(x_va))
 
 
-def test_cnn_predict_scores_do_not_depend_on_a_batch_of_at_least_48_rows():
+def test_cnn_predict_scores_do_not_depend_on_a_batch_of_at_least_48_rows(monkeypatch):
     model = build_model("cnn", (600, 3), seed=1)
     x = np.random.default_rng(0).normal(size=(96, 600, 3))
     model.forward(x[:8], train=True)  # move the batch-norm running stats off their start
-    whole = model.predict(x, batch_size=96)
+    whole = sigmoid(model.forward(x, train=False))
     assert np.array_equal(model.predict(x), whole)  # the byte budget's batch
     for batch_size in (48, 64):
-        assert np.array_equal(model.predict(x, batch_size=batch_size), whole), batch_size
+        monkeypatch.setattr(nn_model, "PREDICT_BYTES", batch_size * model._row_bytes())
+        assert np.array_equal(model.predict(x), whole), batch_size
 
 
 @pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
