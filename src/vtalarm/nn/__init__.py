@@ -1,5 +1,5 @@
 from .checkpoint import deserialize_model, load_checkpoint, save_checkpoint, serialize_model
-from .layers import Adam, adam_step, sigmoid, softmax, weighted_bce_with_logits
+from .layers import Adam, adam_step, sigmoid, weighted_bce_with_logits
 from .model import Model, build_model
 from .training import TrainConfig, read_history, train, write_history
 
@@ -15,7 +15,6 @@ __all__ = [
     "save_checkpoint",
     "serialize_model",
     "sigmoid",
-    "softmax",
     "train",
     "weighted_bce_with_logits",
     "write_history",

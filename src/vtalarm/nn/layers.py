@@ -18,13 +18,6 @@ from ..errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutO
 TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax; invariant to per-row constant shifts."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Stable branch form: never exponentiates a positive argument."""
     z = np.asarray(z, dtype=np.float64)
@@ -160,14 +153,14 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = x - mean
         xhat *= inv_std
-        self._cache = (xhat, inv_std, axes, m) if train else None
+        self._cache = (xhat, inv_std, axes) if train else None
         # inference keeps no xhat, so the output reuses its array
         out = xhat * self.params["gamma"] if train else np.multiply(xhat, self.params["gamma"], out=xhat)
         out += self.params["beta"]
         return out
 
     def backward(self, dout):
-        xhat, inv_std, axes, _ = self._cache
+        xhat, inv_std, axes = self._cache
         self.grads = {
             "gamma": (dout * xhat).sum(axis=axes),
             "beta": dout.sum(axis=axes),
@@ -209,12 +202,19 @@ class MultiHeadAttention(Layer):
     The (T, T) score matrices are never held whole. Each (batch, head)
     slice is worked through in blocks of query rows whose (rows, T)
     float64 tile fits ``TILE_BYTES``. A tile holds whole key rows, so its
-    softmax is exact and needs no online rescaling. 1/sqrt(d_k) is applied
-    once, in place, to the query projection. A training forward keeps
-    each query row's softmax max and sum, (B, H, T, 2) floats; backward
-    recomputes each tile from them without reducing again, and takes
-    softmax backward's row term sum_j P_ij dP_ij as dO_i . O_i from the
-    cached head outputs (Rabe & Staats 2021; Dao et al. 2022).
+    softmax is exact and needs no online rescaling. Every head works on
+    its projections with one extra column: [q / sqrt(d_k), 0], [k, 1] and
+    [v, 1]. A tile's first product is its plain scores; minus their row
+    max goes into the queries' last column, so the second product is the
+    shifted scores, exponentiated in place to E. The product E [v, 1]
+    carries the unnormalized head and the row sum l, and the head is
+    divided by l on (rows, d_k) only, after the product (Dao 2023).
+
+    A training forward keeps the shifted queries and l. Backward rebuilds
+    E bit for bit from the same product, takes softmax backward's row
+    term sum_j P_ij dP_ij as dO_i . O_i (Dao et al. 2022), and scales
+    [dO, -dO . O] by 1/l once, so one product per tile gives
+    (dP - dO . O) / l and one multiply by E gives the score gradient.
     """
 
     def __init__(self, model_dim: int, n_heads: int, rng):
@@ -233,95 +233,99 @@ class MultiHeadAttention(Layer):
         b, t, _ = x.shape
         return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
 
-    def _queries_keys(self, x):
-        """Per-head queries, already over sqrt(d_k), and keys."""
-        q = x @ self.params["Wq"]
-        q /= np.sqrt(self.d_k)
-        return self._split(q), self._split(x @ self.params["Wk"])
+    def _augmented(self, x):
+        """Per-head [q / sqrt(d_k), 0], [k, 1] and [v, 1], each (B, H, T, d_k + 1)."""
+        b, t, _ = x.shape
+        d = self.d_k
+        qkv = np.empty((3, b, self.n_heads, t, d + 1))
+        for out, name in zip(qkv, ("Wq", "Wk", "Wv")):
+            out[..., :d] = self._split(x @ self.params[name])
+        qkv[0, ..., :d] /= np.sqrt(d)
+        qkv[0, ..., d] = 0.0
+        qkv[1:, ..., d] = 1.0
+        return qkv
 
     @staticmethod
     def _tile_rows(t: int) -> int:
         return max(1, min(t, TILE_BYTES // (8 * t)))
 
-    def _tiles(self, q, k, stats=None):
-        """Yield (batch, head, query rows, probabilities, row stats) for
-        every tile.
+    def _tiles(self, q, k, shift):
+        """Yield (batch, head, query rows, E) for every tile, E = exp(q k^T)
+        in one scratch array that the next tile overwrites.
 
-        The probabilities live in one scratch array that the next tile
-        overwrites: scores, minus the row max, exp, over the row sum. The
-        (rows, 2) row stats hold that max and sum. Without ``stats`` they
-        are reduced from the tile into a scratch array; with the
-        (B, H, T, 2) ``stats`` of a training forward they are read from
-        it, which rebuilds the forward's probabilities bit for bit.
+        With ``shift``, each query row first writes minus its max score
+        into its last column, which meets k's column of ones, so E is
+        exp(scores - max). Without it, the column that an earlier shifted
+        pass wrote is used as is, and E is that pass's bit for bit.
         """
         b, h, t, _ = q.shape
         step = self._tile_rows(t)
-        scratch, scratch_stats = np.empty((step, t)), np.empty((step, 2))
+        scratch = np.empty((step, t))
         for bi in range(b):
             for hi in range(h):
+                keys = k[bi, hi].T
                 for r0 in range(0, t, step):
                     rows = slice(r0, min(r0 + step, t))
-                    tile = scratch[: rows.stop - r0]
-                    np.matmul(q[bi, hi, rows], k[bi, hi].T, out=tile)
-                    row = scratch_stats[: len(tile)] if stats is None else stats[bi, hi, rows]
-                    if stats is None:
-                        tile.max(axis=1, out=row[:, 0])
-                    tile -= row[:, :1]
+                    queries, tile = q[bi, hi, rows], scratch[: rows.stop - r0]
+                    if shift:
+                        np.matmul(queries, keys, out=tile)  # the last column is 0 here
+                        np.negative(tile.max(axis=1), out=queries[:, -1])
+                    np.matmul(queries, keys, out=tile)
                     np.exp(tile, out=tile)
-                    if stats is None:
-                        tile.sum(axis=1, out=row[:, 1])
-                    tile /= row[:, 1:]
-                    yield bi, hi, rows, tile, row
+                    yield bi, hi, rows, tile
 
     def forward(self, x, train):
         if x.ndim != 3 or x.shape[2] != self.model_dim:
             raise ShapeMismatch(f"attention expects (B, T, {self.model_dim}), got {x.shape}")
-        q, k = self._queries_keys(x)
-        v = self._split(x @ self.params["Wv"])
-        b, h, t, d = q.shape
+        q, k, v = self._augmented(x)
+        b, h, t, _ = q.shape
+        d = self.d_k
         heads = np.empty((b, t, h, d))  # the heads already in merged order
-        stats = np.empty((b, h, t, 2)) if train else None
-        for bi, hi, rows, attn, row in self._tiles(q, k):
-            np.matmul(attn, v[bi, hi], out=heads[bi, rows, hi])
-            if train:
-                stats[bi, hi, rows] = row
+        row_sums = np.empty((b, h, t))
+        ev = np.empty((self._tile_rows(t), d + 1))
+        for bi, hi, rows, e in self._tiles(q, k, shift=True):
+            out = ev[: len(e)]
+            np.matmul(e, v[bi, hi], out=out)  # [E v, l]
+            np.divide(out[:, :d], out[:, d:], out=heads[bi, rows, hi])
+            row_sums[bi, hi, rows] = out[:, d]
         merged = heads.reshape(b, t, h * d)
-        self._cache = (x, q, k, v, merged, stats) if train else None
+        self._cache = (x, q, k, v, merged, row_sums) if train else None
         return merged @ self.params["Wo"]
 
     def attention_weights(self, x):
         """Per-head attention matrices for inspection, (B, H, T, T)."""
-        q, k = self._queries_keys(x)
+        q, k, _ = self._augmented(x)
         weights = np.empty(q.shape[:3] + (q.shape[2],))
-        for bi, hi, rows, attn, _ in self._tiles(q, k):
-            weights[bi, hi, rows] = attn
+        for bi, hi, rows, e in self._tiles(q, k, shift=True):
+            np.divide(e, e.sum(axis=1, keepdims=True), out=weights[bi, hi, rows])
         return weights
 
     def backward(self, dout):
-        x, q, k, v, merged, stats = self._cache
+        x, q, k, v, merged, row_sums = self._cache
         p = self.params
-        b, h, t, d = q.shape
-        dim = self.model_dim
+        b, h, t, _ = q.shape
+        d, dim = self.d_k, self.model_dim
         d_merged = dout @ p["Wo"].T
-        d_heads = self._split(d_merged)
-        # softmax backward's row term sum_j P_ij dP_ij, as dO_i . O_i per head
-        row_term = (d_merged * merged).reshape(b, t, h, d).sum(axis=3).transpose(0, 2, 1)
+        # [dO, -dO . O] / l per head, dO . O being softmax backward's row term
+        d_heads = np.empty((b, h, t, d + 1))
+        d_heads[..., :d] = self._split(d_merged)
+        d_heads[..., d] = -(d_merged * merged).reshape(b, t, h, d).sum(axis=3).transpose(0, 2, 1)
+        d_heads /= row_sums[..., None]
 
         # d_q, d_k, d_v in merged (B, T, H, d) order, viewed per head
         grads = np.zeros((3, b, t, h, d))
         d_q, d_k, d_v = (g.transpose(0, 2, 1, 3) for g in grads)
-        d_attn_buf = np.empty((self._tile_rows(t), t))
-        for bi, hi, rows, attn, _ in self._tiles(q, k, stats):
+        scratch = np.empty((self._tile_rows(t), t))
+        for bi, hi, rows, e in self._tiles(q, k, shift=False):
             dh = d_heads[bi, hi, rows]
-            d_attn = d_attn_buf[: len(attn)]
-            np.matmul(dh, v[bi, hi].T, out=d_attn)
-            d_v[bi, hi] += attn.T @ dh
+            tile = scratch[: len(e)]
+            np.matmul(dh, v[bi, hi].T, out=tile)  # (dP - dO . O) / l
+            d_v[bi, hi] += e.T @ dh[:, :d]
             # the tile becomes d_scores, the gradient of q k^T / sqrt(d_k)
-            d_attn -= row_term[bi, hi, rows, None]
-            d_attn *= attn
-            np.matmul(d_attn, k[bi, hi], out=d_q[bi, hi, rows])
-            d_k[bi, hi] += d_attn.T @ q[bi, hi, rows]
-        grads[0] /= np.sqrt(self.d_k)  # the scores took q over sqrt(d_k)
+            tile *= e
+            np.matmul(tile, k[bi, hi, :, :d], out=d_q[bi, hi, rows])
+            d_k[bi, hi] += tile.T @ q[bi, hi, rows, :d]
+        grads[0] /= np.sqrt(d)  # the scores took q over sqrt(d_k)
 
         x_rows = x.reshape(b * t, dim)
         dq_full, dk_full, dv_full = (g.reshape(b * t, dim) for g in grads)
@@ -436,7 +440,6 @@ class Adam:
 
 
 __all__ = [
-    "softmax",
     "sigmoid",
     "Layer",
     "Dense",

@@ -12,7 +12,7 @@ from ..evaluate import roc_auc
 from ..imbalance import ClassWeights
 from ..rng import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 from .layers import Adam, weighted_bce_with_logits
-from .model import Model
+from .model import Model, _count
 
 
 @dataclass
@@ -25,13 +25,14 @@ class TrainConfig:
     class_weights: ClassWeights | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidHyperparams(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr <= np.finfo(float).max:
+            raise InvalidHyperparams(f"learning_rate must be a finite positive number, got {lr!r}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            _count(name, getattr(self, name))
         if self.batch_size < 2:
             # train-mode batchnorm cannot normalize a single example
             raise InvalidHyperparams(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise InvalidHyperparams("max_epochs and patience must be >= 1")
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray]:

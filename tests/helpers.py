@@ -24,7 +24,14 @@ from vtalarm.features import (
     wavelet_energy,
     welch_psd,
 )
-from vtalarm.nn.layers import Dropout, softmax
+from vtalarm.nn.layers import Dropout
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax; invariant to per-row constant shifts."""
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:

@@ -220,6 +220,28 @@ def test_train_config_validation():
         TrainConfig(patience=0)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": -1e-3},
+        {"learning_rate": True},
+        {"learning_rate": "1e-3"},
+        {"batch_size": 2.5},
+        {"batch_size": 32.0},
+        {"batch_size": True},
+        {"max_epochs": 1.5},
+        {"max_epochs": "3"},
+        {"patience": 2.0},
+        {"patience": False},
+    ],
+)
+def test_train_config_rejects_values_of_the_wrong_type(settings):
+    with pytest.raises(InvalidHyperparams):
+        TrainConfig(**settings)
+
+
 def test_class_weights_change_the_fit():
     x_tr, y_tr, x_va, y_va = blobs(n=80)
     hp = {"hidden_sizes": [16], "dropout_p": 0.0}
