@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, MissingInput, VtalarmError
+from .errors import EmptyInput, InvalidConfig, MissingInput, ValueOutOfRange, VtalarmError
 from .evaluate import classification_metrics, decide_alert
 from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
     FeaturePlan,
@@ -190,8 +190,8 @@ def _load_features_csv(path):
 
 
 def _load_windows(data_dir: Path):
-    """windows.npy as a read-only memory map, with its labels and meta. Files
-    that ingest did not write whole raise InvalidConfig."""
+    """windows.npy as a _WindowFile, with its labels and meta. Files that
+    ingest did not write whole raise InvalidConfig."""
     paths = [_require(data_dir / name, "run ingest first") for name in ("windows.npy", "labels.npy", "meta.json")]
     try:
         windows = np.load(paths[0], mmap_mode="r")
@@ -206,7 +206,7 @@ def _load_windows(data_dir: Path):
         raise InvalidConfig(f"{data_dir}/meta.json record_ids must be a list of strings")
     if len(counts) != 1 or not 0.0 < fs < np.inf:
         raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
-    return windows, labels, meta
+    return _WindowFile(windows), labels, meta
 
 
 class _WindowFile:
@@ -249,21 +249,22 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
     partial = out_dir / "windows.npy.partial"
     shape = None  # (n_events, n, C), fixed by the first window
     labels, record_ids = [], []
-    fs = None
+    fs = channels = None  # fixed by the first record
     try:
         with open(partial, "wb") as fh:
             for record_id, alarm_time, label in events:
                 record = load_record(data_dir, record_id, verify_checksums=True)
+                names = [signal.description for signal in record.header.signals]
                 if fs is None:
-                    fs = record.header.sampling_frequency
+                    fs, channels = record.header.sampling_frequency, names
                 elif record.header.sampling_frequency != fs:
                     raise InvalidConfig(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
+                elif names != channels:
+                    raise InvalidConfig(f"{record_id} has channels {names}, corpus has {channels}")
                 window = impute_mean(extract_alarm_window(record, alarm_time, label))
                 if shape is None:
                     shape = (len(events),) + window.samples.shape
                     np.lib.format.write_array_header_1_0(fh, {"descr": "<f4", "fortran_order": False, "shape": shape})
-                elif window.samples.shape != shape[1:]:
-                    raise InvalidConfig(f"{record_id} has {window.samples.shape[1]} channels, corpus has {shape[2]}")
                 fh.write(window.samples.astype("<f4").tobytes())
                 labels.append(label)
                 record_ids.append(record_id)
@@ -279,6 +280,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
             "seed": config["seed"],
             "record_ids": record_ids,
             "fs": fs,
+            "channels": channels,
             "alarm_index": int(round(300.0 * fs)),
             "n_windows": shape[0],
             "window_samples": shape[1],
@@ -297,7 +299,7 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
     wavelet = morlet_scales(fs, **config["wavelet"])
     features = config["features"]
     plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, features["coherence_mode"], features["analysis_span"])
-    matrix = feature_matrix(_WindowFile(windows), plan)
+    matrix = feature_matrix(windows, plan)
     names = feature_names(windows.shape[2], coherence_mode=plan.coherence_mode)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_features_csv(out_dir / "features.csv", meta["record_ids"], labels, matrix, names, _stamp(config))
@@ -311,31 +313,37 @@ def _get_split(config: dict, labels: np.ndarray):
 
 
 def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
-    """Load unscaled model inputs. Returns (record_ids, labels, x).
+    """Returns (record_ids, labels, rows): rows(idx) builds the unscaled
+    float64 model inputs of only the rows idx.
 
     fcnn consumes the feature table; cnn consumes raw windows, decimated
-    by the architecture's stride. The caller scales x per column.
+    by the architecture's stride. A row with a non-finite input raises
+    ValueOutOfRange naming its record.
     """
     data_dir = Path(data_dir)
     if arch == "fcnn":
-        ids, labels, x, _ = _load_features_csv(_require(data_dir / "features.csv", "run featurize first"))
-        return ids, labels, x
-    windows, labels, meta = _load_windows(data_dir)
-    decimation = hyperparams["decimation"]
-    # one window at a time through file reads: decimating the memory map
-    # would touch, and keep resident, every page of windows.npy
-    source = _WindowFile(windows)
-    x = np.empty((windows.shape[0], len(range(0, windows.shape[1], decimation)), windows.shape[2]))
-    for i in range(windows.shape[0]):
-        x[i] = source[i][::decimation]
-    return meta["record_ids"], labels, x
+        ids, labels, table, _ = _load_features_csv(_require(data_dir / "features.csv", "run featurize first"))
+        build = table.__getitem__
+    else:
+        windows, labels, meta = _load_windows(data_dir)
+        ids, step = meta["record_ids"], hyperparams["decimation"]
 
+        def build(idx):
+            # one window at a time through file reads: decimating the memory
+            # map would touch, and keep resident, every page of windows.npy
+            x = np.empty((len(idx), len(range(0, windows.shape[1], step)), windows.shape[2]))
+            for row, i in zip(x, idx):
+                row[...] = windows[i][::step]
+            return x
 
-def _scale(x: np.ndarray, scaler) -> np.ndarray:
-    if x.ndim == 2:
-        return apply_scaler(x, scaler)
-    n, t, c = x.shape
-    return apply_scaler(x.reshape(n * t, c), scaler).reshape(n, t, c)
+    def rows(idx: np.ndarray) -> np.ndarray:
+        x = build(idx)
+        for i, row in zip(idx, x):
+            if not np.isfinite(row).all():
+                raise ValueOutOfRange(f"record {ids[i]} has a non-finite model input")
+        return x
+
+    return ids, labels, rows
 
 
 def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
@@ -348,24 +356,21 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     use_weights = config["train"]["use_class_weights"]
     if use_weights and rcfg.method != "none":
         raise InvalidConfig("class weights and resampling are mutually exclusive; pick one")
-    _, labels, x = _prepare_arrays(data_dir, arch, hyperparams)
+    _, labels, rows = _prepare_arrays(data_dir, arch, hyperparams)
     split = _get_split(config, labels)
-    for which in ("train", "val", "test"):
-        _split_rows(split, which, x.shape[0])
-    val_labels = labels[split.val_indices]
+    train_idx, val_idx, _ = (_split_rows(split, which, len(labels)) for which in ("train", "val", "test"))
+    val_labels = labels[val_idx]
     n_true, n_false = int(np.sum(val_labels == 1)), int(np.sum(val_labels == 0))
     if not (n_true and n_false):
         raise InvalidConfig(f"the val list needs both classes to score AUC; it holds {n_true} true and {n_false} false alarms")
 
-    train_rows = x[split.train_indices]
-    scaler = fit_scaler(train_rows.reshape(-1, x.shape[-1]) if x.ndim == 3 else train_rows)
-    xs = _scale(x, scaler)
-
-    x_train, y_train = xs[split.train_indices], labels[split.train_indices]
+    x_train, y_train = rows(train_idx), labels[train_idx]
+    scaler = fit_scaler(x_train.reshape(-1, x_train.shape[-1]))
+    x_train = apply_scaler(x_train, scaler)
+    x_val = apply_scaler(rows(val_idx), scaler)
     if rcfg.method != "none":
-        flat = x_train.reshape(x_train.shape[0], -1)
-        flat, y_train = resample(flat, y_train, rcfg)
-        x_train = flat.reshape((flat.shape[0],) + xs.shape[1:])
+        flat, y_train = resample(x_train.reshape(len(x_train), -1), y_train, rcfg)
+        x_train = flat.reshape((len(flat),) + x_val.shape[1:])
 
     t = config["train"]
     train_config = TrainConfig(
@@ -376,8 +381,8 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
         seed=seed,
         class_weights=class_weights(y_train) if use_weights else None,
     )
-    model = build_model(arch, xs.shape[1:], seed=seed, hyperparams=hyperparams)
-    history = train(model, x_train, y_train, xs[split.val_indices], labels[split.val_indices], train_config)
+    model = build_model(arch, x_val.shape[1:], seed=seed, hyperparams=hyperparams)
+    history = train(model, x_train, y_train, x_val, val_labels, train_config)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "model.ckpt")
@@ -407,13 +412,13 @@ def _scored_rows(model_dir: Path, data_dir: Path, subset: str):
     labels, scores) for those rows."""
     model = load_checkpoint(_require(Path(model_dir) / "model.ckpt", "run train first"))
     scaler = load_scaler(_require(Path(model_dir) / "scaler.txt", "run train first"))
-    ids, labels, x = _prepare_arrays(data_dir, model.architecture, model.hyperparams)
-    if subset != "all":
-        split = load_split(_require(Path(model_dir) / "split.json", "run train first"))
-        idx = _split_rows(split, subset, len(ids))
-        ids, labels, x = [ids[i] for i in idx], labels[idx], x[idx]
-    scores = model.predict(_scale(x, scaler))
-    return model, ids, labels, scores
+    ids, labels, rows = _prepare_arrays(data_dir, model.architecture, model.hyperparams)
+    if subset == "all":
+        idx = np.arange(len(ids))
+    else:
+        idx = _split_rows(load_split(_require(Path(model_dir) / "split.json", "run train first")), subset, len(ids))
+    scores = model.predict(apply_scaler(rows(idx), scaler))
+    return model, [ids[i] for i in idx], labels[idx], scores
 
 
 def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: float) -> None:

@@ -34,8 +34,8 @@ class WindowOutOfBounds(VtalarmError):
 class ValueOutOfRange(VtalarmError):
     """A value is outside its valid range: a quantized ADC value beyond the
     target format's range, a label other than 0/1, a missing sample, a
-    score or feature that is not finite, or a score or threshold outside
-    [0, 1]."""
+    score, feature or model input that is not finite, or a score or
+    threshold outside [0, 1]."""
 
 
 # --- preprocessing ---

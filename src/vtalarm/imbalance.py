@@ -113,23 +113,21 @@ def _interpolation_targets(
     return minority_label, minority_idx, n_new, neighbors
 
 
-def _synthesize(features, minority_idx, neighbors, seed_draws, rng):
-    """Interpolate one synthetic row per entry of seed_draws."""
-    rows, log = [], []
-    for pos in seed_draws:
+def _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance):
+    """The originals in order, then one synthetic row with the minority label
+    per entry of seed_draws, each interpolated into its row of the output."""
+    n = features.shape[0]
+    out_x = np.empty((n + len(seed_draws),) + features.shape[1:])
+    out_x[:n] = features
+    log = []
+    for row, pos in zip(out_x[n:], seed_draws):
         x_idx = int(minority_idx[pos])
         nn_idx = int(neighbors[pos][rng.integers(len(neighbors[pos]))])
         gap = float(rng.random())
         x = features[x_idx]
-        rows.append(x + gap * (features[nn_idx] - x))
+        row[...] = x + gap * (features[nn_idx] - x)
         log.append((x_idx, nn_idx, gap))
-    return rows, log
-
-
-def _appended(features, labels, minority_label, rows, log, return_provenance):
-    """The originals in order, then the synthetic rows with the minority label."""
-    out_x = np.vstack([features] + [np.asarray(rows)]) if rows else features.copy()
-    out_y = np.concatenate([labels, np.full(len(rows), minority_label, dtype=labels.dtype)])
+    out_y = np.concatenate([labels, np.full(len(seed_draws), minority_label, dtype=labels.dtype)])
     return (out_x, out_y, log) if return_provenance else (out_x, out_y)
 
 
@@ -151,8 +149,7 @@ def smote(
     minority_label, minority_idx, n_new, neighbors = _interpolation_targets(features, labels, config)
     rng = derive_rng(config.seed, STREAM_SMOTE)
     seed_draws = rng.integers(minority_idx.size, size=n_new)
-    rows, log = _synthesize(features, minority_idx, neighbors, seed_draws, rng)
-    return _appended(features, labels, minority_label, rows, log, return_provenance)
+    return _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance)
 
 
 def adasyn(
@@ -183,8 +180,7 @@ def adasyn(
 
     rng = derive_rng(config.seed, STREAM_ADASYN)
     seed_draws = np.repeat(np.arange(minority_idx.size), alloc)
-    rows, log = _synthesize(features, minority_idx, neighbors, seed_draws, rng)
-    return _appended(features, labels, minority_label, rows, log, return_provenance)
+    return _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance)
 
 
 def resample(features, labels, config: ResampleConfig):

@@ -1,7 +1,7 @@
 from .checkpoint import deserialize_model, load_checkpoint, save_checkpoint, serialize_model
 from .layers import Adam, adam_step, sigmoid, weighted_bce_with_logits
 from .model import Model, build_model
-from .training import TrainConfig, read_history, train, write_history
+from .training import TrainConfig, train, write_history
 
 __all__ = [
     "Adam",
@@ -11,7 +11,6 @@ __all__ = [
     "build_model",
     "deserialize_model",
     "load_checkpoint",
-    "read_history",
     "save_checkpoint",
     "serialize_model",
     "sigmoid",

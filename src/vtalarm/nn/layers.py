@@ -292,14 +292,6 @@ class MultiHeadAttention(Layer):
         self._cache = (x, q, k, v, merged, row_sums) if train else None
         return merged @ self.params["Wo"]
 
-    def attention_weights(self, x):
-        """Per-head attention matrices for inspection, (B, H, T, T)."""
-        q, k, _ = self._augmented(x)
-        weights = np.empty(q.shape[:3] + (q.shape[2],))
-        for bi, hi, rows, e in self._tiles(q, k, shift=True):
-            np.divide(e, e.sum(axis=1, keepdims=True), out=weights[bi, hi, rows])
-        return weights
-
     def backward(self, dout):
         x, q, k, v, merged, row_sums = self._cache
         p = self.params

@@ -135,13 +135,4 @@ def write_history(path, history: list[dict], comment: str | None = None) -> None
             writer.writerow([row["epoch"], repr(float(row["train_loss"])), repr(float(row["val_auc"]))])
 
 
-def read_history(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    return [
-        {"epoch": int(r["epoch"]), "train_loss": float(r["train_loss"]), "val_auc": float(r["val_auc"])}
-        for r in csv.DictReader(rows)
-    ]
-
-
-__all__ = ["TrainConfig", "train", "write_history", "read_history"]
+__all__ = ["TrainConfig", "train", "write_history"]

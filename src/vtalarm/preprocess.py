@@ -64,7 +64,8 @@ def fit_scaler(features: np.ndarray) -> ScalerParams:
 
 
 def apply_scaler(features: np.ndarray, params: ScalerParams) -> np.ndarray:
-    """Map each column to [0, 1] via the fitted range, clamping outliers.
+    """Map each column (the last axis) to [0, 1] via the fitted range,
+    clamping outliers, in one new array; ``features`` is left untouched.
 
     Constant columns (max == min) map to 0.
     """
@@ -74,10 +75,10 @@ def apply_scaler(features: np.ndarray, params: ScalerParams) -> np.ndarray:
             f"got {features.shape[-1]} features, scaler has {params.minimum.shape[0]}"
         )
     span = params.maximum - params.minimum
-    safe_span = np.where(span > 0, span, 1.0)
-    scaled = (features - params.minimum) / safe_span
-    scaled = np.where(span > 0, scaled, 0.0)
-    return np.clip(scaled, 0.0, 1.0)
+    scaled = features - params.minimum
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[..., ~(span > 0)] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def save_scaler(path: str | Path, params: ScalerParams, comment: str | None = None) -> None:

@@ -7,6 +7,7 @@ test must agree with these, not the other way around.
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,16 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def read_history(path) -> list[dict]:
+    """The rows of a history.csv that ``write_history`` wrote."""
+    with open(path, newline="") as fh:
+        rows = [line for line in fh if not line.startswith("#")]
+    return [
+        {"epoch": int(r["epoch"]), "train_loss": float(r["train_loss"]), "val_auc": float(r["val_auc"])}
+        for r in csv.DictReader(rows)
+    ]
 
 
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:

@@ -3,14 +3,15 @@
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vtalarm import cli
+from vtalarm import cli, wfdb_io
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import InvalidConfig
-from vtalarm.nn.model import Model
+from vtalarm.nn.model import Model, hyperparams_for
 
 
 def run(*argv):
@@ -133,6 +134,7 @@ def test_synth_and_ingest_outputs(pipeline):
     assert windows.shape == (24, int(360 * meta["fs"]), 3)
     labels = np.load(work / "labels.npy")
     assert labels.sum() == 12
+    assert meta["channels"] == ["ECG lead I", "ECG lead II", "PLETH"]
 
 
 def test_featurize_output(pipeline):
@@ -222,10 +224,41 @@ def test_cnn_training_path(tmp_path):
 @pytest.mark.parametrize("decimation", [4, 150])
 def test_cnn_inputs_are_the_decimated_windows(pipeline, decimation):
     root, raw, work, model, cfg = pipeline
-    _, _, x = cli._prepare_arrays(work, "cnn", {"decimation": decimation})
+    _, labels, rows = cli._prepare_arrays(work, "cnn", {"decimation": decimation})
+    x = rows(np.arange(len(labels)))
     want = np.load(work / "windows.npy")[:, ::decimation].astype(np.float64)
     assert x.shape == want.shape
     assert x.tobytes() == want.tobytes()
+
+
+class _AtFirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method, peak, held", [("none", 2.0, 1.1), ("smote", 2.3, 1.5)], ids=["none", "smote"])
+def test_cnn_train_holds_its_inputs_about_once_at_the_first_step(pipeline, tmp_path, monkeypatch, method, peak, held):
+    root, raw, work, model, cfg = pipeline
+    seen = {}
+
+    def first_step(*args):
+        seen["held"], seen["peak"] = tracemalloc.get_traced_memory()
+        raise _AtFirstStep
+
+    monkeypatch.setattr(cli, "train", first_step)
+    config = resolve_config(str(cfg), {"architecture": "cnn", "resample.method": method})
+    n_windows, n_samples, n_channels = np.load(work / "windows.npy", mmap_mode="r").shape
+    step = hyperparams_for("cnn", config["model"]["cnn"])["decimation"]
+    x_bytes = n_windows * len(range(0, n_samples, step)) * n_channels * 8  # every window as float64
+    tracemalloc.start()
+    try:
+        with pytest.raises(_AtFirstStep):
+            cli.cmd_train(config, work, tmp_path / "m")
+    finally:
+        tracemalloc.stop()
+    # the train and val rows, each scaled once; the old path held the whole
+    # stack, a scaled copy and its row copies (3.7x, 4.0x with SMOTE)
+    assert seen["peak"] <= peak * x_bytes
+    assert seen["held"] <= held * x_bytes
 
 
 def test_evaluate_scores_only_the_subset_rows(pipeline, monkeypatch):
@@ -403,6 +436,63 @@ def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: MissingInput:")
     assert not (out / "windows.npy").exists()
     assert not (out / "windows.npy.partial").exists()
+
+
+def test_ingest_of_a_record_with_its_channels_in_another_order_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    shuffled = tmp_path / "raw"
+    shutil.copytree(raw, shuffled)
+    record = wfdb_io.load_record(raw, "ev00003")
+    order = [2, 1, 0]
+    record.header.signals = [record.header.signals[c] for c in order]
+    record.samples, record.missing_mask = record.samples[:, order], record.missing_mask[:, order]
+    wfdb_io.save_record(shuffled, record)
+    out = tmp_path / "work"
+    assert run("ingest", str(shuffled), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ev00003 has channels ['PLETH', 'ECG lead II', 'ECG lead I']")
+    assert len(err.splitlines()) == 1
+    assert not (out / "windows.npy").exists()
+
+
+def _first_train_row(pipeline) -> int:
+    root, raw, work, model, cfg = pipeline
+    return json.loads((model / "split.json").read_text())["train"][0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_feature_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch, value):
+    root, raw, work, model, cfg = pipeline
+    row = _first_train_row(pipeline)
+    data = tmp_path / "work"
+    shutil.copytree(work, data)
+    lines = (data / "features.csv").read_text().splitlines()
+    fields = lines[2 + row].split(",")
+    fields[5] = value
+    lines[2 + row] = ",".join(fields)
+    (data / "features.csv").write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+    assert run("train", str(data), "--config", str(cfg), "--out", str(tmp_path / "m")) == 1
+    assert run("evaluate", str(model), str(data), "--split", "all", "--out", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err.splitlines()
+    want = f"error: ValueOutOfRange: record {fields[0]} has a non-finite model input"
+    assert err == [want, want]
+
+
+def test_a_nan_sample_in_the_cnn_windows_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch):
+    root, raw, work, model, cfg = pipeline
+    row = _first_train_row(pipeline)
+    data = tmp_path / "work"
+    shutil.copytree(work, data)
+    windows = np.load(data / "windows.npy")
+    windows[row, 0, 1] = np.nan  # sample 0 survives any decimation
+    np.save(data / "windows.npy", windows)
+    cnn = tmp_path / "cnn.json"
+    cnn.write_text(json.dumps({**json.loads(cfg.read_text()), "architecture": "cnn"}))
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+    assert run("train", str(data), "--config", str(cnn), "--out", str(tmp_path / "m")) == 1
+    record_id = json.loads((data / "meta.json").read_text())["record_ids"][row]
+    assert capsys.readouterr().err.splitlines() == [f"error: ValueOutOfRange: record {record_id} has a non-finite model input"]
 
 
 # ------------------------------------------------------ malformed input files

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import read_history
 
 import vtalarm
 
@@ -28,7 +29,6 @@ from vtalarm.nn import (
     build_model,
     deserialize_model,
     load_checkpoint,
-    read_history,
     save_checkpoint,
     serialize_model,
     train,

@@ -72,6 +72,12 @@ def test_scaler_clamps_out_of_range_rows():
     scaled = apply_scaler(np.array([[-5.0], [15.0]]), params)
     assert scaled[0, 0] == 0.0
     assert scaled[1, 0] == 1.0
+    # an (n, T, C) stack scales as each window's 2-D rows do, and stays as it was
+    windows = np.random.default_rng(5).normal(5.0, 8.0, size=(3, 7, 1))
+    before = windows.copy()
+    want = np.stack([apply_scaler(window, params) for window in windows])
+    assert apply_scaler(windows, params).tobytes() == want.tobytes()
+    assert windows.tobytes() == before.tobytes()
 
 
 def test_scaler_constant_feature_maps_to_zero():
