@@ -406,10 +406,13 @@ def _split_rows(split, which: str, n: int) -> np.ndarray:
     return idx
 
 
-def _scored_rows(model_dir: Path, data_dir: Path, subset: str):
-    """Shared by evaluate/predict: load the model and score only the rows
-    of ``subset`` (a split list, or "all"). Returns (model, record_ids,
+def _scored_rows(model_dir: Path, data_dir: Path, subset: str, threshold: float):
+    """Shared by evaluate/predict: refuse a threshold outside [0, 1] before
+    anything is read, then load the model and score only the rows of
+    ``subset`` (a split list, or "all"). Returns (model, record_ids,
     labels, scores) for those rows."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
     model = load_checkpoint(_require(Path(model_dir) / "model.ckpt", "run train first"))
     scaler = load_scaler(_require(Path(model_dir) / "scaler.txt", "run train first"))
     ids, labels, rows = _prepare_arrays(data_dir, model.architecture, model.hyperparams)
@@ -431,7 +434,7 @@ def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: f
 
 def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, subset: str = "test") -> None:
     threshold = config["threshold"]
-    model, ids, labels, scores = _scored_rows(model_dir, data_dir, subset)
+    model, ids, labels, scores = _scored_rows(model_dir, data_dir, subset, threshold)
     report = classification_metrics(scores, labels, threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"config_hash": config_hash(config), "seed": config["seed"], "subset": subset, **report.to_dict()}
@@ -445,7 +448,7 @@ def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, s
 
 def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) -> None:
     threshold = config["threshold"]
-    model, ids, _, scores = _scored_rows(model_dir, data_dir, "all")
+    model, ids, _, scores = _scored_rows(model_dir, data_dir, "all", threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)
     n_alerts = int(np.sum(scores >= threshold))
@@ -459,87 +462,69 @@ def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) ->
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int, help="master seed for every derived random stream")
-    common.add_argument("--resample", choices=["smote", "adasyn", "none"], help="training-set oversampling method")
-    common.add_argument("--ratio", type=float, help="target minority/majority ratio for oversampling")
-    common.add_argument("--k", type=int, help="neighbor count for smote/adasyn")
-    common.add_argument("--arch", choices=["fcnn", "cnn"], help="model architecture")
-    common.add_argument("--threshold", type=float, help="alert probability threshold")
-    common.add_argument("--class-weights", action="store_true", default=None, help="weight the loss by inverse class frequency")
-    common.add_argument("--out", help="output directory")
-
+    """One subparser per command, holding only the flags its cmd_* reads.
+    A config flag's dest is the dotted config key it overrides; the
+    directories and --split take the names of the cmd_* parameters they fill."""
     parser = argparse.ArgumentParser(prog="vtalarm", description="Alarm classification pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    p.add_argument("--n-events", type=int, help="number of alarm events")
-    p.add_argument("--class-ratio", type=float, help="fraction of true alarms")
-    p.add_argument("--fs", type=float, help="sampling frequency in Hz")
-    p.add_argument("--separability", type=float, help="class separation strength")
+    def command(name: str, run, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--seed", type=int, help="master seed for every derived random stream")
+        p.add_argument("--out", help="output directory")
+        return p
 
-    p = sub.add_parser("ingest", parents=[common], help="extract alarm windows from records")
+    p = command("synth", cmd_synth, "generate a synthetic corpus")
+    p.add_argument("--n-events", dest="synth.n_events", metavar="N", type=int, help="number of alarm events")
+    p.add_argument("--class-ratio", dest="synth.class_ratio", metavar="FRACTION", type=float, help="fraction of true alarms")
+    p.add_argument("--fs", dest="synth.fs", metavar="HZ", type=float, help="sampling frequency in Hz")
+    p.add_argument("--separability", dest="synth.separability", metavar="STRENGTH", type=float, help="class separation strength")
+
+    p = command("ingest", cmd_ingest, "extract alarm windows from records")
     p.add_argument("data_dir", nargs="?", help="directory of .hea/.dat files plus alarms.csv")
 
-    p = sub.add_parser("featurize", parents=[common], help="compute the feature matrix")
+    p = command("featurize", cmd_featurize, "compute the feature matrix")
     p.add_argument("data_dir", nargs="?", help="directory produced by ingest")
 
-    p = sub.add_parser("train", parents=[common], help="fit a model")
+    p = command("train", cmd_train, "fit a model")
     p.add_argument("data_dir", nargs="?", help="featurize output (fcnn) or ingest output (cnn)")
+    p.add_argument("--arch", dest="architecture", choices=["fcnn", "cnn"], help="model architecture")
+    p.add_argument("--resample", dest="resample.method", choices=["smote", "adasyn", "none"], help="training-set oversampling method")
+    p.add_argument("--ratio", dest="resample.ratio", metavar="RATIO", type=float, help="target minority/majority ratio for oversampling")
+    p.add_argument("--k", dest="resample.k_neighbors", metavar="K", type=int, help="neighbor count for smote/adasyn")
+    p.add_argument("--class-weights", dest="train.use_class_weights", action="store_true", default=None, help="weight the loss by inverse class frequency")
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a trained model")
-    p.add_argument("model_dir", help="directory produced by train")
+    p = command("evaluate", cmd_evaluate, "score a trained model")
+    p.add_argument("model_dir", type=Path, help="directory produced by train")
     p.add_argument("data_dir", nargs="?", help="feature/window directory to score")
-    p.add_argument("--split", choices=["train", "val", "test", "all"], default="test", help="rows to evaluate")
+    p.add_argument("--threshold", type=float, help="alert probability threshold")
+    p.add_argument("--split", dest="subset", choices=["train", "val", "test", "all"], default="test", help="rows to evaluate")
 
-    p = sub.add_parser("predict", parents=[common], help="emit alert decisions")
-    p.add_argument("model_dir", help="directory produced by train")
+    p = command("predict", cmd_predict, "emit alert decisions")
+    p.add_argument("model_dir", type=Path, help="directory produced by train")
     p.add_argument("data_dir", nargs="?", help="feature/window directory to score")
+    p.add_argument("--threshold", type=float, help="alert probability threshold")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": args.seed,
-        "architecture": args.arch,
-        "threshold": args.threshold,
-        "resample.method": args.resample,
-        "resample.ratio": args.ratio,
-        "resample.k_neighbors": args.k,
-        "train.use_class_weights": args.class_weights,
-        "synth.n_events": getattr(args, "n_events", None),
-        "synth.class_ratio": getattr(args, "class_ratio", None),
-        "synth.fs": getattr(args, "fs", None),
-        "synth.separability": getattr(args, "separability", None),
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
-
-
-def _data_dir(args: argparse.Namespace, config: dict) -> Path:
-    chosen = getattr(args, "data_dir", None) or config["data_dir"]
+def _data_dir(chosen: str | None, config: dict) -> Path:
+    chosen = chosen or config["data_dir"]
     if chosen is None:
         raise InvalidConfig("no data directory: pass it as an argument or set data_dir in the config")
     return Path(chosen)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    settings = vars(_build_parser().parse_args(argv))
+    run, config_path, out = settings.pop("run"), settings.pop("config"), settings.pop("out")
+    inputs = {name: settings.pop(name) for name in ("model_dir", "data_dir", "subset") if name in settings}
     try:
-        config = resolve_config(args.config, _overrides(args))
-        out_dir = Path(args.out if args.out is not None else config["out_dir"])
-        if args.command == "synth":
-            cmd_synth(config, out_dir)
-        elif args.command == "ingest":
-            cmd_ingest(config, _data_dir(args, config), out_dir)
-        elif args.command == "featurize":
-            cmd_featurize(config, _data_dir(args, config), out_dir)
-        elif args.command == "train":
-            cmd_train(config, _data_dir(args, config), out_dir)
-        elif args.command == "evaluate":
-            cmd_evaluate(config, Path(args.model_dir), _data_dir(args, config), out_dir, subset=args.split)
-        elif args.command == "predict":
-            cmd_predict(config, Path(args.model_dir), _data_dir(args, config), out_dir)
+        config = resolve_config(config_path, settings)
+        if "data_dir" in inputs:
+            inputs["data_dir"] = _data_dir(inputs["data_dir"], config)
+        run(config, out_dir=Path(out if out is not None else config["out_dir"]), **inputs)
     except VtalarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

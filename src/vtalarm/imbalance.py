@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, MinorityTooSmall, NotEnoughNeighbors, SingleClass
+from .preprocess import largest_remainder
 from .rng import STREAM_ADASYN, STREAM_SMOTE, derive_rng
 
 
@@ -64,26 +65,12 @@ def k_nearest(
     candidates = candidates[candidates != query_index]
     if k > candidates.size:
         raise NotEnoughNeighbors(f"asked for {k} neighbors among {candidates.size} candidates")
-    diffs = points[candidates] - points[query_index]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+    diffs = points[candidates]  # fancy indexing copies, so the rest works in place
+    diffs -= points[query_index]
+    diffs *= diffs
+    dists = np.sqrt(np.sum(diffs, axis=1))
     order = np.lexsort((candidates, dists))  # distance first, then index
     return candidates[order[:k]]
-
-
-def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer allocation proportional to weights, largest remainder.
-
-    Sums to exactly ``total``; remainder ties go to the lower index.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    quotas = total * weights / weights.sum()
-    counts = np.floor(quotas).astype(np.int64)
-    short = total - int(counts.sum())
-    if short > 0:
-        fractions = quotas - counts
-        order = np.lexsort((np.arange(weights.size), -fractions))
-        counts[order[:short]] += 1
-    return counts
 
 
 def _split_classes(labels: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -176,7 +163,7 @@ def adasyn(
         nn = k_nearest(features, int(i), k_all)
         r[row] = np.sum(labels[nn] != minority_label) / k_all
     weights = np.ones_like(r) if r.sum() == 0 else r
-    alloc = _allocate(weights, n_new)
+    alloc = largest_remainder(weights, n_new)
 
     rng = derive_rng(config.seed, STREAM_ADASYN)
     seed_draws = np.repeat(np.arange(minority_idx.size), alloc)

@@ -111,6 +111,22 @@ def load_scaler(path: str | Path) -> ScalerParams:
     return ScalerParams(minimum=minimum, maximum=maximum)
 
 
+def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
+    """Integer allocation proportional to weights, largest remainder.
+
+    Sums to exactly ``total``; remainder ties go to the lower index.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    quotas = total * weights / weights.sum()
+    counts = np.floor(quotas).astype(np.int64)
+    short = total - int(counts.sum())
+    if short > 0:
+        fractions = quotas - counts
+        order = np.lexsort((np.arange(weights.size), -fractions))
+        counts[order[:short]] += 1
+    return counts
+
+
 def split_dataset(
     labels: np.ndarray, seed: int, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 ) -> DatasetSplit:
@@ -132,26 +148,13 @@ def split_dataset(
     n_val_total = int(np.floor(ratios[1] * n))
     n_test_total = int(np.floor(ratios[2] * n))
 
-    classes = np.unique(labels)
-    per_class = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
-
-    def allocate(total: int) -> dict:
-        quotas = {c: total * per_class[c].size / n for c in classes}
-        counts = {c: int(np.floor(quotas[c])) for c in classes}
-        short = total - sum(counts.values())
-        # Largest fractional remainder first; ties go to the smaller class id.
-        order = sorted(classes, key=lambda c: (-(quotas[c] - counts[c]), c))
-        for c in order[:short]:
-            counts[c] += 1
-        return counts
-
-    val_counts = allocate(n_val_total)
-    test_counts = allocate(n_test_total)
+    classes, sizes = np.unique(labels, return_counts=True)
+    per_class = [rng.permutation(np.flatnonzero(labels == c)) for c in classes]
+    val_counts = largest_remainder(sizes, n_val_total)
+    test_counts = largest_remainder(sizes, n_test_total)
 
     val_parts, test_parts, train_parts = [], [], []
-    for c in classes:
-        idx = per_class[c]
-        nv, nt = val_counts[c], test_counts[c]
+    for idx, nv, nt in zip(per_class, val_counts, test_counts):
         val_parts.append(idx[:nv])
         test_parts.append(idx[nv : nv + nt])
         train_parts.append(idx[nv + nt :])

@@ -1,5 +1,6 @@
-"""Config resolution and the command-line pipeline end to end."""
+"""Config resolution, the argument parser and the command-line pipeline end to end."""
 
+import argparse
 import json
 import re
 import shutil
@@ -98,6 +99,18 @@ def test_config_hash_is_stable_and_sensitive():
     assert len(config_hash(a)) == 12
     c = resolve_config(None, {"seed": 1})
     assert config_hash(a) != config_hash(c)
+
+
+def test_every_config_flag_overrides_the_config_key_it_names():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command in commands.values():
+        for action in command._actions:
+            if action.option_strings and action.dest not in ("help", "config", "out", "subset"):
+                default = DEFAULT_CONFIG
+                for part in action.dest.split("."):
+                    default = default[part]
+                assert resolve_config(None, {action.dest: default}) == resolve_config(None), action.dest
 
 
 # ------------------------------------------------------------------- pipeline
@@ -276,6 +289,42 @@ def test_evaluate_scores_only_the_subset_rows(pipeline, monkeypatch):
 
 
 # --------------------------------------------------------------------- errors
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("synth", ["--arch", "cnn"]),
+        ("ingest", ["--threshold", "0.9"]),
+        ("featurize", ["--k", "3"]),
+        ("train", ["--threshold", "0.2"]),
+        ("evaluate", ["--resample", "smote"]),
+        ("predict", ["--class-weights"]),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_refused(pipeline, tmp_path, capsys, command, flag):
+    root, raw, work, model, cfg = pipeline
+    argv = {
+        "synth": ["--n-events", "12"],
+        "ingest": [str(raw)],
+        "featurize": [str(work)],
+        "train": [str(work), "--config", str(cfg)],
+        "evaluate": [str(model), str(work), "--config", str(cfg)],
+        "predict": [str(model), str(work), "--config", str(cfg)],
+    }[command]
+    with pytest.raises(SystemExit) as exited:
+        run(command, *argv, *flag, "--out", str(tmp_path / "out"))
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_an_out_of_range_threshold_exits_before_the_model_is_read(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, str(tmp_path / "no-model"), str(tmp_path), "--threshold", "1.5", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ValueOutOfRange:")
+    assert not out.exists()
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

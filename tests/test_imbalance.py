@@ -1,5 +1,7 @@
 """Oversampling and class weighting, including exact benchmark counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,19 @@ def test_k_nearest_excludes_query_and_honors_candidates():
 def test_k_nearest_not_enough_neighbors():
     with pytest.raises(NotEnoughNeighbors):
         k_nearest(np.zeros((3, 2)), 0, 3)
+
+
+def test_k_nearest_holds_about_one_copy_of_the_candidate_rows():
+    points = np.random.default_rng(0).normal(size=(200, 5000))
+    candidate_bytes = (len(points) - 1) * points.shape[1] * points.itemsize
+    tracemalloc.start()
+    try:
+        k_nearest(points, 0, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the differences are squared in the one copy of the gathered rows
+    assert peak <= 1.2 * candidate_bytes
 
 
 # ---------------------------------------------------------------------- smote
