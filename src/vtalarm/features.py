@@ -405,8 +405,10 @@ class FeaturePlan:
     of length ``fft_len``, where ``weights`` folds sum_s |Psi_s,k|^2 / N
     onto the non-negative bins. Each dropped edge output depends only on
     the first (or, reversed, the last) ``edge`` samples, so their energy
-    is a quadratic form: ``head_gram`` on x[:edge], ``tail_gram`` on
-    x[::-1][:edge] (zero-padded when n < ``edge``).
+    is a quadratic form with ``edge_gram`` on x[:edge] and on
+    x[::-1][:edge] (zero-padded when n < ``edge``). One Gram serves both
+    edges because every kernel is conjugate-symmetric, psi[::-1] ==
+    conj(psi), which makes the tail's taps the head's reversed.
     """
 
     n_samples: int
@@ -419,8 +421,7 @@ class FeaturePlan:
     frequencies: np.ndarray
     fft_len: int
     weights: np.ndarray
-    head_gram: np.ndarray
-    tail_gram: np.ndarray
+    edge_gram: np.ndarray
 
     @classmethod
     def build(
@@ -454,16 +455,13 @@ class FeaturePlan:
         edge = max(psi.size // 2 for psi in kernels)
         fft_len = _fast_len(n + 2 * edge)
         power = np.zeros(fft_len)
-        head_gram = np.zeros((edge, edge))
-        tail_gram = np.zeros((edge, edge))
+        edge_gram = np.zeros((edge, edge))
         for psi in kernels:
             half = psi.size // 2
             taps = np.conj(psi[::-1])  # the correlation filter cwt_morlet convolves with
             power += np.abs(np.fft.fft(taps, fft_len)) ** 2
-            head_gram[:half, :half] += _edge_gram(taps[:half][::-1])
-            tail_gram[:half, :half] += _edge_gram(taps[half + 1 :])
-        head_gram += np.triu(head_gram, 1).T
-        tail_gram += np.triu(tail_gram, 1).T
+            edge_gram[:half, :half] += _edge_gram(taps[:half][::-1])
+        edge_gram += np.triu(edge_gram, 1).T
         k = np.arange(fft_len // 2 + 1)
         mirror = (fft_len - k) % fft_len
         weights = np.where(mirror == k, power[k], power[k] + power[mirror]) / fft_len
@@ -479,8 +477,7 @@ class FeaturePlan:
             frequencies=np.fft.rfftfreq(spectral.segment_length, d=1.0 / spectral.fs),
             fft_len=fft_len,
             weights=weights,
-            head_gram=head_gram,
-            tail_gram=tail_gram,
+            edge_gram=edge_gram,
         )
 
 
@@ -534,13 +531,12 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray
     power += im
     power *= plan.weights
     full = power.sum(axis=-1)
-    edge = plan.head_gram.shape[0]
-    head = np.zeros(x.shape[:-1] + (edge,))
-    tail = np.zeros_like(head)
-    head[..., : min(n, edge)] = x[..., :edge]
-    tail[..., : min(n, edge)] = x[..., ::-1][..., :edge]
-    dropped = np.sum((head @ plan.head_gram) * head, axis=-1) + np.sum((tail @ plan.tail_gram) * tail, axis=-1)
-    return (full - dropped) / n
+    edge = plan.edge_gram.shape[0]
+    edges = np.zeros((2,) + x.shape[:-1] + (edge,))  # the head, then the reversed tail
+    edges[0, ..., : min(n, edge)] = x[..., :edge]
+    edges[1, ..., : min(n, edge)] = x[..., ::-1][..., :edge]
+    head, tail = np.sum((edges @ plan.edge_gram) * edges, axis=-1)
+    return (full - (head + tail)) / n
 
 
 def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> np.ndarray:

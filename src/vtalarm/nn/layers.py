@@ -210,7 +210,9 @@ class MultiHeadAttention(Layer):
     carries the unnormalized head and the row sum l, and the head is
     divided by l on (rows, d_k) only, after the product (Dao 2023).
 
-    A training forward keeps the shifted queries and l. Backward rebuilds
+    An inference forward projects one batch row at a time into one
+    row-sized buffer, so it holds little beyond its input and output. A
+    training forward keeps every row's shifted queries and l. Backward rebuilds
     E bit for bit from the same product, takes softmax backward's row
     term sum_j P_ij dP_ij as dO_i . O_i (Dao et al. 2022), and scales
     [dO, -dO . O] by 1/l once, so one product per tile gives
@@ -230,67 +232,72 @@ class MultiHeadAttention(Layer):
         }
 
     def _split(self, x):
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.n_heads, self.d_k).transpose(0, 2, 1, 3)
+        """(..., T, model_dim) -> (..., H, T, d_k)."""
+        t = x.shape[-2]
+        return x.reshape(x.shape[:-2] + (t, self.n_heads, self.d_k)).swapaxes(-3, -2)
 
-    def _augmented(self, x):
-        """Per-head [q / sqrt(d_k), 0], [k, 1] and [v, 1], each (B, H, T, d_k + 1)."""
-        b, t, _ = x.shape
+    def _augmented(self, x, out):
+        """Write one row's per-head [q / sqrt(d_k), 0], [k, 1] and [v, 1] into
+        ``out``, (3, H, T, d_k + 1), from ``x``, (T, model_dim)."""
         d = self.d_k
-        qkv = np.empty((3, b, self.n_heads, t, d + 1))
-        for out, name in zip(qkv, ("Wq", "Wk", "Wv")):
-            out[..., :d] = self._split(x @ self.params[name])
-        qkv[0, ..., :d] /= np.sqrt(d)
-        qkv[0, ..., d] = 0.0
-        qkv[1:, ..., d] = 1.0
-        return qkv
+        for part, name in zip(out, ("Wq", "Wk", "Wv")):
+            part[..., :d] = self._split(x @ self.params[name])
+        out[0, ..., :d] /= np.sqrt(d)
+        out[0, ..., d] = 0.0
+        out[1:, ..., d] = 1.0
+        return out
 
     @staticmethod
     def _tile_rows(t: int) -> int:
         return max(1, min(t, TILE_BYTES // (8 * t)))
 
-    def _tiles(self, q, k, shift):
-        """Yield (batch, head, query rows, E) for every tile, E = exp(q k^T)
-        in one scratch array that the next tile overwrites.
+    def _tiles(self, q, k, scratch, shift):
+        """Yield (head, query rows, E) for every tile of one batch row,
+        E = exp(q k^T) in ``scratch``, which the next tile overwrites.
 
         With ``shift``, each query row first writes minus its max score
         into its last column, which meets k's column of ones, so E is
         exp(scores - max). Without it, the column that an earlier shifted
         pass wrote is used as is, and E is that pass's bit for bit.
         """
-        b, h, t, _ = q.shape
-        step = self._tile_rows(t)
-        scratch = np.empty((step, t))
-        for bi in range(b):
-            for hi in range(h):
-                keys = k[bi, hi].T
-                for r0 in range(0, t, step):
-                    rows = slice(r0, min(r0 + step, t))
-                    queries, tile = q[bi, hi, rows], scratch[: rows.stop - r0]
-                    if shift:
-                        np.matmul(queries, keys, out=tile)  # the last column is 0 here
-                        np.negative(tile.max(axis=1), out=queries[:, -1])
-                    np.matmul(queries, keys, out=tile)
-                    np.exp(tile, out=tile)
-                    yield bi, hi, rows, tile
+        h, t, _ = q.shape
+        step = len(scratch)
+        for hi in range(h):
+            keys = k[hi].T
+            for r0 in range(0, t, step):
+                rows = slice(r0, min(r0 + step, t))
+                queries, tile = q[hi, rows], scratch[: rows.stop - r0]
+                if shift:
+                    np.matmul(queries, keys, out=tile)  # the last column is 0 here
+                    np.negative(tile.max(axis=1), out=queries[:, -1])
+                np.matmul(queries, keys, out=tile)
+                np.exp(tile, out=tile)
+                yield hi, rows, tile
 
     def forward(self, x, train):
         if x.ndim != 3 or x.shape[2] != self.model_dim:
             raise ShapeMismatch(f"attention expects (B, T, {self.model_dim}), got {x.shape}")
-        q, k, v = self._augmented(x)
-        b, h, t, _ = q.shape
-        d = self.d_k
-        heads = np.empty((b, t, h, d))  # the heads already in merged order
-        row_sums = np.empty((b, h, t))
-        ev = np.empty((self._tile_rows(t), d + 1))
-        for bi, hi, rows, e in self._tiles(q, k, shift=True):
-            out = ev[: len(e)]
-            np.matmul(e, v[bi, hi], out=out)  # [E v, l]
-            np.divide(out[:, :d], out[:, d:], out=heads[bi, rows, hi])
-            row_sums[bi, hi, rows] = out[:, d]
-        merged = heads.reshape(b, t, h * d)
-        self._cache = (x, q, k, v, merged, row_sums) if train else None
-        return merged @ self.params["Wo"]
+        b, t, dim = x.shape
+        h, d = self.n_heads, self.d_k
+        # training keeps every batch row's projections for backward; inference reuses one row's
+        kept = b if train else 1
+        qkv = np.empty((3, kept, h, t, d + 1))
+        heads = np.empty((kept, t, h, d))  # the heads already in merged order
+        row_sums = np.empty((kept, h, t))
+        out = np.empty((b, t, dim))
+        scratch = np.empty((self._tile_rows(t), t))
+        ev = np.empty((len(scratch), d + 1))
+        for bi in range(b):
+            slot = bi if train else 0
+            q, k, v = self._augmented(x[bi], qkv[:, slot])
+            for hi, rows, e in self._tiles(q, k, scratch, shift=True):
+                part = ev[: len(e)]
+                np.matmul(e, v[hi], out=part)  # [E v, l]
+                np.divide(part[:, :d], part[:, d:], out=heads[slot, rows, hi])
+                row_sums[slot, hi, rows] = part[:, d]
+            np.matmul(heads[slot].reshape(t, dim), self.params["Wo"], out=out[bi])
+        self._cache = (x, *qkv, heads.reshape(b, t, dim), row_sums) if train else None
+        return out
 
     def backward(self, dout):
         x, q, k, v, merged, row_sums = self._cache
@@ -308,15 +315,17 @@ class MultiHeadAttention(Layer):
         grads = np.zeros((3, b, t, h, d))
         d_q, d_k, d_v = (g.transpose(0, 2, 1, 3) for g in grads)
         scratch = np.empty((self._tile_rows(t), t))
-        for bi, hi, rows, e in self._tiles(q, k, shift=False):
-            dh = d_heads[bi, hi, rows]
-            tile = scratch[: len(e)]
-            np.matmul(dh, v[bi, hi].T, out=tile)  # (dP - dO . O) / l
-            d_v[bi, hi] += e.T @ dh[:, :d]
-            # the tile becomes d_scores, the gradient of q k^T / sqrt(d_k)
-            tile *= e
-            np.matmul(tile, k[bi, hi, :, :d], out=d_q[bi, hi, rows])
-            d_k[bi, hi] += tile.T @ q[bi, hi, rows, :d]
+        d_scores = np.empty_like(scratch)
+        for bi in range(b):
+            for hi, rows, e in self._tiles(q[bi], k[bi], scratch, shift=False):
+                dh = d_heads[bi, hi, rows]
+                tile = d_scores[: len(e)]
+                np.matmul(dh, v[bi, hi].T, out=tile)  # (dP - dO . O) / l
+                d_v[bi, hi] += e.T @ dh[:, :d]
+                # the tile becomes d_scores, the gradient of q k^T / sqrt(d_k)
+                tile *= e
+                np.matmul(tile, k[bi, hi, :, :d], out=d_q[bi, hi, rows])
+                d_k[bi, hi] += tile.T @ q[bi, hi, rows, :d]
         grads[0] /= np.sqrt(d)  # the scores took q over sqrt(d_k)
 
         x_rows = x.reshape(b * t, dim)
@@ -402,7 +411,9 @@ def adam_step(
     """One in-place Adam update with bias correction.
 
     ``state`` carries "m", "v" (moment arrays) and "t" (step count);
-    an empty dict is initialized on first use.
+    an empty dict is initialized on first use. The moments and the
+    parameter are updated in place through two scratch arrays, each
+    element with the operations of the textbook formula in its order.
     """
     if param.shape != grad.shape:
         raise ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
@@ -411,11 +422,21 @@ def adam_step(
         state["v"] = np.zeros_like(param)
         state["t"] = 0
     state["t"] += 1
-    state["m"] = beta1 * state["m"] + (1 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1 - beta2) * grad * grad
-    m_hat = state["m"] / (1 - beta1 ** state["t"])
-    v_hat = state["v"] / (1 - beta2 ** state["t"])
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, t = state["m"], state["v"], state["t"]
+    m *= beta1
+    scratch = (1 - beta1) * grad
+    m += scratch  # beta1 m + (1 - beta1) g
+    v *= beta2
+    np.multiply(1 - beta2, grad, out=scratch)
+    scratch *= grad
+    v += scratch  # beta2 v + (1 - beta2) g g
+    denom = np.divide(v, 1 - beta2**t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps  # sqrt(v_hat) + eps
+    step = m / (1 - beta1**t)
+    step *= lr
+    step /= denom  # lr m_hat / (sqrt(v_hat) + eps)
+    param -= step
 
 
 class Adam:

@@ -25,7 +25,7 @@ from .layers import (
 )
 
 ARCHITECTURES = ("fcnn", "cnn")
-PREDICT_BYTES = 16 << 20  # bytes of the widest activation in one predict batch
+PREDICT_BYTES = 4 << 20  # bytes of the widest activation in one predict batch
 
 FCNN_DEFAULTS = {"hidden_sizes": [256, 192, 128, 64], "dropout_p": 0.3}
 CNN_DEFAULTS = {
@@ -52,11 +52,15 @@ class Model:
             if isinstance(layer, Dropout):
                 layer.rng = rng
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        """Run the stack; returns one logit per example, shape (B,)."""
+    def _checked(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeMismatch(f"expected input {(-1,) + self.input_shape}, got {x.shape}")
+        return x
+
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """Run the stack; returns one logit per example, shape (B,)."""
+        x = self._checked(x)
         for layer in self.layers:
             x = layer.forward(x, train)
         return x[:, 0]
@@ -105,28 +109,39 @@ class Model:
         return int(sum(arr.size for _, arr in self.named_parameters()))
 
     def _row_bytes(self) -> int:
-        """Bytes of one example's widest activation: the input or the widest
-        dense layer for the fcnn, the (T, n_filters) convolution output for
-        the cnn."""
+        """Bytes of one example's widest batched activation: the input or the
+        widest dense layer for the fcnn, the (T, n_filters) convolution output
+        for the cnn."""
         hp = self.hyperparams
         if self.architecture == "fcnn":
             return 8 * max([self.input_shape[0]] + hp["hidden_sizes"])
         t, c = self.input_shape
-        return 8 * max([t * max(c, hp["n_filters"])] + hp["dense_sizes"])
+        return 8 * t * max(c, hp["n_filters"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode probabilities in [0, 1], shape (B,).
 
-        A batch holds as many rows as keep its widest activation within
-        ``PREDICT_BYTES``.
+        The layers up to the last ``GlobalAvgPool`` run in batches that keep
+        their widest activation within ``PREDICT_BYTES``; the layers after it
+        run once over every pooled row, a few KB each. A stack without
+        pooling (the fcnn) runs whole in those batches. Dense layers are the
+        only ones whose bits depend on the batch size, so a cnn's scores
+        equal one whole-stack forward's whatever the budget.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = self._checked(x)
+        pools = [i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)]
+        split = pools[-1] + 1 if pools else len(self.layers)
         batch_size = max(1, PREDICT_BYTES // self._row_bytes())
-        scores = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], batch_size):
-            stop = min(start + batch_size, x.shape[0])
-            scores[start:stop] = sigmoid(self.forward(x[start:stop], train=False))
-        return scores
+        # an empty x still runs one (empty) batch, which gives the pooled width
+        starts = range(0, max(x.shape[0], 1), batch_size)
+        pooled = np.concatenate([_infer(self.layers[:split], x[s : s + batch_size]) for s in starts])
+        return sigmoid(_infer(self.layers[split:], pooled)[:, 0])
+
+
+def _infer(layers: list, x: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        x = layer.forward(x, train=False)
+    return x
 
 
 def _fcnn_layers(n_features: int, hp: dict, rng) -> list:

@@ -268,9 +268,10 @@ def read_signal(
                     f"channel {c}: stored checksum {spec.checksum}, computed {got}"
                 )
 
-    gains = np.array([s.adc_gain for s in header.signals], dtype=np.float64)
-    baselines = np.array([s.baseline for s in header.signals], dtype=np.float64)
-    physical = (adc.astype(np.float64) - baselines) / gains
+    physical = adc.astype(np.float64)
+    for column, spec in zip(physical.T, header.signals):  # in place: no (n, C) temporaries
+        column -= spec.baseline
+        column /= spec.adc_gain
     physical[missing] = 0.0
     return WaveformRecord(header=header, samples=physical, missing_mask=missing)
 
@@ -302,10 +303,11 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
     if fmt not in (FMT16, FMT212):
         raise UnsupportedFormat(f"storage format {fmt} not supported")
     header = record.header
-    gains = np.array([s.adc_gain for s in header.signals], dtype=np.float64)
-    baselines = np.array([s.baseline for s in header.signals], dtype=np.float64)
-
-    adc = np.rint(record.samples * gains + baselines).astype(np.int64)
+    scaled = record.samples.astype(np.float64)
+    for column, spec in zip(scaled.T, header.signals):  # in place: no (n, C) temporaries
+        column *= spec.adc_gain
+        column += spec.baseline
+    adc = np.rint(scaled, out=scaled).astype(np.int64)
     valid = ~record.missing_mask
     if np.any((adc[valid] < _ADC_MIN[fmt]) | (adc[valid] > _ADC_MAX[fmt])):
         raise ValueOutOfRange(

@@ -15,6 +15,8 @@ import numpy as np
 from vtalarm.features import (
     SpectralParams,
     WaveletConfig,
+    _edge_gram,
+    _morlet_kernels,
     _segment_starts,
     _taper,
     coherence,
@@ -96,6 +98,20 @@ def feature_vector_oracle(
     else:
         values.append(float(np.mean(pairs)) if pairs else 0.0)
     return np.asarray(values)
+
+
+def tail_gram_oracle(wavelet: WaveletConfig) -> np.ndarray:
+    """The Gram of the edge outputs that the same-length crop drops at the
+    end of a channel, built from each kernel's own tail taps. The plan
+    builds one Gram from the head taps and uses it for both edges."""
+    kernels = _morlet_kernels(wavelet)
+    edge = max(psi.size // 2 for psi in kernels)
+    gram = np.zeros((edge, edge))
+    for psi in kernels:
+        half = psi.size // 2
+        gram[:half, :half] += _edge_gram(np.conj(psi[::-1])[half + 1 :])
+    gram += np.triu(gram, 1).T
+    return gram
 
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import feature_vector_oracle, welch_psd_oracle
+from helpers import feature_vector_oracle, tail_gram_oracle, welch_psd_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -343,9 +343,15 @@ def test_feature_matrix_rejects_non_finite_windows():
         feature_matrix(windows, plan)
 
 
+@pytest.mark.parametrize("fs", [50.0, 125.0, 250.0])
+def test_one_edge_gram_serves_the_tail_bit_for_bit(fs):
+    plan = FeaturePlan.build(fs, int(20 * fs), spectral_params_for(fs), morlet_scales(fs))
+    assert np.array_equal(tail_gram_oracle(morlet_scales(fs)), plan.edge_gram)
+
+
 def test_fft_length_is_five_smooth():
     plan = FeaturePlan.build(50.0, 18000, spectral_params_for(50.0), morlet_scales(50.0))
-    assert plan.head_gram.shape == plan.tail_gram.shape == (381, 381)
+    assert plan.edge_gram.shape == (381, 381)
     assert plan.fft_len == 19200  # >= 18000 + 2 * 381, where the next power of two is 32768
 
 

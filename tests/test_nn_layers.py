@@ -245,6 +245,19 @@ def test_batchnorm_inference_peak_stays_near_the_input_size():
     assert peak <= 1.5 * x.nbytes
 
 
+def test_attention_inference_peak_stays_near_its_input_and_output():
+    # one batch row's projections at a time: the whole batch's would be 3.4 times the input
+    x = np.random.default_rng(104).normal(size=(48, 300, 32))
+    layer = MultiHeadAttention(32, 4, np.random.default_rng(105))
+    tracemalloc.start()
+    try:
+        layer.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes
+
+
 def test_batchnorm_rejects_single_element_batch():
     with pytest.raises(BatchTooSmall):
         BatchNorm(3).forward(np.zeros((1, 3)), train=True)
@@ -337,13 +350,13 @@ def test_attention_backward_rebuilds_the_forward_probabilities_bit_for_bit(tile_
     b, t, heads = 2, 64, 4  # one tile, then ragged last tiles
     layer, x, dout = attention_case(114 + tile_rows, b, t, model_dim=12, heads=heads)
     monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
-    tiles = {True: [], False: []}  # copies of the forward's and backward's exp tiles
+    tiles = {True: [], False: []}  # copies of the forward's and backward's exp tiles, batch row by row
     make_tiles = layer._tiles
 
-    def recorded(q, k, shift):
-        for bi, hi, rows, e in make_tiles(q, k, shift):
-            tiles[shift].append((bi, hi, rows.start, e.copy()))
-            yield bi, hi, rows, e
+    def recorded(q, k, scratch, shift):
+        for hi, rows, e in make_tiles(q, k, scratch, shift):
+            tiles[shift].append((hi, rows.start, e.copy()))
+            yield hi, rows, e
 
     monkeypatch.setattr(layer, "_tiles", recorded)
     layer.forward(x, train=True)
@@ -457,6 +470,20 @@ def test_adam_step_matches_hand_computation():
     expected = np.array([1.0, -2.0]) - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(param, expected, atol=1e-12)
     assert state["t"] == 1
+
+
+def test_adam_step_is_bit_identical_to_the_textbook_update():
+    rng = np.random.default_rng(106)
+    param, state = rng.normal(size=(5, 3)), {}
+    want, m, v = param.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+    for t in range(1, 6):
+        grad = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-6, 2)
+        adam_step(param, grad, state, lr=0.003)
+        m = 0.9 * m + (1 - 0.9) * grad
+        v = 0.999 * v + (1 - 0.999) * grad * grad
+        want -= 0.003 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        assert param.tobytes() == want.tobytes(), t
+        assert state["m"].tobytes() == m.tobytes() and state["v"].tobytes() == v.tobytes(), t
 
 
 def test_adam_converges_on_quadratic():

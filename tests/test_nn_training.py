@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -255,15 +256,37 @@ def test_class_weights_change_the_fit():
     assert not np.array_equal(plain.predict(x_va), weighted.predict(x_va))
 
 
-def test_cnn_predict_scores_do_not_depend_on_a_batch_of_at_least_48_rows(monkeypatch):
-    model = build_model("cnn", (600, 3), seed=1)
-    x = np.random.default_rng(0).normal(size=(96, 600, 3))
+@pytest.mark.parametrize("seed, t, c", [(1, 600, 3), (2, 600, 3), (3, 256, 2)])
+def test_cnn_predict_scores_do_not_depend_on_the_batch_size(seed, t, c, monkeypatch):
+    model = build_model("cnn", (t, c), seed=seed)
+    x = np.random.default_rng(seed).normal(size=(96, t, c))
     model.forward(x[:8], train=True)  # move the batch-norm running stats off their start
     whole = sigmoid(model.forward(x, train=False))
     assert np.array_equal(model.predict(x), whole)  # the byte budget's batch
-    for batch_size in (48, 64):
+    for batch_size in (1, 5, 27, 47, 48, 64):
         monkeypatch.setattr(nn_model, "PREDICT_BYTES", batch_size * model._row_bytes())
         assert np.array_equal(model.predict(x), whole), batch_size
+
+
+def test_cnn_predict_peak_stays_near_two_activations_of_one_batch():
+    model = build_model("cnn", (600, 3), seed=4)
+    x = np.random.default_rng(5).normal(size=(48, 600, 3))
+    widest = min(len(x), nn_model.PREDICT_BYTES // model._row_bytes()) * model._row_bytes()
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * widest  # the (batch, T, n_filters) convolution output, about 4.1 MB here
+
+
+@pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
+def test_predict_of_no_rows_gives_no_scores_and_still_checks_the_shape(arch, shape):
+    model = build_model(arch, shape, seed=6)
+    assert model.predict(np.zeros((0,) + shape)).shape == (0,)
+    with pytest.raises(ShapeMismatch):
+        model.predict(np.zeros((0, 5)))
 
 
 @pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
