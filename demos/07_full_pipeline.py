@@ -51,8 +51,9 @@ with tempfile.TemporaryDirectory() as tmp:
     # 27 features per event: 8 per channel plus 3 pairwise couplings.
     cmd_featurize(config, work, work)
 
-    # Fit the dense net on the training split; the checkpoint, scaler,
-    # split, and learning curve all land in the model directory.
+    # Fit the dense net on the training split; the checkpoint (which
+    # carries the input range), split, and learning curve land in the
+    # model directory.
     cmd_train(config, work, model)
     print("model artifacts:", sorted(p.name for p in model.iterdir()))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, MissingInput, ValueOutOfRange, VtalarmError
+from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, MissingInput, ValueOutOfRange, VtalarmError
 from .evaluate import classification_metrics, decide_alert
 from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
     FeaturePlan,
@@ -33,18 +33,9 @@ from .imbalance import ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train, write_history
-from .preprocess import (
-    apply_scaler,
-    fit_scaler,
-    impute_mean,
-    load_scaler,
-    load_split,
-    save_scaler,
-    save_split,
-    split_dataset,
-)
+from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from .synth import SynthConfig, generate_corpus
-from .wfdb_io import extract_alarm_window, load_record, read_alarm_index, read_utf8
+from .wfdb_io import PRE_ALARM_S, extract_alarm_window, load_record, read_alarm_index, read_utf8
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -281,7 +272,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
             "record_ids": record_ids,
             "fs": fs,
             "channels": channels,
-            "alarm_index": int(round(300.0 * fs)),
+            "alarm_index": int(round(PRE_ALARM_S * fs)),
             "n_windows": shape[0],
             "window_samples": shape[1],
             "n_channels": shape[2],
@@ -382,12 +373,12 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
         class_weights=class_weights(y_train) if use_weights else None,
     )
     model = build_model(arch, x_val.shape[1:], seed=seed, hyperparams=hyperparams)
+    model.scaler = scaler
     history = train(model, x_train, y_train, x_val, val_labels, train_config)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "model.ckpt")
     write_history(out_dir / "history.csv", history, comment=_stamp(config))
-    save_scaler(out_dir / "scaler.txt", scaler, comment=_stamp(config))
     save_split(out_dir / "split.json", split, extra={"config_hash": config_hash(config)})
     best = max(row["val_auc"] for row in history)
     print(
@@ -410,17 +401,20 @@ def _scored_rows(model_dir: Path, data_dir: Path, subset: str, threshold: float)
     """Shared by evaluate/predict: refuse a threshold outside [0, 1] before
     anything is read, then load the model and score only the rows of
     ``subset`` (a split list, or "all"). Returns (model, record_ids,
-    labels, scores) for those rows."""
+    labels, scores) for those rows. The inputs are scaled by the range the
+    checkpoint carries."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
-    model = load_checkpoint(_require(Path(model_dir) / "model.ckpt", "run train first"))
-    scaler = load_scaler(_require(Path(model_dir) / "scaler.txt", "run train first"))
+    path = _require(Path(model_dir) / "model.ckpt", "run train first")
+    model = load_checkpoint(path)
+    if model.scaler is None:
+        raise CorruptCheckpoint(f"{path} carries no input range; retrain to write one")
     ids, labels, rows = _prepare_arrays(data_dir, model.architecture, model.hyperparams)
     if subset == "all":
         idx = np.arange(len(ids))
     else:
         idx = _split_rows(load_split(_require(Path(model_dir) / "split.json", "run train first")), subset, len(ids))
-    scores = model.predict(apply_scaler(rows(idx), scaler))
+    scores = model.predict(apply_scaler(rows(idx), model.scaler))
     return model, [ids[i] for i in idx], labels[idx], scores
 
 
@@ -525,11 +519,10 @@ def main(argv: list[str] | None = None) -> int:
         if "data_dir" in inputs:
             inputs["data_dir"] = _data_dir(inputs["data_dir"], config)
         run(config, out_dir=Path(out if out is not None else config["out_dir"]), **inputs)
-    except VtalarmError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: MissingInput: {exc}", file=sys.stderr)
+    except (VtalarmError, OSError) as exc:
+        # a file that is not there reads like the MissingInput of _require
+        name = "MissingInput" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -90,11 +90,12 @@ class DivergedLoss(VtalarmError):
 
 
 class CorruptCheckpoint(VtalarmError):
-    """Checkpoint or scaler file bytes are truncated or malformed."""
+    """Checkpoint bytes are truncated or malformed, or a checkpoint to score
+    with carries no input range."""
 
 
 class VersionMismatch(VtalarmError):
-    """Checkpoint or scaler file written in a format version this reader does not know."""
+    """Checkpoint written in a format version this reader does not know."""
 
 
 class ArchitectureMismatch(VtalarmError):

@@ -440,6 +440,8 @@ class FeaturePlan:
         """
         if coherence_mode not in COHERENCE_MODES:
             raise InvalidConfig(f"unknown coherence_mode {coherence_mode!r}")
+        if spectral.fs != fs:
+            raise InvalidConfig(f"the windows sample at {fs} Hz, the spectral settings at {spectral.fs} Hz")
         lo, hi = 0, n_samples
         if analysis_span is not None:
             lo = int(round(analysis_span[0] * fs))

@@ -4,7 +4,9 @@ Layout: magic ``VTCK`` | u32 format version | u64 header length | JSON
 header | concatenated float64 little-endian arrays. The header records
 the architecture, input shape, hyperparameters, and the name/shape of
 every array in payload order, so a checkpoint is sufficient to rebuild
-the model without any other context.
+the model without any other context. The layer arrays come first; a
+model with an input range adds it as ``input.minimum`` and
+``input.maximum``, each of shape ``(input_shape[-1],)``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import struct
 import numpy as np
 
 from ..errors import ArchitectureMismatch, CorruptCheckpoint, InvalidHyperparams, ShapeMismatch, VersionMismatch
+from ..preprocess import ScalerParams
 from .model import Model, build_model
 
 MAGIC = b"VTCK"
@@ -24,6 +27,8 @@ FORMAT_VERSION = 1
 
 def serialize_model(model: Model) -> bytes:
     arrays = model.named_arrays()
+    if model.scaler is not None:
+        arrays += [("input.minimum", model.scaler.minimum), ("input.maximum", model.scaler.maximum)]
     header = {
         "architecture": model.architecture,
         "input_shape": list(model.input_shape),
@@ -77,6 +82,12 @@ def deserialize_model(data: bytes, expected_architecture: str | None = None) -> 
         raise CorruptCheckpoint(f"arrays do not fit the declared model: {exc}") from exc
     except InvalidHyperparams as exc:
         raise CorruptCheckpoint(f"header declares no valid model: {exc}") from exc
+    bounds = [arrays.get("input.minimum"), arrays.get("input.maximum")]
+    if any(b is not None for b in bounds):
+        width = (model.input_shape[-1],)
+        if any(b is None or b.shape != width for b in bounds):
+            raise CorruptCheckpoint(f"the input range needs input.minimum and input.maximum of shape {width}")
+        model.scaler = ScalerParams(*bounds)
     return model
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidHyperparams, ShapeMismatch
+from ..preprocess import ScalerParams
 from ..rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
 from .layers import (
     BatchNorm,
@@ -39,13 +40,16 @@ CNN_DEFAULTS = {
 
 
 class Model:
-    """A layer stack plus the metadata needed to rebuild it from disk."""
+    """A layer stack plus the metadata needed to rebuild it from disk. ``scaler``
+    is the input range the caller scales by (``predict`` does not); it is
+    ``None`` until training assigns the one it fits."""
 
     def __init__(self, architecture: str, input_shape: tuple, hyperparams: dict, layers: list):
         self.architecture = architecture
         self.input_shape = tuple(input_shape)
         self.hyperparams = hyperparams
         self.layers = layers
+        self.scaler: ScalerParams | None = None
 
     def set_dropout_rng(self, rng: np.random.Generator) -> None:
         for layer in self.layers:

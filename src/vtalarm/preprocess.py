@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples, VersionMismatch
+from .errors import EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples
 from .rng import STREAM_SPLIT, derive_rng
 from .wfdb_io import AlarmWindow, read_utf8
 
@@ -79,36 +79,6 @@ def apply_scaler(features: np.ndarray, params: ScalerParams) -> np.ndarray:
     scaled /= np.where(span > 0, span, 1.0)
     scaled[..., ~(span > 0)] = 0.0
     return np.clip(scaled, 0.0, 1.0, out=scaled)
-
-
-def save_scaler(path: str | Path, params: ScalerParams, comment: str | None = None) -> None:
-    """Persist scaler params as a small versioned key-value file."""
-    lines = ([f"# {comment}"] if comment else []) + [
-        "scaler_version=1",
-        f"n_features={params.minimum.shape[0]}",
-        "min=" + ",".join(repr(float(v)) for v in params.minimum),
-        "max=" + ",".join(repr(float(v)) for v in params.maximum),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_scaler(path: str | Path) -> ScalerParams:
-    fields = {}
-    for line in read_utf8(path, CorruptCheckpoint).splitlines():
-        if "=" in line and not line.startswith("#"):
-            key, value = line.split("=", 1)
-            fields[key] = value
-    if fields.get("scaler_version") != "1":
-        raise VersionMismatch(f"unknown scaler version {fields.get('scaler_version')!r}")
-    try:
-        minimum = np.array([float(v) for v in fields["min"].split(",")])
-        maximum = np.array([float(v) for v in fields["max"].split(",")])
-        n_features = int(fields["n_features"])
-    except (KeyError, ValueError) as exc:
-        raise CorruptCheckpoint(f"scaler file {path} is unreadable: {exc!r}") from exc
-    if not minimum.shape[0] == maximum.shape[0] == n_features:
-        raise CorruptCheckpoint("scaler file is inconsistent")
-    return ScalerParams(minimum=minimum, maximum=maximum)
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -209,8 +179,6 @@ __all__ = [
     "impute_mean",
     "fit_scaler",
     "apply_scaler",
-    "save_scaler",
-    "load_scaler",
     "split_dataset",
     "save_split",
     "load_split",

@@ -12,7 +12,9 @@ import pytest
 from vtalarm import cli, wfdb_io
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import InvalidConfig
+from vtalarm.nn.checkpoint import load_checkpoint, save_checkpoint
 from vtalarm.nn.model import Model, hyperparams_for
+from vtalarm.preprocess import ScalerParams, fit_scaler
 
 
 def run(*argv):
@@ -162,14 +164,68 @@ def test_featurize_output(pipeline):
 
 def test_train_outputs(pipeline):
     root, raw, work, model, cfg = pipeline
-    for name in ("model.ckpt", "history.csv", "scaler.txt", "split.json"):
+    for name in ("model.ckpt", "history.csv", "split.json"):
         assert (model / name).exists(), name
+    assert not (model / "scaler.txt").exists()  # the input range is in model.ckpt
     split = json.loads((model / "split.json").read_text())
     counts = {k: len(split[k]) for k in ("train", "val", "test")}
     assert sum(counts.values()) == 24
     assert counts["val"] >= 2 and counts["test"] >= 2
     history = (model / "history.csv").read_text()
     assert history.startswith("# config=")
+
+
+@pytest.fixture(scope="module")
+def cnn_model(pipeline):
+    """A small cnn trained on the pipeline's windows."""
+    root, raw, work, model, cfg = pipeline
+    cnn = root / "cnn.json"
+    cnn.write_text(json.dumps({
+        **json.loads(cfg.read_text()),
+        "architecture": "cnn",
+        "train": {"max_epochs": 1, "patience": 1, "batch_size": 8},
+        "model": {"cnn": {"n_filters": 8, "n_heads": 2, "dense_sizes": [8], "decimation": 150, "dropout_p": 0.0}},
+    }))
+    out = root / "cnn_model"
+    assert run("train", str(work), "--config", str(cnn), "--out", str(out)) == 0
+    return out
+
+
+def _feature_rows(work, idx):
+    return np.loadtxt(work / "features.csv", delimiter=",", skiprows=2, usecols=range(2, 2 + 27))[idx]
+
+
+@pytest.mark.parametrize("arch", ["fcnn", "cnn"])
+def test_the_checkpoint_carries_the_range_fit_on_the_train_rows(pipeline, cnn_model, arch):
+    root, raw, work, model, cfg = pipeline
+    model_dir = model if arch == "fcnn" else cnn_model
+    loaded = load_checkpoint(model_dir / "model.ckpt")
+    train_rows = json.loads((model_dir / "split.json").read_text())["train"]
+    if arch == "fcnn":
+        x = _feature_rows(work, train_rows)
+    else:
+        windows = np.load(work / "windows.npy")[train_rows, :: loaded.hyperparams["decimation"]].astype(np.float64)
+        x = windows.reshape(-1, windows.shape[-1])
+    want = fit_scaler(x)
+    assert loaded.scaler.minimum.tobytes() == want.minimum.tobytes()
+    assert loaded.scaler.maximum.tobytes() == want.maximum.tobytes()
+
+
+def test_a_scaler_file_beside_the_checkpoint_is_not_read(pipeline, tmp_path):
+    root, raw, work, model, cfg = pipeline
+    stale = tmp_path / "model"
+    shutil.copytree(model, stale)
+    # a range another run could have written in the old text format
+    other = fit_scaler(_feature_rows(work, json.loads((model / "split.json").read_text())["test"]))
+    (stale / "scaler.txt").write_text("\n".join([
+        "scaler_version=1",
+        f"n_features={other.minimum.size}",
+        "min=" + ",".join(repr(float(v)) for v in other.minimum),
+        "max=" + ",".join(repr(float(v)) for v in other.maximum),
+    ]) + "\n")
+    for model_dir, out in ((model, tmp_path / "a"), (stale, tmp_path / "b")):
+        assert run("evaluate", str(model_dir), str(work), "--config", str(cfg), "--split", "all", "--out", str(out)) == 0
+    assert (tmp_path / "a" / "scores.csv").read_bytes() == (tmp_path / "b" / "scores.csv").read_bytes()
 
 
 def test_evaluate_writes_report_and_is_repeatable(pipeline):
@@ -567,21 +623,6 @@ def _evaluate_with_edited(pipeline, tmp_path, capsys, name, edit):
 @pytest.mark.parametrize(
     "pattern, replacement",
     [
-        (r"min=", "min=x"),
-        (r"min=.*\n", ""),
-        (r"n_features=\d+", "n_features=2.5"),
-        (r"(max=.*),[^,\n]*\n", r"\1\n"),
-    ],
-    ids=["non-numeric", "no-min", "non-integer-count", "one-max-fewer"],
-)
-def test_evaluate_with_a_malformed_scaler_file_exits_nonzero(pipeline, tmp_path, capsys, pattern, replacement):
-    err = _evaluate_with_edited(pipeline, tmp_path, capsys, "scaler.txt", lambda p: _rewrite(p, pattern, replacement))
-    assert err.startswith("error: CorruptCheckpoint:")
-
-
-@pytest.mark.parametrize(
-    "pattern, replacement",
-    [
         (r"\{", "{{"),
         (r'"test": \[[^\]]*\]', '"test": [[0, 1], [2, 3]]'),
         (r'("train": \[\s*\d+)', r"\1.5"),  # an index that would truncate to itself
@@ -614,6 +655,77 @@ def _edit_checkpoint_header(path, edit):
 def test_evaluate_with_a_malformed_checkpoint_header_exits_nonzero(pipeline, tmp_path, capsys, edit):
     err = _evaluate_with_edited(pipeline, tmp_path, capsys, "model.ckpt", lambda p: _edit_checkpoint_header(p, edit))
     assert err.startswith("error: CorruptCheckpoint:")
+
+
+def _without_a_range(path):
+    model = load_checkpoint(path)
+    model.scaler = None
+    save_checkpoint(model, path)
+
+
+def _with_a_range_one_column_short(path):
+    model = load_checkpoint(path)
+    model.scaler = ScalerParams(model.scaler.minimum[:-1], model.scaler.maximum[:-1])
+    save_checkpoint(model, path)
+
+
+def _with_only_the_minimum(path):
+    width = load_checkpoint(path).input_shape[-1]
+
+    def drop_the_maximum(header):
+        assert header["arrays"].pop() == {"name": "input.maximum", "shape": [width]}
+
+    _edit_checkpoint_header(path, drop_the_maximum)
+    path.write_bytes(path.read_bytes()[: -8 * width])
+
+
+@pytest.mark.parametrize("damage", [_without_a_range, _with_a_range_one_column_short, _with_only_the_minimum])
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_scoring_with_a_checkpoint_without_a_whole_input_range_exits_nonzero(pipeline, tmp_path, capsys, command, damage):
+    root, raw, work, model, cfg = pipeline
+    bad = tmp_path / "model"
+    shutil.copytree(model, bad)
+    damage(bad / "model.ckpt")
+    assert run(command, str(bad), str(work), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: CorruptCheckpoint:")
+    if damage is _without_a_range:
+        assert str(bad / "model.ckpt") in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _one_error_line(capsys, kind, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}:") and str(path) in err[0], err
+
+
+def test_a_config_path_that_is_a_directory_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    assert run("train", str(work), "--config", str(tmp_path), "--out", str(tmp_path / "m")) == 1
+    _one_error_line(capsys, "IsADirectoryError", tmp_path)
+
+
+def test_a_checkpoint_path_that_is_a_directory_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    bad = tmp_path / "model"
+    (bad / "model.ckpt").mkdir(parents=True)
+    assert run("evaluate", str(bad), str(work), "--out", str(tmp_path / "out")) == 1
+    _one_error_line(capsys, "IsADirectoryError", bad / "model.ckpt")
+
+
+def test_ingest_of_a_signal_file_that_is_a_directory_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    broken = tmp_path / "raw"
+    shutil.copytree(raw, broken)
+    last = (raw / "alarms.csv").read_text().splitlines()[-1].split(",")[0]
+    signal = broken / f"{last}.dat"  # the file its header names
+    signal.unlink()
+    signal.mkdir()
+    out = tmp_path / "work"
+    assert run("ingest", str(broken), "--out", str(out)) == 1
+    _one_error_line(capsys, "IsADirectoryError", signal)
+    assert not (out / "windows.npy").exists()
+    assert not (out / "windows.npy.partial").exists()
 
 
 @pytest.mark.parametrize(
@@ -664,7 +776,6 @@ def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, 
         ("ingest", "raw/alarms.csv", "MalformedHeader"),
         ("ingest", "raw/*.hea", "MalformedHeader"),
         ("evaluate", "work/features.csv", "InvalidConfig"),
-        ("evaluate", "model/scaler.txt", "CorruptCheckpoint"),
     ],
 )
 def test_a_text_file_that_is_not_utf8_exits_nonzero(pipeline, tmp_path, capsys, command, pattern, error):

@@ -335,6 +335,17 @@ def test_feature_plan_validates_once():
         feature_matrix(np.zeros((2, 999, 3)), plan)
 
 
+def test_feature_plan_refuses_spectral_settings_at_another_rate():
+    with pytest.raises(InvalidConfig, match="250.0 Hz.*50.0 Hz"):
+        FeaturePlan.build(250.0, 2500, spectral_params_for(50.0), morlet_scales(250.0))
+
+
+def test_feature_vector_refuses_spectral_settings_at_another_rate():
+    window = make_window(np.random.default_rng(45).normal(size=(2500, 2)), 250.0)
+    with pytest.raises(InvalidConfig, match="250.0 Hz.*50.0 Hz"):
+        build_feature_vector(window, spectral_params_for(50.0), morlet_scales(250.0))
+
+
 def test_feature_matrix_rejects_non_finite_windows():
     plan = FeaturePlan.build(50.0, 1000, spectral_params_for(50.0), morlet_scales(50.0))
     windows = np.random.default_rng(44).normal(size=(3, 1000, 2))

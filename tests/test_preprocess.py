@@ -3,18 +3,8 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import CorruptCheckpoint, EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples, VersionMismatch
-from vtalarm.preprocess import (
-    ScalerParams,
-    apply_scaler,
-    fit_scaler,
-    impute_mean,
-    load_scaler,
-    load_split,
-    save_scaler,
-    save_split,
-    split_dataset,
-)
+from vtalarm.errors import EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples
+from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from vtalarm.wfdb_io import AlarmWindow
 
 
@@ -91,26 +81,6 @@ def test_scaler_errors():
     params = fit_scaler(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):
         apply_scaler(np.ones((2, 4)), params)
-
-
-def test_scaler_file_round_trip(tmp_path):
-    params = ScalerParams(minimum=np.array([0.1, -2.5]), maximum=np.array([0.9, 3.75]))
-    path = tmp_path / "scaler.txt"
-    save_scaler(path, params, comment="config=abc seed=1")
-    back = load_scaler(path)
-    assert np.array_equal(back.minimum, params.minimum)
-    assert np.array_equal(back.maximum, params.maximum)
-    assert path.read_text().startswith("# config=abc seed=1\n")
-
-
-@pytest.mark.parametrize("version", ["2", None])
-def test_scaler_file_of_an_unknown_version_is_rejected(tmp_path, version):
-    path = tmp_path / "scaler.txt"
-    save_scaler(path, ScalerParams(minimum=np.zeros(2), maximum=np.ones(2)))
-    text = path.read_text().replace("scaler_version=1\n", "" if version is None else f"scaler_version={version}\n")
-    path.write_text(text)
-    with pytest.raises(VersionMismatch, match="unknown scaler version"):
-        load_scaler(path)
 
 
 # ---------------------------------------------------------------------- split
