@@ -59,7 +59,7 @@ print("best val auc:", round(max(r["val_auc"] for r in history), 4), "over", len
 # Checkpoints serialize the architecture, hyperparameters, and every
 # array (including batch-norm running statistics) into one tagged blob.
 blob = serialize_model(small)
-clone = deserialize_model(blob, expected_architecture="fcnn")
+clone = deserialize_model(blob)
 same = np.array_equal(clone.predict(x[320:]), small.predict(x[320:]))
 print("checkpoint bytes:", len(blob))
 print("clone predictions identical:", same)

@@ -7,13 +7,7 @@ networks whose probability output drives a thresholded alert decision.
 """
 
 from . import errors
-from .evaluate import (
-    AlertDecision,
-    EvalReport,
-    classification_metrics,
-    decide_alert,
-    roc_auc,
-)
+from .evaluate import EvalReport, alerts, classification_metrics, roc_auc
 from .features import (
     FeaturePlan,
     FeatureVector,
@@ -59,10 +53,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "AlertDecision",
     "EvalReport",
+    "alerts",
     "classification_metrics",
-    "decide_alert",
     "roc_auc",
     "FeaturePlan",
     "FeatureVector",

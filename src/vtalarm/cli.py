@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, MissingInput, ValueOutOfRange, VtalarmError
-from .evaluate import classification_metrics, decide_alert
+from .evaluate import alerts, classification_metrics
 from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
     FeaturePlan,
     build_feature_vector,
@@ -86,7 +86,8 @@ def _typed(where: str, template, value):
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     """Deep-merge ``override`` into ``base``; unknown keys and values of the
-    wrong type are rejected."""
+    wrong type are rejected, and so are hyperparameters either architecture
+    would refuse."""
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -97,6 +98,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not maps or not set(value) <= {"fcnn", "cnn"}:
                 raise InvalidConfig("config key 'model' must map fcnn/cnn to hyperparameters")
             out[key] = {k: dict(base[key].get(k, {}), **value.get(k, {})) for k in ("fcnn", "cnn")}
+            for arch, hyperparams in out[key].items():
+                hyperparams_for(arch, hyperparams)
         elif isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise InvalidConfig(f"config key {where!r} must be a mapping")
@@ -171,8 +174,10 @@ def _load_features_csv(path):
         parts = line.split(",")
         if len(parts) != len(header):
             raise InvalidConfig(f"{path} has a row of {len(parts)} fields, its header has {len(header)}")
+        if parts[1] not in ("0", "1"):
+            raise InvalidConfig(f"{path} gives record {parts[0]!r} the label {parts[1]!r}; a label is 0 or 1")
+        labels.append(int(parts[1]))
         try:
-            labels.append(int(parts[1]))
             data.append([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise InvalidConfig(f"{path} has a non-numeric value in row {line!r}") from exc
@@ -186,18 +191,20 @@ def _load_windows(data_dir: Path):
     paths = [_require(data_dir / name, "run ingest first") for name in ("windows.npy", "labels.npy", "meta.json")]
     try:
         windows = np.load(paths[0], mmap_mode="r")
-        labels = np.load(paths[1]).astype(np.int64)
+        labels = np.load(paths[1])
         meta = json.loads(read_utf8(paths[2], InvalidConfig))
         fs = meta["fs"] = float(meta["fs"])
         record_ids = meta["record_ids"]
         counts = {len(windows), len(labels), len(record_ids)}
     except (ValueError, TypeError, KeyError, EOFError) as exc:
         raise InvalidConfig(f"{data_dir} holds a damaged ingest output: {exc!r}") from exc
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+        raise InvalidConfig(f"{paths[1]} must hold a 1-D integer array of 0/1 labels")
     if not (isinstance(record_ids, list) and all(isinstance(r, str) for r in record_ids)):
         raise InvalidConfig(f"{data_dir}/meta.json record_ids must be a list of strings")
     if len(counts) != 1 or not 0.0 < fs < np.inf:
         raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
-    return _WindowFile(windows), labels, meta
+    return _WindowFile(windows), labels.astype(np.int64), meta
 
 
 class _WindowFile:
@@ -418,12 +425,14 @@ def _scored_rows(model_dir: Path, data_dir: Path, subset: str, threshold: float)
     return model, [ids[i] for i in idx], labels[idx], scores
 
 
-def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: float) -> None:
+def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: float) -> int:
+    """One record_id,score,alert row per record; returns the number of alerts."""
+    flags = alerts(scores, threshold)
     lines = [f"# {comment}", "record_id,score,alert"]
-    for rid, score in zip(record_ids, scores):
-        decision = decide_alert(float(score), threshold)
-        lines.append(f"{rid},{repr(decision.score)},{'true' if decision.alert else 'false'}")
+    for rid, score, alert in zip(record_ids, scores, flags):
+        lines.append(f"{rid},{repr(float(score))},{'true' if alert else 'false'}")
     path.write_text("\n".join(lines) + "\n")
+    return int(flags.sum())
 
 
 def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, subset: str = "test") -> None:
@@ -444,8 +453,7 @@ def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) ->
     threshold = config["threshold"]
     model, ids, _, scores = _scored_rows(model_dir, data_dir, "all", threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)
-    n_alerts = int(np.sum(scores >= threshold))
+    n_alerts = _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)
     print(
         f"predict: {model.architecture} scored {len(ids)} events, {n_alerts} alerts at "
         f"threshold {threshold} -> {out_dir / 'predictions.csv'} [{_stamp(config)}]"

@@ -34,8 +34,8 @@ class WindowOutOfBounds(VtalarmError):
 class ValueOutOfRange(VtalarmError):
     """A value is outside its valid range: a quantized ADC value beyond the
     target format's range, a label other than 0/1, a missing sample, a
-    score, feature or model input that is not finite, or a score or
-    threshold outside [0, 1]."""
+    score, feature or model input that is not finite, or a threshold
+    outside [0, 1]."""
 
 
 # --- preprocessing ---
@@ -96,10 +96,6 @@ class CorruptCheckpoint(VtalarmError):
 
 class VersionMismatch(VtalarmError):
     """Checkpoint written in a format version this reader does not know."""
-
-
-class ArchitectureMismatch(VtalarmError):
-    """Checkpoint holds a different architecture than expected."""
 
 
 # --- pipeline / CLI ---

@@ -106,9 +106,7 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> EvalReport
     """Threshold the scores and report both classes' metrics plus AUC."""
     scores, labels = _check_scores_labels(scores, labels)
     auc = _auc(scores, labels)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
-    predicted = scores >= threshold
+    predicted = alerts(scores, threshold)
     actual = labels == 1
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
@@ -128,27 +126,21 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> EvalReport
     )
 
 
-@dataclass(frozen=True)
-class AlertDecision:
-    score: float
-    threshold: float
-    alert: bool
-
-
-def decide_alert(score: float, threshold: float = 0.5) -> AlertDecision:
-    """Alert iff score >= threshold; the boundary itself alerts."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueOutOfRange(f"score must be in [0, 1], got {score}")
+def alerts(scores, threshold: float) -> np.ndarray:
+    """The alert rule: True where a score reaches the threshold, the
+    boundary included. Scores must be finite, the threshold in [0, 1]."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueOutOfRange("scores must be finite")
     if not 0.0 <= threshold <= 1.0:
         raise ValueOutOfRange(f"threshold must be in [0, 1], got {threshold}")
-    return AlertDecision(score=float(score), threshold=float(threshold), alert=bool(score >= threshold))
+    return scores >= threshold
 
 
 __all__ = [
     "ClassMetrics",
     "EvalReport",
-    "AlertDecision",
+    "alerts",
     "roc_auc",
     "classification_metrics",
-    "decide_alert",
 ]

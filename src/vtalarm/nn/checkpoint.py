@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from ..errors import ArchitectureMismatch, CorruptCheckpoint, InvalidHyperparams, ShapeMismatch, VersionMismatch
+from ..errors import CorruptCheckpoint, InvalidHyperparams, ShapeMismatch, VersionMismatch
 from ..preprocess import ScalerParams
 from .model import Model, build_model
 
@@ -42,7 +42,7 @@ def serialize_model(model: Model) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_model(data: bytes, expected_architecture: str | None = None) -> Model:
+def deserialize_model(data: bytes) -> Model:
     if len(data) < 16 or data[:4] != MAGIC:
         raise CorruptCheckpoint("bad magic; not a model checkpoint")
     (version,) = struct.unpack("<I", data[4:8])
@@ -61,8 +61,6 @@ def deserialize_model(data: bytes, expected_architecture: str | None = None) -> 
             raise ValueError("every array needs a name and a non-negative shape")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
-    if expected_architecture is not None and architecture != expected_architecture:
-        raise ArchitectureMismatch(f"checkpoint is {architecture!r}, expected {expected_architecture!r}")
 
     payload = data[16 + header_len :]
     total = sum(math.prod(shape) for _, shape in entries)
@@ -96,9 +94,9 @@ def save_checkpoint(model: Model, path) -> None:
         fh.write(serialize_model(model))
 
 
-def load_checkpoint(path, expected_architecture: str | None = None) -> Model:
+def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read(), expected_architecture)
+        return deserialize_model(fh.read())
 
 
 __all__ = [

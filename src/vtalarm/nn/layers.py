@@ -16,6 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
 
 TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5  # BatchNorm's running-stat momentum and variance floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -119,13 +121,13 @@ class BatchNorm(Layer):
     """Normalize the trailing feature axis over all leading axes.
 
     Train mode uses batch statistics (population variance) and updates
-    running stats with momentum 0.9; inference uses the running stats.
+    running stats with momentum ``BN_MOMENTUM``; inference uses the running
+    stats. Both add ``BN_EPS`` to the variance.
     """
 
-    def __init__(self, n_features: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, n_features: int):
         super().__init__()
         self.n_features = n_features
-        self.momentum, self.eps = momentum, eps
         self.params = {"gamma": np.ones(n_features), "beta": np.zeros(n_features)}
         self.state = {
             "running_mean": np.zeros(n_features),
@@ -142,15 +144,11 @@ class BatchNorm(Layer):
                 raise BatchTooSmall("train-mode batchnorm needs >= 2 elements per feature")
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.state["running_mean"] = (
-                self.momentum * self.state["running_mean"] + (1 - self.momentum) * mean
-            )
-            self.state["running_var"] = (
-                self.momentum * self.state["running_var"] + (1 - self.momentum) * var
-            )
+            self.state["running_mean"] = BN_MOMENTUM * self.state["running_mean"] + (1 - BN_MOMENTUM) * mean
+            self.state["running_var"] = BN_MOMENTUM * self.state["running_var"] + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.state["running_mean"], self.state["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = x - mean
         xhat *= inv_std
         self._cache = (xhat, inv_std, axes) if train else None
@@ -399,16 +397,9 @@ def weighted_bce_with_logits(
     return float(loss), dlogits
 
 
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One in-place Adam update with bias correction.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> None:
+    """One in-place Adam update with bias correction, at ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``state`` carries "m", "v" (moment arrays) and "t" (step count);
     an empty dict is initialized on first use. The moments and the
@@ -423,17 +414,17 @@ def adam_step(
         state["t"] = 0
     state["t"] += 1
     m, v, t = state["m"], state["v"], state["t"]
-    m *= beta1
-    scratch = (1 - beta1) * grad
+    m *= ADAM_BETA1
+    scratch = (1 - ADAM_BETA1) * grad
     m += scratch  # beta1 m + (1 - beta1) g
-    v *= beta2
-    np.multiply(1 - beta2, grad, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(1 - ADAM_BETA2, grad, out=scratch)
     scratch *= grad
     v += scratch  # beta2 v + (1 - beta2) g g
-    denom = np.divide(v, 1 - beta2**t, out=scratch)
+    denom = np.divide(v, 1 - ADAM_BETA2**t, out=scratch)
     np.sqrt(denom, out=denom)
-    denom += eps  # sqrt(v_hat) + eps
-    step = m / (1 - beta1**t)
+    denom += ADAM_EPS  # sqrt(v_hat) + eps
+    step = m / (1 - ADAM_BETA1**t)
     step *= lr
     step /= denom  # lr m_hat / (sqrt(v_hat) + eps)
     param -= step
@@ -442,14 +433,14 @@ def adam_step(
 class Adam:
     """Adam over a model's named parameters, one state slot per tensor."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.states: dict[str, dict] = {}
 
     def step(self, named_params: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
         for name, param, grad in named_params:
             state = self.states.setdefault(name, {})
-            adam_step(param, grad, state, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(param, grad, state, self.lr)
 
 
 __all__ = [

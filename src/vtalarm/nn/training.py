@@ -125,10 +125,9 @@ def train(
     return history
 
 
-def write_history(path, history: list[dict], comment: str | None = None) -> None:
+def write_history(path, history: list[dict], comment: str) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_auc"])
         for row in history:

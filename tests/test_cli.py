@@ -268,6 +268,26 @@ def test_predict_emits_one_decision_per_row(pipeline):
         assert alert in ("true", "false")
 
 
+def test_predict_alerts_exactly_the_rows_whose_score_reaches_the_threshold(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+
+    def predict(out, *flags):
+        assert run("predict", str(model), str(work), "--config", str(cfg), "--out", str(out), *flags) == 0
+        rows = [line.split(",") for line in (out / "predictions.csv").read_text().splitlines()[2:]]
+        return rows, capsys.readouterr().out
+
+    rows, _ = predict(tmp_path / "first")
+    # the row of the median score becomes the threshold, which it must reach
+    k = sorted(range(len(rows)), key=lambda i: float(rows[i][1]))[len(rows) // 2]
+    threshold = float(rows[k][1])
+    rows, printed = predict(tmp_path / "second", "--threshold", repr(threshold))
+    assert rows[k][2] == "true"
+    assert all(alert == ("true" if float(score) >= threshold else "false") for _, score, alert in rows)
+    n_alerts = sum(alert == "true" for _, _, alert in rows)
+    assert 0 < n_alerts < len(rows)
+    assert f"scored {len(rows)} events, {n_alerts} alerts at threshold {threshold} " in printed
+
+
 def test_cnn_training_path(tmp_path):
     raw, work, model = tmp_path / "raw", tmp_path / "work", tmp_path / "model"
     assert run("synth", "--n-events", "12", "--separability", "4.0",
@@ -472,6 +492,16 @@ def test_ill_typed_settings_exit_before_any_data_is_read(tmp_path, capsys, monke
     argv = {"synth": [], "featurize": ["data"], "train": ["data"], "evaluate": ["model", "data"]}[command]
     assert run(command, *argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
+@pytest.mark.parametrize("argv", [["synth"], ["train", "data", "--arch", "fcnn"]], ids=["synth", "train-fcnn"])
+def test_a_misspelled_hyperparameter_of_either_architecture_exits_nonzero(tmp_path, capsys, monkeypatch, argv):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"model": {"cnn": {"n_filter": 8}}}))
+    monkeypatch.setattr(cli, "_require", lambda *args: pytest.fail("a data file was read"))
+    assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: InvalidHyperparams: unknown hyperparameter 'n_filter' for cnn"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_negative_seed_flag_exits_nonzero(tmp_path, capsys):
@@ -734,8 +764,9 @@ def test_ingest_of_a_signal_file_that_is_a_directory_exits_nonzero(pipeline, tmp
         "",
         "record_id,label,a,b\nr1,1,0.5,x\n",  # non-numeric value
         "record_id,label,a,b\nr1,1,0.5\n",  # a row shorter than the header
+        "record_id,label,a,b\nr1,1,0.5,0.5\nr2,2,0.5,0.5\n",  # a label other than 0 or 1
     ],
-    ids=["empty", "non-numeric", "short-row"],
+    ids=["empty", "non-numeric", "short-row", "label-2"],
 )
 def test_evaluate_with_a_malformed_feature_table_exits_nonzero(pipeline, tmp_path, capsys, text):
     root, raw, work, model, cfg = pipeline
@@ -743,12 +774,19 @@ def test_evaluate_with_a_malformed_feature_table_exits_nonzero(pipeline, tmp_pat
     data.mkdir()
     (data / "features.csv").write_text(text)
     assert run("evaluate", str(model), str(data), "--out", str(tmp_path / "eval")) == 1
-    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidConfig: {data / 'features.csv'} ")
 
 
 def _number_the_record_ids(path):
     meta = json.loads(path.read_text())
     path.write_text(json.dumps({**meta, "record_ids": list(range(len(meta["record_ids"])))}))
+
+
+def _label_the_first_window_2(path):
+    labels = np.load(path)
+    labels[0] = 2
+    np.save(path, labels)
 
 
 @pytest.mark.parametrize(
@@ -758,8 +796,11 @@ def _number_the_record_ids(path):
         ("meta.json", lambda p: p.write_text("{}")),
         ("meta.json", _number_the_record_ids),
         ("windows.npy", lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
+        ("labels.npy", lambda p: np.save(p, np.load(p).astype(np.float64))),
+        ("labels.npy", _label_the_first_window_2),
     ],
-    ids=["meta-not-json", "meta-without-fields", "meta-with-numeric-record-ids", "truncated-windows"],
+    ids=["meta-not-json", "meta-without-fields", "meta-with-numeric-record-ids", "truncated-windows",
+         "float-labels", "a-label-of-2"],
 )
 def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, capsys, name, damage):
     root, raw, work, model, cfg = pipeline
@@ -767,7 +808,7 @@ def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, 
     shutil.copytree(work, data)
     damage(data / name)
     assert run("featurize", str(data), "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+    assert capsys.readouterr().err.startswith(f"error: InvalidConfig: {data}")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from helpers import auc_pair_oracle
 
 from vtalarm.errors import ShapeMismatch, SingleClass, ValueOutOfRange
-from vtalarm.evaluate import classification_metrics, decide_alert, roc_auc
+from vtalarm.evaluate import alerts, classification_metrics, roc_auc
 
 
 def scored_sample(seed, n=50, with_ties=False):
@@ -139,20 +139,18 @@ def test_threshold_is_boundary_inclusive_in_metrics():
 # -------------------------------------------------------------- alert gating
 
 
-def test_decide_alert_boundary_and_sides():
-    assert decide_alert(0.9, 0.5).alert is True
-    assert decide_alert(0.1, 0.5).alert is False
-    assert decide_alert(0.5, 0.5).alert is True  # ties favor alerting
-    decision = decide_alert(0.75, 0.6)
-    assert (decision.score, decision.threshold) == (0.75, 0.6)
+def test_alerts_boundary_and_sides():
+    flags = alerts([0.9, 0.1, 0.5, 0.6], 0.5)
+    assert flags.dtype == bool
+    assert flags.tolist() == [True, False, True, True]  # a score at the threshold alerts
+    assert alerts([0.0, 1.0], 0.0).all() and alerts([1.0], 1.0).all()
 
 
-def test_decide_alert_range_checks():
-    with pytest.raises(ValueOutOfRange):
-        decide_alert(1.1, 0.5)
-    with pytest.raises(ValueOutOfRange):
-        decide_alert(-0.01, 0.5)
-    with pytest.raises(ValueOutOfRange):
-        decide_alert(0.5, 1.5)
-    with pytest.raises(ValueOutOfRange):
-        decide_alert(float("nan"), 0.5)
+def test_alerts_range_checks():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueOutOfRange, match="finite"):
+            alerts([0.2, bad], 0.5)
+    for threshold in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueOutOfRange, match="threshold"):
+            alerts([0.2, 0.7], threshold)
+    assert alerts([-3.0, 7.5], 0.5).tolist() == [False, True]  # any finite score is ranked

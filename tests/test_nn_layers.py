@@ -17,6 +17,7 @@ from helpers import (
 from vtalarm.errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
 from vtalarm.nn import layers as nn_layers
 from vtalarm.nn.layers import (
+    BN_EPS,
     Adam,
     BatchNorm,
     Conv1D,
@@ -228,7 +229,7 @@ def test_batchnorm_forward_is_bit_identical_to_the_textbook_formula(train):
         mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
     else:
         mean, var = layer.state["running_mean"], layer.state["running_var"]
-    want = layer.params["gamma"] * ((x - mean) * (1.0 / np.sqrt(var + layer.eps))) + layer.params["beta"]
+    want = layer.params["gamma"] * ((x - mean) * (1.0 / np.sqrt(var + BN_EPS))) + layer.params["beta"]
     assert layer.forward(x, train).tobytes() == want.tobytes()
 
 

@@ -15,7 +15,6 @@ from helpers import read_history
 import vtalarm
 
 from vtalarm.errors import (
-    ArchitectureMismatch,
     CorruptCheckpoint,
     DivergedLoss,
     InvalidHyperparams,
@@ -331,7 +330,7 @@ def test_checkpoint_round_trip_preserves_everything():
     x = np.random.default_rng(0).normal(size=(3, 96, 3))
     model.forward(x, train=True)  # populate batch-norm running stats
     blob = serialize_model(model)
-    clone = deserialize_model(blob, expected_architecture="cnn")
+    clone = deserialize_model(blob)
     assert clone.architecture == model.architecture
     assert clone.input_shape == model.input_shape
     assert clone.hyperparams == model.hyperparams
@@ -345,7 +344,7 @@ def test_checkpoint_file_round_trip(tmp_path):
     model = build_model("fcnn", (17,), seed=1, hyperparams={"hidden_sizes": [8]})
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path, expected_architecture="fcnn")
+    loaded = load_checkpoint(path)
     x = np.random.default_rng(1).normal(size=(4, 17))
     assert np.array_equal(loaded.predict(x), model.predict(x))
 
@@ -359,8 +358,6 @@ def test_checkpoint_rejects_corruption():
     bad_version = blob[:4] + (FORMAT_VERSION + 1).to_bytes(4, "little") + blob[8:]
     with pytest.raises(VersionMismatch):
         deserialize_model(bad_version)
-    with pytest.raises(ArchitectureMismatch):
-        deserialize_model(blob, expected_architecture="cnn")
     with pytest.raises(CorruptCheckpoint):
         deserialize_model(blob[:-16])
     with pytest.raises(CorruptCheckpoint):
