@@ -2,10 +2,13 @@
 
 Every layer caches what its backward pass needs in ``_cache`` during a
 training forward; an inference forward (``train=False``) clears it, so
-no activation outlives a predict call. Layers expose parameters and
-gradients as name->array dicts. Gradients follow the standard
-chain-rule derivations; each one is pinned by the central
-finite-difference suite in the tests.
+no activation outlives a predict call. An inference forward may also
+write its output into its input (``BatchNorm`` and ``ReLU`` do):
+``Model.predict`` only ever passes a layer the previous layer's fresh
+output, so a caller of ``forward(x, train=False)`` must not need ``x``
+afterwards. Layers expose parameters and gradients as name->array
+dicts. Gradients follow the standard chain-rule derivations; each one
+is pinned by the central finite-difference suite in the tests.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
 
 TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
+SHIFT_SLACK = 200.0  # most an attention row's softmax shift may exceed its max score
 BN_MOMENTUM, BN_EPS = 0.9, 1e-5  # BatchNorm's running-stat momentum and variance floor
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -68,17 +72,28 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0), with +0.0 for every non-positive input; an inference
+    forward writes it into ``x``."""
+
     def forward(self, x, train):
-        mask = x > 0
-        self._cache = mask if train else None
-        return np.where(mask, x, 0.0)
+        self._cache = x > 0 if train else None
+        out = np.maximum(x, 0.0, out=None if train else x)
+        out += 0.0  # a -0.0 input comes out +0.0 whichever operand maximum returns on the tie
+        return out
 
     def backward(self, dout):
         return dout * self._cache
 
 
 class Conv1D(Layer):
-    """Same-padded 1D cross-correlation over time, (B, T, C) -> (B, T, K)."""
+    """Same-padded 1D cross-correlation over time, (B, T, C) -> (B, T, K).
+
+    Forward is one product of the (B T, F C) column matrix, whose row
+    (b, t) holds the padded input's samples t .. t + F - 1, with the
+    weights viewed as (K, F C). A training forward keeps the columns, so
+    the weight gradient is one product too; the input gradient adds up
+    one product per filter tap.
+    """
 
     def __init__(self, in_channels: int, n_filters: int, filter_size: int, rng):
         super().__init__()
@@ -98,22 +113,23 @@ class Conv1D(Layer):
         pad = (self.f - 1) // 2
         x_pad = np.zeros((b, t + 2 * pad, self.c))
         x_pad[:, pad : pad + t, :] = x
-        self._cache = x_pad if train else None
-        out = np.tile(self.params["b"], (b, t, 1))
-        w = self.params["W"]
-        for f in range(self.f):
-            out += x_pad[:, f : f + t, :] @ w[:, f, :].T
-        return out
+        windows = sliding_window_view(x_pad, self.f, axis=1)  # (B, T, C, F): [.., s, c, f] = x_pad[.., s + f, c]
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(b * t, self.f * self.c)
+        del windows, x_pad  # the output is not allocated beside them
+        self._cache = cols if train else None
+        out = cols @ self.params["W"].reshape(self.k, -1).T
+        out += self.params["b"]
+        return out.reshape(b, t, self.k)
 
     def backward(self, dout):
-        x_pad, t, pad = self._cache, dout.shape[1], (self.f - 1) // 2
+        cols, (b, t, k) = self._cache, dout.shape
+        pad = (self.f - 1) // 2
         w = self.params["W"]
-        dx_pad = np.zeros_like(x_pad)
+        dx_pad = np.zeros((b, t + 2 * pad, self.c))
         for f in range(self.f):
             dx_pad[:, f : f + t, :] += dout @ w[:, f, :]
-        windows = sliding_window_view(x_pad, t, axis=1)  # (B, F, C, T): [.., f, c, s] = x_pad[.., f + s, c]
-        dw = np.tensordot(dout, windows, axes=([0, 1], [0, 3]))
-        self.grads = {"W": dw, "b": dout.sum(axis=(0, 1))}
+        flat = dout.reshape(b * t, k)
+        self.grads = {"W": (flat.T @ cols).reshape(w.shape), "b": dout.sum(axis=(0, 1))}
         return dx_pad[:, pad : pad + t, :]
 
 
@@ -122,7 +138,8 @@ class BatchNorm(Layer):
 
     Train mode uses batch statistics (population variance) and updates
     running stats with momentum ``BN_MOMENTUM``; inference uses the running
-    stats. Both add ``BN_EPS`` to the variance.
+    stats and writes its output into ``x``. Both add ``BN_EPS`` to the
+    variance.
     """
 
     def __init__(self, n_features: int):
@@ -143,35 +160,41 @@ class BatchNorm(Layer):
             if m < 2:
                 raise BatchTooSmall("train-mode batchnorm needs >= 2 elements per feature")
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean
+            # the variance from the centered array, as np.var computes it
+            out = np.square(xhat)
+            var = out.sum(axis=axes) / m
             self.state["running_mean"] = BN_MOMENTUM * self.state["running_mean"] + (1 - BN_MOMENTUM) * mean
             self.state["running_var"] = BN_MOMENTUM * self.state["running_var"] + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.state["running_mean"], self.state["running_var"]
+            # inference keeps no xhat, and its input is the previous layer's fresh output
+            out = xhat = np.subtract(x, mean, out=x)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = x - mean
         xhat *= inv_std
         self._cache = (xhat, inv_std, axes) if train else None
-        # inference keeps no xhat, so the output reuses its array
-        out = xhat * self.params["gamma"] if train else np.multiply(xhat, self.params["gamma"], out=xhat)
+        np.multiply(xhat, self.params["gamma"], out=out)
         out += self.params["beta"]
         return out
 
     def backward(self, dout):
         xhat, inv_std, axes = self._cache
-        self.grads = {
-            "gamma": (dout * xhat).sum(axis=axes),
-            "beta": dout.sum(axis=axes),
-        }
-        mean_dout = dout.mean(axis=axes)
-        mean_dout_xhat = (dout * xhat).mean(axis=axes)
-        return (self.params["gamma"] * inv_std) * (dout - mean_dout - xhat * mean_dout_xhat)
+        m = dout.size // dout.shape[-1]
+        scratch = dout * xhat
+        self.grads = {"gamma": scratch.sum(axis=axes), "beta": dout.sum(axis=axes)}
+        mean_dout, mean_dout_xhat = self.grads["beta"] / m, self.grads["gamma"] / m
+        dx = dout - mean_dout
+        dx -= np.multiply(xhat, mean_dout_xhat, out=scratch)
+        dx *= self.params["gamma"] * inv_std
+        return dx
 
 
 class MaxPool1D(Layer):
     """Non-overlapping windows of 2 over time; an odd tail sample is dropped.
 
-    Backward routes the gradient to the larger sample; ties go to the earlier one.
+    Backward routes the gradient to the larger sample; ties go to the earlier
+    one, and so does the output's sign on a tie of 0.0 and -0.0. A -0.0
+    gradient reaches a later winner as +0.0.
     """
 
     def forward(self, x, train):
@@ -179,16 +202,16 @@ class MaxPool1D(Layer):
             raise ShapeMismatch(f"MaxPool1D expects (B, T>=2, K), got {x.shape}")
         t2 = x.shape[1] // 2
         first, second = x[:, 0 : 2 * t2 : 2], x[:, 1 : 2 * t2 : 2]
-        later = second > first
-        self._cache = (later, x.shape[1]) if train else None
-        return np.where(later, second, first)
+        self._cache = (second > first, x.shape[1]) if train else None
+        return np.maximum(second, first)  # maximum returns its second operand on a tie
 
     def backward(self, dout):
         later, t = self._cache
         b, t2, k = dout.shape
         dx = np.zeros((b, t, k))
-        dx[:, 0 : 2 * t2 : 2] = np.where(later, 0.0, dout)
-        dx[:, 1 : 2 * t2 : 2] = np.where(later, dout, 0.0)
+        to_later = np.multiply(dout, later, out=dx[:, 1 : 2 * t2 : 2])
+        to_later += 0.0  # -0.0 where the earlier sample won becomes +0.0
+        np.subtract(dout, to_later, out=dx[:, 0 : 2 * t2 : 2])
         return dx
 
 
@@ -201,12 +224,19 @@ class MultiHeadAttention(Layer):
     slice is worked through in blocks of query rows whose (rows, T)
     float64 tile fits ``TILE_BYTES``. A tile holds whole key rows, so its
     softmax is exact and needs no online rescaling. Every head works on
-    its projections with one extra column: [q / sqrt(d_k), 0], [k, 1] and
-    [v, 1]. A tile's first product is its plain scores; minus their row
-    max goes into the queries' last column, so the second product is the
-    shifted scores, exponentiated in place to E. The product E [v, 1]
-    carries the unnormalized head and the row sum l, and the head is
-    divided by l on (rows, d_k) only, after the product (Dao 2023).
+    its projections with one extra column: [q / sqrt(d_k), -shift],
+    [k, 1] and [v, 1], so a tile's one product is the shifted scores,
+    exponentiated in place to E. The product E [v, 1] carries the
+    unnormalized head and the row sum l, and the head is divided by l on
+    (rows, d_k) only, after the product (Dao 2023).
+
+    Softmax is the same under any shift of a row, so the shift need not
+    be the row max, only at least it (no exp overflows) and not far above
+    it (the max's own term, and with it l, stays a normal float). Query
+    row i's shift is the bound sum_c max(q_ic max_j k_jc, q_ic min_j k_jc),
+    O(T d_k) per head, which no score of the row exceeds. Where the bound
+    is more than ``SHIFT_SLACK`` above the diagonal score q_i . k_i, itself
+    at most the row max, the row takes its exact max from score tiles.
 
     An inference forward projects one batch row at a time into one
     row-sized buffer, so it holds little beyond its input and output. A
@@ -223,6 +253,7 @@ class MultiHeadAttention(Layer):
             raise InvalidHyperparams(f"model_dim {model_dim} not divisible by {n_heads} heads")
         self.model_dim, self.n_heads = model_dim, n_heads
         self.d_k = model_dim // n_heads
+        self._heads = np.repeat(np.eye(n_heads), self.d_k, axis=0)  # (model_dim, H): column c is in head c // d_k
         std = np.sqrt(2.0 / model_dim)
         self.params = {
             name: rng.normal(0.0, std, size=(model_dim, model_dim))
@@ -234,41 +265,52 @@ class MultiHeadAttention(Layer):
         t = x.shape[-2]
         return x.reshape(x.shape[:-2] + (t, self.n_heads, self.d_k)).swapaxes(-3, -2)
 
-    def _augmented(self, x, out):
-        """Write one row's per-head [q / sqrt(d_k), 0], [k, 1] and [v, 1] into
-        ``out``, (3, H, T, d_k + 1), from ``x``, (T, model_dim)."""
+    def _augmented(self, x, out, scratch):
+        """Write one row's per-head [q / sqrt(d_k), -shift], [k, 1] and [v, 1]
+        into ``out``, (3, H, T, d_k + 1), from ``x``, (T, model_dim)."""
         d = self.d_k
-        for part, name in zip(out, ("Wq", "Wk", "Wv")):
-            part[..., :d] = self._split(x @ self.params[name])
-        out[0, ..., :d] /= np.sqrt(d)
-        out[0, ..., d] = 0.0
+        queries = x @ self.params["Wq"]
+        queries /= np.sqrt(d)
+        keys = x @ self.params["Wk"]
+        out[0, ..., :d] = self._split(queries)
+        out[1, ..., :d] = self._split(keys)
+        out[2, ..., :d] = self._split(x @ self.params["Wv"])
         out[1:, ..., d] = 1.0
+        # per column c, max(q_c max_j k_jc, q_c min_j k_jc) = |q_c| half_range_c + q_c mid_c;
+        # summed over a head's columns, it bounds each score of the row from above
+        top, bottom = keys.max(axis=0), keys.min(axis=0)
+        buf = np.abs(queries)
+        shift = buf @ (self._heads * ((top - bottom) / 2)[:, None])
+        shift += queries @ (self._heads * ((top + bottom) / 2)[:, None])  # (T, H)
+        np.multiply(queries, keys, out=buf)  # summed per head, the diagonal scores q_i . k_i: at most the row max
+        loose = shift - buf @ self._heads > SHIFT_SLACK
+        q, k = out[0, ..., :d], out[1, ..., :d]
+        step = len(scratch)
+        for hi in np.flatnonzero(loose.any(axis=0)):
+            rows = np.flatnonzero(loose[:, hi])
+            for r0 in range(0, len(rows), step):
+                some = rows[r0 : r0 + step]
+                shift[some, hi] = np.matmul(q[hi, some], k[hi].T, out=scratch[: len(some)]).max(axis=1)
+        out[0, ..., d] = -shift.T
         return out
 
     @staticmethod
     def _tile_rows(t: int) -> int:
         return max(1, min(t, TILE_BYTES // (8 * t)))
 
-    def _tiles(self, q, k, scratch, shift):
+    def _tiles(self, q, k, scratch):
         """Yield (head, query rows, E) for every tile of one batch row,
-        E = exp(q k^T) in ``scratch``, which the next tile overwrites.
-
-        With ``shift``, each query row first writes minus its max score
-        into its last column, which meets k's column of ones, so E is
-        exp(scores - max). Without it, the column that an earlier shifted
-        pass wrote is used as is, and E is that pass's bit for bit.
-        """
+        E = exp(q k^T) in ``scratch``, which the next tile overwrites. The
+        queries' last column, minus the shift, meets k's column of ones, so
+        E is exp(scores - shift), and the same q gives the same E bit for bit."""
         h, t, _ = q.shape
         step = len(scratch)
         for hi in range(h):
             keys = k[hi].T
             for r0 in range(0, t, step):
                 rows = slice(r0, min(r0 + step, t))
-                queries, tile = q[hi, rows], scratch[: rows.stop - r0]
-                if shift:
-                    np.matmul(queries, keys, out=tile)  # the last column is 0 here
-                    np.negative(tile.max(axis=1), out=queries[:, -1])
-                np.matmul(queries, keys, out=tile)
+                tile = scratch[: rows.stop - r0]
+                np.matmul(q[hi, rows], keys, out=tile)
                 np.exp(tile, out=tile)
                 yield hi, rows, tile
 
@@ -287,8 +329,8 @@ class MultiHeadAttention(Layer):
         ev = np.empty((len(scratch), d + 1))
         for bi in range(b):
             slot = bi if train else 0
-            q, k, v = self._augmented(x[bi], qkv[:, slot])
-            for hi, rows, e in self._tiles(q, k, scratch, shift=True):
+            q, k, v = self._augmented(x[bi], qkv[:, slot], scratch)
+            for hi, rows, e in self._tiles(q, k, scratch):
                 part = ev[: len(e)]
                 np.matmul(e, v[hi], out=part)  # [E v, l]
                 np.divide(part[:, :d], part[:, d:], out=heads[slot, rows, hi])
@@ -315,7 +357,7 @@ class MultiHeadAttention(Layer):
         scratch = np.empty((self._tile_rows(t), t))
         d_scores = np.empty_like(scratch)
         for bi in range(b):
-            for hi, rows, e in self._tiles(q[bi], k[bi], scratch, shift=False):
+            for hi, rows, e in self._tiles(q[bi], k[bi], scratch):
                 dh = d_heads[bi, hi, rows]
                 tile = d_scores[: len(e)]
                 np.matmul(dh, v[bi, hi].T, out=tile)  # (dP - dO . O) / l

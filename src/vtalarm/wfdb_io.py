@@ -220,18 +220,20 @@ def _decode_fmt212(data: bytes, total: int) -> np.ndarray:
     expected = n_pairs * 3 + (2 if odd else 0)
     if len(data) != expected:
         raise TruncatedData(f"format 212 expects {expected} bytes, got {len(data)}")
-    raw = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-    body = raw[: n_pairs * 3]
-    # First sample: low byte + low nibble of middle byte as high bits.
-    # Second sample: third byte + high nibble of middle byte.
-    s1 = body[0::3] + 256 * (body[1::3] & 0x0F)
-    s2 = body[2::3] + 256 * ((body[1::3] >> 4) & 0x0F)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    body = raw[: n_pairs * 3].reshape(n_pairs, 3)
     adc = np.empty(total, dtype=np.int32)
-    adc[0 : 2 * n_pairs : 2] = s1
-    adc[1 : 2 * n_pairs : 2] = s2
+    pairs = adc[: 2 * n_pairs].reshape(n_pairs, 2)
+    # A pair's samples take the middle byte's low and high nibble as bits
+    # 8-11, and the first and third byte as bits 0-7.
+    np.bitwise_and(body[:, 1], 0x0F, out=pairs[:, 0])
+    np.right_shift(body[:, 1], 4, out=pairs[:, 1])
+    pairs <<= 8
+    pairs |= body[:, ::2]
     if odd:
-        adc[-1] = raw[n_pairs * 3] + 256 * (raw[n_pairs * 3 + 1] & 0x0F)
-    adc[adc > 2047] -= 4096  # 12-bit two's complement
+        adc[-1] = int(raw[-2]) | (int(raw[-1]) & 0x0F) << 8
+    adc <<= 20  # 12-bit two's complement: bit 11 becomes the sign bit
+    adc >>= 20
     return adc
 
 

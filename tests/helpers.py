@@ -171,10 +171,13 @@ def dense_attention_oracle(layer, x: np.ndarray, dout: np.ndarray):
     return out, dx, grads
 
 
-def conv1d_weight_grad_oracle(layer, dout: np.ndarray) -> np.ndarray:
-    """A Conv1D layer's weight gradient one filter tap at a time, from the
-    padded input its last training forward cached."""
-    x_pad, t = layer._cache, dout.shape[1]
+def conv1d_weight_grad_oracle(layer, x: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """A Conv1D layer's weight gradient for input ``x``, one filter tap at a
+    time over the zero-padded input."""
+    b, t, c = x.shape
+    pad = (layer.f - 1) // 2
+    x_pad = np.zeros((b, t + 2 * pad, c))
+    x_pad[:, pad : pad + t, :] = x
     dw = np.empty_like(layer.params["W"])
     for f in range(layer.f):
         dw[:, f, :] = np.einsum("btk,btc->kc", dout, x_pad[:, f : f + t, :])

@@ -67,11 +67,12 @@ def test_conv1d_weight_grad_matches_per_tap_oracle(b, t, c, k, f):
     """The last case is the cnn-train benchmark's shape: batch 4, 600x3, 32 filters of 7."""
     rng = np.random.default_rng(140 + f + t)
     layer = Conv1D(c, k, f, rng)
-    out = layer.forward(rng.normal(size=(b, t, c)), train=True)
+    x = rng.normal(size=(b, t, c))
+    out = layer.forward(x, train=True)
     dout = rng.normal(size=out.shape)
     layer.backward(dout)
     assert layer.grads["W"].shape == (k, f, c)
-    assert max_rel_error(conv1d_weight_grad_oracle(layer, dout), layer.grads["W"]) <= 1e-12
+    assert max_rel_error(conv1d_weight_grad_oracle(layer, x, dout), layer.grads["W"]) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -188,6 +189,23 @@ def test_relu_zeroes_negatives_only():
     assert ReLU().forward(x, train=True).tolist() == [[0.0, 0.0, 2.5]]
 
 
+@pytest.mark.parametrize("n", [3, 64, 67])  # numpy's scalar loop, then its SIMD loop with and without a tail
+def test_relu_gives_the_where_forms_bytes_on_signed_zeros(n):
+    rng = np.random.default_rng(160 + n)
+    x = rng.normal(size=(2, n))
+    x[:, ::3] = 0.0
+    x[:, 1::3] = -0.0
+    dout = rng.normal(size=x.shape)
+    want = np.where(x > 0, x, 0.0)
+    layer = ReLU()
+    assert layer.forward(x, train=True).tobytes() == want.tobytes()
+    assert layer.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
+    inference_input = x.copy()
+    got = layer.forward(inference_input, train=False)
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, inference_input)  # inference writes into its input
+
+
 # ----------------------------------------------------------------- batch norm
 
 
@@ -231,6 +249,16 @@ def test_batchnorm_forward_is_bit_identical_to_the_textbook_formula(train):
         mean, var = layer.state["running_mean"], layer.state["running_var"]
     want = layer.params["gamma"] * ((x - mean) * (1.0 / np.sqrt(var + BN_EPS))) + layer.params["beta"]
     assert layer.forward(x, train).tobytes() == want.tobytes()
+
+
+def test_batchnorm_inference_writes_into_its_input():
+    # in a predict batch the input is the convolution's fresh output; a second array would set the peak
+    x = np.random.default_rng(108).normal(size=(3, 20, 4))
+    layer = BatchNorm(4)
+    want = layer.forward(x.copy(), train=False)
+    got = layer.forward(x, train=False)
+    assert np.shares_memory(got, x)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batchnorm_inference_peak_stays_near_the_input_size():
@@ -292,6 +320,23 @@ def test_maxpool_matches_argmax_form_bit_for_bit(t):
     assert layer.backward(dout).tobytes() == want_dx.tobytes()
 
 
+@pytest.mark.parametrize("b, t, k", [(1, 6, 1), (2, 7, 3), (2, 128, 1), (1, 131, 64)])
+def test_maxpool_gives_the_argmax_forms_bytes_on_signed_zero_ties(b, t, k):
+    """3 windows a row hit numpy's scalar loop, 64 and more its SIMD loop."""
+    rng = np.random.default_rng(170 + t)
+    x = rng.normal(size=(b, t, k))
+    x[:, 0:-1:4], x[:, 1::4] = 0.0, -0.0  # ties of 0.0 then -0.0
+    x[:, 2:-1:4], x[:, 3::4] = -0.0, 0.0  # and of -0.0 then 0.0
+    dout = rng.normal(size=(b, t // 2, k))
+    dout[:, ::5] = 0.0
+    layer = MaxPool1D()
+    out = layer.forward(x, train=True)
+    want_out, want_dx = maxpool_argmax_oracle(x, dout)
+    assert out.tobytes() == want_out.tobytes()
+    assert layer.backward(dout).tobytes() == want_dx.tobytes()
+    assert layer.forward(x, train=False).tobytes() == want_out.tobytes()
+
+
 # ------------------------------------------------------------------ attention
 
 
@@ -346,38 +391,92 @@ def test_attention_matches_dense_oracle_in_tiles_smaller_than_t(tile_rows, monke
         assert max_rel_error(grad, layer.grads[name]) <= 1e-12, name
 
 
+def shifts_and_row_maxes(layer):
+    """Each query row's softmax shift, as the last training forward wrote
+    it, and the row's max score, (B, H, T) each."""
+    _, q, k, _, _, _ = layer._cache
+    d = layer.d_k
+    scores = q[..., :d] @ k[..., :d].swapaxes(-1, -2)
+    return -q[..., d], scores.max(axis=-1)
+
+
+def assert_shifts_bound_the_row_maxes(layer):
+    shift, row_max = shifts_and_row_maxes(layer)
+    # the bound and the max are sums of d_k products rounded in different orders
+    assert np.all(shift >= row_max - 1e-12 * np.maximum(1.0, np.abs(row_max)))
+    assert np.all(shift - row_max <= nn_layers.SHIFT_SLACK)
+
+
 @pytest.mark.parametrize("tile_rows", [64, 5, 63])
 def test_attention_backward_rebuilds_the_forward_probabilities_bit_for_bit(tile_rows, monkeypatch):
     b, t, heads = 2, 64, 4  # one tile, then ragged last tiles
     layer, x, dout = attention_case(114 + tile_rows, b, t, model_dim=12, heads=heads)
     monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
-    tiles = {True: [], False: []}  # copies of the forward's and backward's exp tiles, batch row by row
+    tiles = []  # copies of the exp tiles, batch row by row: the forward's, then the backward's
     make_tiles = layer._tiles
 
-    def recorded(q, k, scratch, shift):
-        for hi, rows, e in make_tiles(q, k, scratch, shift):
-            tiles[shift].append((hi, rows.start, e.copy()))
+    def recorded(q, k, scratch):
+        for hi, rows, e in make_tiles(q, k, scratch):
+            tiles.append((hi, rows.start, e.copy()))
             yield hi, rows, e
 
     monkeypatch.setattr(layer, "_tiles", recorded)
     layer.forward(x, train=True)
-    _, q, k, _, _, _ = layer._cache
-    d = layer.d_k
-    scores = q[..., :d] @ k[..., :d].swapaxes(-1, -2)
-    assert np.allclose(-q[..., d], scores.max(axis=-1), rtol=1e-14, atol=0)
+    assert_shifts_bound_the_row_maxes(layer)
     layer.backward(dout)
-    assert len(tiles[True]) == len(tiles[False]) == b * heads * -(-t // tile_rows)
-    for (*at, forward), (*again, backward) in zip(tiles[True], tiles[False]):
+    n = b * heads * -(-t // tile_rows)
+    assert len(tiles) == 2 * n
+    for (*at, forward), (*again, backward) in zip(tiles[:n], tiles[n:]):
         assert at == again
         assert np.array_equal(forward, backward)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])
+def test_attention_shift_is_at_least_the_row_max_and_at_most_the_slack_above_it(scale):
+    layer, x, _ = attention_case(117, 3, 64)
+    layer.forward(scale * x, train=True)
+    assert_shifts_bound_the_row_maxes(layer)
+
+
+def test_attention_rows_over_the_slack_take_their_exact_max():
+    layer, x, _ = attention_case(118, 2, 64)
+    x *= 10.0
+    layer.forward(x, train=True)
+    shift, row_max = shifts_and_row_maxes(layer)
+    exact = np.isclose(shift, row_max, rtol=1e-14, atol=0)
+    assert 0 < exact.sum() < exact.size  # some rows fell back, some kept their bound
+    assert_shifts_bound_the_row_maxes(layer)
+
+
+@pytest.mark.parametrize("scale, tile_rows", [(1.0, 64), (10.0, 64), (10.0, 5)])
+def test_attention_on_the_exact_max_fallback_matches_the_dense_oracle(scale, tile_rows, monkeypatch):
+    b, t = 2, 64  # 5 rows leave a ragged last tile
+    layer, x, dout = attention_case(119, b, t)
+    x *= scale
+    monkeypatch.setattr(nn_layers, "SHIFT_SLACK", -1.0)  # every row's bound is more than -1 above its diagonal score
+    monkeypatch.setattr(nn_layers, "TILE_BYTES", 8 * t * tile_rows)
+    out, dx, grads = dense_attention_oracle(layer, x, dout)
+    got = layer.forward(x, train=True)
+    shift, row_max = shifts_and_row_maxes(layer)
+    assert np.allclose(shift, row_max, rtol=1e-14, atol=0)
+    got_dx = layer.backward(dout)
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(got_dx))
+    assert max_rel_error(out, got) <= 1e-12
+    assert max_rel_error(dx, got_dx) <= 1e-12
+    for name, grad in grads.items():
+        assert max_rel_error(grad, layer.grads[name]) <= 1e-12, name
 
 
 def test_attention_inference_forward_keeps_no_cache():
     layer, x, _ = attention_case(113, 2, 9)
     layer.forward(x, train=True)
-    row_sums = layer._cache[-1]
-    assert row_sums.shape == (2, 2, 9)  # each query row's sum of exp(score - max)
-    assert np.all(row_sums >= 1.0 - 1e-12)  # the max's own term is exp(0), up to rounding
+    _, q, k, _, _, row_sums = layer._cache
+    assert row_sums.shape == (2, 2, 9)  # each query row's sum of exp(score - shift)
+    d = layer.d_k
+    scores = q[..., :d] @ k[..., :d].swapaxes(-1, -2)
+    assert max_rel_error(np.exp(scores + q[..., d:]).sum(axis=-1), row_sums) <= 1e-12  # q's last column is -shift
+    # the max's own term, exp(max - shift), keeps every sum a normal float
+    assert np.all(row_sums >= np.exp(-nn_layers.SHIFT_SLACK))
     layer.forward(x, train=False)
     assert layer._cache is None  # the row sums went with it
 
@@ -385,6 +484,19 @@ def test_attention_inference_forward_keeps_no_cache():
 def test_attention_rejects_indivisible_heads():
     with pytest.raises(InvalidHyperparams):
         MultiHeadAttention(10, 4, np.random.default_rng(0))
+
+
+def test_conv1d_inference_peak_stays_near_its_output():
+    # a default-budget predict batch at cnn-train's input: 27 rows of 600 x 3, 32 filters
+    x = np.random.default_rng(106).normal(size=(27, 600, 3))
+    layer = Conv1D(3, 32, 7, np.random.default_rng(107))
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * out.nbytes
 
 
 def test_conv1d_rejects_an_even_filter_size():

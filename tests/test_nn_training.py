@@ -289,6 +289,17 @@ def test_predict_of_no_rows_gives_no_scores_and_still_checks_the_shape(arch, sha
 
 
 @pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
+def test_predict_leaves_the_callers_array_untouched(arch, shape):
+    # BatchNorm's and ReLU's inference forwards write into their input, which must never be the caller's
+    model = build_model(arch, shape, seed=7)
+    x = np.random.default_rng(8).normal(size=(5,) + shape)
+    before = x.copy()
+    model.predict(x)
+    model.forward(x, train=False)
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
 def test_predict_leaves_no_activation_on_any_layer(arch, shape):
     model = build_model(arch, shape, seed=2)
     model.set_dropout_rng(np.random.default_rng(3))

@@ -18,6 +18,8 @@ from vtalarm.wfdb_io import (
     RecordHeader,
     SignalSpec,
     WaveformRecord,
+    _decode_fmt212,
+    _encode_fmt212,
     extract_alarm_window,
     load_record,
     parse_header,
@@ -136,6 +138,12 @@ def test_fmt212_twos_complement_wraparound():
     record = read_signal(header, bytes([0xFF, 0x0F, 0x00]))
     adc = np.rint(record.samples[:, 0] * 200).astype(int)
     assert list(adc) == [-1, 0]
+
+
+def test_fmt212_decodes_every_12_bit_code():
+    codes = np.arange(-2048, 2048, dtype=np.int32)  # -2048 is the missing-sample sentinel
+    for adc in (codes, codes[:-1]):  # an even and an odd sample count
+        assert _decode_fmt212(_encode_fmt212(adc), adc.size).tobytes() == adc.tobytes()
 
 
 def test_fmt212_odd_sample_count_padding():
