@@ -52,6 +52,6 @@ print("per-scale energies:", per_scale.shape)
 
 # featurize gets the same total without the scalogram. Column 7 of a
 # one-channel feature row is that channel's wavelet energy.
-plan = FeaturePlan.build(fs, t.size, spectral_params_for(fs), config)
+plan = FeaturePlan.build(t.size, spectral_params_for(fs), config)
 direct = feature_matrix(x[None, :, None], plan)[0, 7]
 print("energy without the scalogram:", round(float(direct), 6), "vs", round(energy1, 6))

@@ -46,7 +46,7 @@ DEFAULT_CONFIG = {
     "synth": {"n_events": 100, "class_ratio": 0.3, "fs": 50.0, "separability": 2.0},
     "spectral": {"segment_seconds": 4.0, "overlap": 0.5},
     "wavelet": {"f_min": 0.5, "f_max": 40.0, "n_scales": 24, "omega0": 6.0},
-    "features": {"coherence_mode": "per_pair", "analysis_span": None},
+    "features": {"analysis_span": None},
     "split": {"ratios": [0.8, 0.1, 0.1], "file": None},
     "resample": {"method": "none", "ratio": 1.0, "k_neighbors": 5},
     "train": {
@@ -295,10 +295,9 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
     fs = meta["fs"]
     spectral = spectral_params_for(fs, seconds=config["spectral"]["segment_seconds"], overlap=config["spectral"]["overlap"])
     wavelet = morlet_scales(fs, **config["wavelet"])
-    features = config["features"]
-    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, features["coherence_mode"], features["analysis_span"])
+    plan = FeaturePlan.build(windows.shape[1], spectral, wavelet, config["features"]["analysis_span"])
     matrix = feature_matrix(windows, plan)
-    names = feature_names(windows.shape[2], coherence_mode=plan.coherence_mode)
+    names = feature_names(windows.shape[2])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_features_csv(out_dir / "features.csv", meta["record_ids"], labels, matrix, names, _stamp(config))
     print(f"featurize: {len(matrix)} x {len(names)} feature matrix -> {out_dir / 'features.csv'} [{_stamp(config)}]")

@@ -27,9 +27,6 @@ import numpy as np
 from .errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
 from .wfdb_io import AlarmWindow
 
-COHERENCE_MODES = ("per_pair", "global_mean")
-
-
 @dataclass
 class SpectralParams:
     """Welch configuration.
@@ -415,7 +412,6 @@ class FeaturePlan:
     span: slice
     spectral: SpectralParams
     wavelet: WaveletConfig
-    coherence_mode: str
     taper: np.ndarray
     segment_index: np.ndarray
     frequencies: np.ndarray
@@ -426,22 +422,18 @@ class FeaturePlan:
     @classmethod
     def build(
         cls,
-        fs: float,
         n_samples: int,
         spectral: SpectralParams,
         wavelet: WaveletConfig,
-        coherence_mode: str = "per_pair",
         analysis_span: tuple[float, float] | None = None,
     ) -> FeaturePlan:
-        """Validate the configuration against windows of ``n_samples`` at ``fs``.
+        """Validate the configuration against windows of ``n_samples`` at
+        ``spectral.fs``.
 
         ``analysis_span`` optionally restricts extraction to a sub-window
         given in seconds relative to the window start.
         """
-        if coherence_mode not in COHERENCE_MODES:
-            raise InvalidConfig(f"unknown coherence_mode {coherence_mode!r}")
-        if spectral.fs != fs:
-            raise InvalidConfig(f"the windows sample at {fs} Hz, the spectral settings at {spectral.fs} Hz")
+        fs = spectral.fs
         lo, hi = 0, n_samples
         if analysis_span is not None:
             lo = int(round(analysis_span[0] * fs))
@@ -473,7 +465,6 @@ class FeaturePlan:
             span=slice(lo, hi),
             spectral=spectral,
             wavelet=wavelet,
-            coherence_mode=coherence_mode,
             taper=_taper(spectral),
             segment_index=segment_index,
             frequencies=np.fft.rfftfreq(spectral.segment_length, d=1.0 / spectral.fs),
@@ -561,8 +552,6 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
         _mean_coherence(power[i], power[j], _mean_cross(spectra[i], spectra[j], ws.cross))
         for i, j in combinations(range(len(x)), 2)
     ]
-    if plan.coherence_mode == "global_mean":
-        coh = [np.mean(coh) if coh else 0.0]
     return np.concatenate([per_channel.ravel(), np.asarray(coh, dtype=np.float64)])
 
 
@@ -581,7 +570,7 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
         raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
     if n_channels > 1 and plan.segment_index.shape[0] < 2:
         raise TooShort("coherence needs at least 2 segments")
-    out = np.empty((n_windows, len(feature_names(n_channels, plan.coherence_mode))))
+    out = np.empty((n_windows, len(feature_names(n_channels))))
     ws = _Workspace.allocate(plan, n_channels)
     with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
         for i in range(n_windows):
@@ -595,7 +584,7 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
 _STAT_NAMES = ("mean", "std", "skewness", "kurtosis_excess", "rms")
 
 
-def feature_names(n_channels: int, coherence_mode: str = "per_pair") -> list[str]:
+def feature_names(n_channels: int) -> list[str]:
     """Deterministic feature naming for a given channel count."""
     names = []
     for c in range(n_channels):
@@ -603,10 +592,7 @@ def feature_names(n_channels: int, coherence_mode: str = "per_pair") -> list[str
         names.append(f"ch{c}_dominant_freq_hz")
         names.append(f"ch{c}_spectral_entropy")
         names.append(f"ch{c}_wavelet_energy")
-    if coherence_mode == "per_pair":
-        names.extend(f"coherence_ch{i}_ch{j}" for i, j in combinations(range(n_channels), 2))
-    else:
-        names.append("coherence_mean")
+    names.extend(f"coherence_ch{i}_ch{j}" for i, j in combinations(range(n_channels), 2))
     return names
 
 
@@ -614,7 +600,6 @@ def build_feature_vector(
     window: AlarmWindow,
     spectral: SpectralParams,
     wavelet: WaveletConfig,
-    coherence_mode: str = "per_pair",
     analysis_span: tuple[float, float] | None = None,
 ) -> FeatureVector:
     """Features of one window: :func:`feature_matrix` on a stack of one.
@@ -625,10 +610,12 @@ def build_feature_vector(
     """
     if window.missing_mask.any():
         raise ValueOutOfRange("window has missing samples; run impute_mean first")
+    if spectral.fs != window.fs:
+        raise InvalidConfig(f"the window samples at {window.fs} Hz, the spectral settings at {spectral.fs} Hz")
     samples = np.asarray(window.samples, dtype=np.float64)
-    plan = FeaturePlan.build(window.fs, samples.shape[0], spectral, wavelet, coherence_mode, analysis_span)
+    plan = FeaturePlan.build(samples.shape[0], spectral, wavelet, analysis_span)
     values = feature_matrix(samples[None], plan)[0]
-    return FeatureVector(values=values, names=feature_names(samples.shape[1], coherence_mode))
+    return FeatureVector(values=values, names=feature_names(samples.shape[1]))
 
 
 __all__ = [

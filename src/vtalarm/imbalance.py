@@ -32,8 +32,9 @@ class ResampleConfig:
             raise InvalidConfig(f"unknown resample method {self.method!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidConfig("ratio must be in (0, 1]")
-        if self.k_neighbors < 1:
-            raise InvalidConfig("k_neighbors must be at least 1")
+        k = self.k_neighbors
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidConfig(f"k_neighbors must be a positive integer, got {k!r}")
 
 
 @dataclass

@@ -43,8 +43,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_events < 1:
-            raise InvalidConfig(f"n_events must be positive, got {self.n_events}")
+        n = self.n_events
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidConfig(f"n_events must be a positive integer, got {n!r}")
         if not 0.0 < self.class_ratio < 1.0:
             raise InvalidConfig(f"class_ratio must be in (0, 1), got {self.class_ratio}")
         if not 50 <= self.fs <= 1000:  # VTaC records are 250 Hz; also refuses NaN

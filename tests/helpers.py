@@ -75,7 +75,6 @@ def feature_vector_oracle(
     fs: float,
     spectral: SpectralParams,
     wavelet: WaveletConfig,
-    coherence_mode: str = "per_pair",
     analysis_span: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """One window's features the long way round: per channel a Welch pass
@@ -92,11 +91,7 @@ def feature_vector_oracle(
         values.append(dominant_frequency(psd))
         values.append(spectral_entropy(psd))
         values.append(wavelet_energy(cwt_morlet(x, wavelet))[0])
-    pairs = [coherence(samples[:, i], samples[:, j], spectral) for i, j in combinations(range(samples.shape[1]), 2)]
-    if coherence_mode == "per_pair":
-        values.extend(pairs)
-    else:
-        values.append(float(np.mean(pairs)) if pairs else 0.0)
+    values.extend(coherence(samples[:, i], samples[:, j], spectral) for i, j in combinations(range(samples.shape[1]), 2))
     return np.asarray(values)
 
 

@@ -1,6 +1,8 @@
 """Config resolution, the argument parser and the command-line pipeline end to end."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 import re
 import shutil
@@ -12,9 +14,14 @@ import pytest
 from vtalarm import cli, wfdb_io
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import InvalidConfig
+from vtalarm.evaluate import classification_metrics
+from vtalarm.features import morlet_scales, spectral_params_for
+from vtalarm.imbalance import ResampleConfig
 from vtalarm.nn.checkpoint import load_checkpoint, save_checkpoint
 from vtalarm.nn.model import Model, hyperparams_for
-from vtalarm.preprocess import ScalerParams, fit_scaler
+from vtalarm.nn.training import TrainConfig
+from vtalarm.preprocess import ScalerParams, fit_scaler, split_dataset
+from vtalarm.synth import SynthConfig
 
 
 def run(*argv):
@@ -113,6 +120,38 @@ def test_every_config_flag_overrides_the_config_key_it_names():
                 for part in action.dest.split("."):
                     default = default[part]
                 assert resolve_config(None, {action.dest: default}) == resolve_config(None), action.dest
+
+
+def _defaults(function) -> dict:
+    return {name: p.default for name, p in inspect.signature(function).parameters.items() if p.default is not p.empty}
+
+
+def test_every_default_config_value_is_the_library_default_it_mirrors():
+    """A setting's default lives in the library and again in DEFAULT_CONFIG;
+    the two must not drift apart."""
+    c = DEFAULT_CONFIG
+    mirrors = {
+        SynthConfig: dict(c["synth"], seed=c["seed"]),
+        ResampleConfig: dict(c["resample"], seed=c["seed"]),
+        TrainConfig: {k: v for k, v in dict(c["train"], seed=c["seed"]).items() if k != "use_class_weights"},
+    }
+    for cls, settings in mirrors.items():
+        library = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert {k: library[k] for k in settings} == settings, cls.__name__
+    assert TrainConfig().class_weights is None and c["train"]["use_class_weights"] is False
+    spectral = _defaults(spectral_params_for)
+    assert {"segment_seconds": spectral["seconds"], "overlap": spectral["overlap"]} == c["spectral"]
+    assert _defaults(morlet_scales) == c["wavelet"]
+    assert list(_defaults(split_dataset)["ratios"]) == c["split"]["ratios"]
+    assert _defaults(classification_metrics)["threshold"] == c["threshold"]
+
+
+def test_coherence_mode_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "mode.json"
+    cfg.write_text(json.dumps({"features": {"coherence_mode": "per_pair"}}))
+    assert run("featurize", str(tmp_path), "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert "InvalidConfig: unknown config key 'features.coherence_mode'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------- pipeline

@@ -280,19 +280,6 @@ def test_feature_vector_layout_and_names():
     assert vec.names[-1] == "coherence_ch1_ch2"
 
 
-def test_feature_vector_global_mean_coherence():
-    fs = 50.0
-    rng = np.random.default_rng(42)
-    window = make_window(rng.normal(size=(1000, 3)), fs)
-    spectral = spectral_params_for(fs)
-    wavelet = morlet_scales(fs)
-    per_pair = build_feature_vector(window, spectral, wavelet, coherence_mode="per_pair")
-    collapsed = build_feature_vector(window, spectral, wavelet, coherence_mode="global_mean")
-    assert collapsed.values.shape == (8 * 3 + 1,)
-    assert collapsed.names[-1] == "coherence_mean"
-    assert collapsed.values[-1] == pytest.approx(np.mean(per_pair.values[-3:]))
-
-
 def test_feature_vector_analysis_span_equals_manual_slice():
     fs = 50.0
     rng = np.random.default_rng(43)
@@ -314,7 +301,6 @@ def test_feature_vector_rejects_unimputed_window():
 def test_feature_names_counts():
     assert len(feature_names(2)) == 17
     assert len(feature_names(3)) == 27
-    assert len(feature_names(3, coherence_mode="global_mean")) == 25
 
 
 # ------------------------------------------------------------- feature plan
@@ -323,21 +309,14 @@ def test_feature_names_counts():
 def test_feature_plan_validates_once():
     spectral, wavelet = spectral_params_for(50.0), morlet_scales(50.0)
     with pytest.raises(InvalidConfig):
-        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(0.0, 1000.0))
+        FeaturePlan.build(1000, spectral, wavelet, analysis_span=(0.0, 1000.0))
     with pytest.raises(InvalidConfig):
-        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(12.0, 4.0))
-    with pytest.raises(InvalidConfig):
-        FeaturePlan.build(50.0, 1000, spectral, wavelet, coherence_mode="max")
+        FeaturePlan.build(1000, spectral, wavelet, analysis_span=(12.0, 4.0))
     with pytest.raises(TooShort):
-        FeaturePlan.build(50.0, 1000, spectral, wavelet, analysis_span=(0.0, 2.0))  # 100 samples < one segment
-    plan = FeaturePlan.build(50.0, 1000, spectral, wavelet)
+        FeaturePlan.build(1000, spectral, wavelet, analysis_span=(0.0, 2.0))  # 100 samples < one segment
+    plan = FeaturePlan.build(1000, spectral, wavelet)
     with pytest.raises(ShapeMismatch):
         feature_matrix(np.zeros((2, 999, 3)), plan)
-
-
-def test_feature_plan_refuses_spectral_settings_at_another_rate():
-    with pytest.raises(InvalidConfig, match="250.0 Hz.*50.0 Hz"):
-        FeaturePlan.build(250.0, 2500, spectral_params_for(50.0), morlet_scales(250.0))
 
 
 def test_feature_vector_refuses_spectral_settings_at_another_rate():
@@ -347,7 +326,7 @@ def test_feature_vector_refuses_spectral_settings_at_another_rate():
 
 
 def test_feature_matrix_rejects_non_finite_windows():
-    plan = FeaturePlan.build(50.0, 1000, spectral_params_for(50.0), morlet_scales(50.0))
+    plan = FeaturePlan.build(1000, spectral_params_for(50.0), morlet_scales(50.0))
     windows = np.random.default_rng(44).normal(size=(3, 1000, 2))
     windows[2, 10, 1] = np.inf
     with pytest.raises(ValueOutOfRange, match="window 2"):
@@ -356,12 +335,12 @@ def test_feature_matrix_rejects_non_finite_windows():
 
 @pytest.mark.parametrize("fs", [50.0, 125.0, 250.0])
 def test_one_edge_gram_serves_the_tail_bit_for_bit(fs):
-    plan = FeaturePlan.build(fs, int(20 * fs), spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(int(20 * fs), spectral_params_for(fs), morlet_scales(fs))
     assert np.array_equal(tail_gram_oracle(morlet_scales(fs)), plan.edge_gram)
 
 
 def test_fft_length_is_five_smooth():
-    plan = FeaturePlan.build(50.0, 18000, spectral_params_for(50.0), morlet_scales(50.0))
+    plan = FeaturePlan.build(18000, spectral_params_for(50.0), morlet_scales(50.0))
     assert plan.edge_gram.shape == (381, 381)
     assert plan.fft_len == 19200  # >= 18000 + 2 * 381, where the next power of two is 32768
 
@@ -399,22 +378,21 @@ def feature_cases(draw):
     flat = draw(st.none() | st.integers(0, n_channels - 1))
     if flat is not None:
         windows[:, :, flat] = np.float32(rng.uniform(-5.0, 5.0))  # a zero-variance channel
-    return windows, fs, spectral, draw(st.sampled_from(["per_pair", "global_mean"])), span
+    return windows, fs, spectral, span
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(feature_cases())
 def test_feature_matrix_matches_per_window_oracle(case):
     """The stack path against the scalogram oracle: every fs, n above and
-    below the longest kernel, both coherence modes, with and without a span,
-    a constant channel."""
-    windows, fs, spectral, mode, span = case
+    below the longest kernel, with and without a span, a constant channel."""
+    windows, fs, spectral, span = case
     wavelet = morlet_scales(fs)
-    plan = FeaturePlan.build(fs, windows.shape[1], spectral, wavelet, mode, span)
+    plan = FeaturePlan.build(windows.shape[1], spectral, wavelet, span)
     rows = feature_matrix(windows, plan)
     shifted = feature_matrix(np.roll(windows, 1, axis=0), plan)
     for i, window in enumerate(windows):
-        want = feature_vector_oracle(window, fs, spectral, wavelet, mode, span)
+        want = feature_vector_oracle(window, fs, spectral, wavelet, span)
         assert _relative_error(rows[i], want) <= 1e-12
         # the same bytes alone and at any place in the stack
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
@@ -424,7 +402,7 @@ def test_feature_matrix_matches_per_window_oracle(case):
 def test_feature_matrix_default_chunks_at_full_window_length():
     fs = 50.0
     windows = np.random.default_rng(45).normal(size=(5, 18000, 3)).astype(np.float32)
-    plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(18000, spectral_params_for(fs), morlet_scales(fs))
     rows = feature_matrix(windows, plan)
     for i in (0, 4):
         want = feature_vector_oracle(windows[i], fs, plan.spectral, plan.wavelet)
@@ -446,7 +424,7 @@ def test_row_bytes_do_not_depend_on_the_stack(n):
     product that makes it."""
     fs = 50.0
     windows = _correlated_windows(np.random.default_rng(n), 4, n)
-    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
     rows = feature_matrix(windows, plan)
     for i, window in enumerate(windows):
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
@@ -459,7 +437,7 @@ def test_workspace_leaks_nothing_between_windows():
     windows = _correlated_windows(np.random.default_rng(48), 5, n)
     windows[2, :, 1] = 4.0
     windows[4, :, 0] = -1.5
-    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
     allocate = _Workspace.allocate
 
     def poisoned(plan, n_channels):
@@ -483,7 +461,7 @@ def test_workspace_leaks_nothing_between_windows():
 def test_one_plan_gives_the_same_bytes_twice():
     fs, n = 50.0, 3000
     windows = _correlated_windows(np.random.default_rng(49), 5, n)
-    plan = FeaturePlan.build(fs, n, spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
     assert feature_matrix(windows, plan).tobytes() == feature_matrix(windows, plan).tobytes()
 
 
@@ -491,7 +469,7 @@ def test_feature_matrix_memory_stays_within_chunk_bytes():
     """Working memory is one window's workspace (4.3 MiB here), not the stack's."""
     fs = 50.0
     windows = np.random.default_rng(50).normal(size=(20, 18000, 3)).astype(np.float32)
-    plan = FeaturePlan.build(fs, 18000, spectral_params_for(fs), morlet_scales(fs))
+    plan = FeaturePlan.build(18000, spectral_params_for(fs), morlet_scales(fs))
     tracemalloc.start()
     try:
         feature_matrix(windows, plan)
@@ -506,7 +484,7 @@ def test_build_feature_vector_is_one_row_of_feature_matrix():
     samples = np.random.default_rng(46).normal(size=(1500, 3))
     spectral, wavelet = spectral_params_for(fs), morlet_scales(fs)
     vec = build_feature_vector(make_window(samples, fs), spectral, wavelet, analysis_span=(2.0, 28.0))
-    plan = FeaturePlan.build(fs, 1500, spectral, wavelet, analysis_span=(2.0, 28.0))
+    plan = FeaturePlan.build(1500, spectral, wavelet, analysis_span=(2.0, 28.0))
     assert vec.values.tobytes() == feature_matrix(samples[None], plan)[0].tobytes()
 
 

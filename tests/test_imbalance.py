@@ -196,8 +196,18 @@ def test_resample_config_validation():
     for ratio in (0.0, 1.5, float("nan")):
         with pytest.raises(InvalidConfig):
             ResampleConfig(method="smote", ratio=ratio)
-    with pytest.raises(InvalidConfig):
-        ResampleConfig(method="smote", k_neighbors=0)
+    for k in (0, 2.5, 5.0, "5", True):
+        with pytest.raises(InvalidConfig, match="k_neighbors"):
+            ResampleConfig(method="smote", k_neighbors=k)
+    assert ResampleConfig(method="smote", k_neighbors=np.int64(3)).k_neighbors == 3
+
+
+@pytest.mark.parametrize("method", ["smote", "adasyn"])
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_resample_refuses_a_seed_that_is_not_a_non_negative_integer(method, seed):
+    features, labels = two_blob_data(20, 60, seed=17)
+    with pytest.raises(InvalidConfig, match="seed"):
+        resample(features, labels, ResampleConfig(method=method, seed=seed))
 
 
 # -------------------------------------------------------------- class weights

@@ -1,16 +1,21 @@
-"""Package hygiene: every exported name resolves, and every error class is raised."""
+"""Package hygiene: every exported name resolves, every error class is
+raised, and README's configuration table matches the config defaults."""
 
 import ast
 import importlib
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import vtalarm
 from vtalarm import errors
+from vtalarm.cli import DEFAULT_CONFIG
 
 SRC = Path(vtalarm.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["vtalarm"] + [info.name for info in pkgutil.walk_packages(vtalarm.__path__, "vtalarm.")]
 
 
@@ -41,3 +46,44 @@ def test_every_error_class_is_raised_somewhere():
         if isinstance(c, type) and issubclass(c, errors.VtalarmError) and c is not errors.VtalarmError
     }
     assert sorted(classes - _raised_names()) == []
+
+
+def _dotted(config: dict, prefix: str = "") -> dict:
+    """Every leaf of a nested config under its dotted key; an empty mapping is a leaf."""
+    out = {}
+    for key, value in config.items():
+        if isinstance(value, dict) and value:
+            out.update(_dotted(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _readme_config_table() -> dict:
+    """README's configuration table as {dotted key: default}. A row may
+    list several keys with one default each, or with one default for all."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration") :]
+    section = section[: section.index("\n## ", 1)]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        keys = re.findall(r"`([^`]*)`", cells[0])
+        defaults = [json.loads(d) for d in re.findall(r"`([^`]*)`", cells[2])]
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), line
+        for key, default in zip(keys, defaults):
+            assert key not in table, f"{key} listed twice"
+            table[key] = default
+    return table
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    want = _dotted(DEFAULT_CONFIG)
+    got = _readme_config_table()
+    assert sorted(got) == sorted(want)
+    for key, default in want.items():
+        assert (type(got[key]), got[key]) == (type(default), default), key

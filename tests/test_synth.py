@@ -148,3 +148,30 @@ def test_config_validation():
         generate_feature_dataset(10, 5, 1.0, 0.5, 0)
     with pytest.raises(InvalidConfig):
         generate_feature_dataset(100, 1, 1.0, 0.5, 0)
+
+
+@pytest.mark.parametrize("n_events", [10.0, 2.5, "10", True, -3])
+def test_config_refuses_a_non_integer_event_count(n_events):
+    with pytest.raises(InvalidConfig, match="n_events"):
+        SynthConfig(n_events=n_events)
+
+
+def test_config_takes_a_numpy_integer_event_count():
+    assert SynthConfig(n_events=np.int64(10)).n_events == 10
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, "1", None])
+def test_corpus_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+    """A float or bool seed would be truncated into another seed's corpus."""
+    with pytest.raises(InvalidConfig, match="seed"):
+        generate_corpus(SynthConfig(n_events=4, class_ratio=0.5, seed=seed), tmp_path)
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(InvalidConfig, match="seed"):
+        generate_feature_dataset(100, 5, 1.0, 0.5, seed)
+
+
+def test_numpy_integer_seed_gives_the_int_seed_labels():
+    assert np.array_equal(
+        corpus_labels(SynthConfig(n_events=10, class_ratio=0.5, seed=np.uint32(3))),
+        corpus_labels(SynthConfig(n_events=10, class_ratio=0.5, seed=3)),
+    )
