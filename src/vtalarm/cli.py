@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, EmptyInput, InvalidConfig, MissingInput, ValueOutOfRange, VtalarmError
+from .errors import CorruptCheckpoint, InvalidConfig, MissingInput, TooFewSamples, ValueOutOfRange, VtalarmError
 from .evaluate import alerts, classification_metrics
 from .features import (  # noqa: F401  build_feature_vector stays importable from vtalarm.cli
     FeaturePlan,
@@ -35,7 +35,7 @@ from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train, write_history
 from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from .synth import SynthConfig, generate_corpus
-from .wfdb_io import PRE_ALARM_S, extract_alarm_window, load_record, read_alarm_index, read_utf8
+from .wfdb_io import POST_ALARM_S, PRE_ALARM_S, extract_alarm_window, load_record, read_alarm_index, read_utf8
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -187,7 +187,8 @@ def _load_features_csv(path):
 
 def _load_windows(data_dir: Path):
     """windows.npy as a _WindowFile, with its labels and meta. Files that
-    ingest did not write whole raise InvalidConfig."""
+    ingest did not write whole, or a rate at which ingest would have cut
+    windows of another length, raise InvalidConfig."""
     paths = [_require(data_dir / name, "run ingest first") for name in ("windows.npy", "labels.npy", "meta.json")]
     try:
         windows = np.load(paths[0], mmap_mode="r")
@@ -204,7 +205,14 @@ def _load_windows(data_dir: Path):
         raise InvalidConfig(f"{data_dir}/meta.json record_ids must be a list of strings")
     if len(counts) != 1 or not 0.0 < fs < np.inf:
         raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
-    return _WindowFile(windows), labels.astype(np.int64), meta
+    windows = _WindowFile(windows)
+    n_samples = round(PRE_ALARM_S * fs) + round(POST_ALARM_S * fs)
+    if windows.shape[1] != n_samples:
+        raise InvalidConfig(
+            f"{data_dir}/meta.json gives fs {fs:g} Hz, at which a window has {n_samples} samples; "
+            f"windows.npy holds {windows.shape[1]}"
+        )
+    return windows, labels.astype(np.int64), meta
 
 
 class _WindowFile:
@@ -240,7 +248,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
     index = _require(Path(data_dir) / "alarms.csv", "synth or supply an alarm index")
     events = read_alarm_index(index)
     if not events:
-        raise EmptyInput(f"{index} lists no alarms")
+        raise TooFewSamples(f"{index} lists no alarms")
     out_dir.mkdir(parents=True, exist_ok=True)
     # Each window goes to disk as soon as it is cut, so ingest never holds
     # the whole stack; the file only takes its name once it is complete.

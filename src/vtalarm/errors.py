@@ -4,6 +4,8 @@ Every error raised by the library is a subclass of ``VtalarmError`` so
 callers can catch the whole family with one except clause.
 """
 
+import numpy as np
+
 
 class VtalarmError(Exception):
     """Base class for all vtalarm errors."""
@@ -38,34 +40,13 @@ class ValueOutOfRange(VtalarmError):
     outside [0, 1]."""
 
 
-# --- preprocessing ---
-
-class EmptyInput(VtalarmError):
-    """Operation requires at least one row."""
-
+# --- any stage ---
 
 class TooFewSamples(VtalarmError):
-    """Dataset too small to split or to train on."""
-
-
-# --- feature extraction ---
-
-class TooShort(VtalarmError):
-    """Signal shorter than the operation requires."""
-
-
-# --- imbalance handling ---
-
-class NotEnoughNeighbors(VtalarmError):
-    """Fewer candidate points than requested neighbors."""
-
-
-class MinorityTooSmall(VtalarmError):
-    """Oversampling needs at least two minority samples."""
-
-
-class SingleClass(VtalarmError):
-    """Operation requires both classes to be present."""
+    """The data is too small for the operation: no alarms or rows, a dataset
+    too small to split or to train on, a signal shorter than a segment or a
+    wavelet, too few neighbours or minority samples, a single class where
+    both are needed, or a batch too small to normalize."""
 
 
 # --- neural network ---
@@ -74,15 +55,6 @@ class ShapeMismatch(VtalarmError):
     """Array shapes disagree: tensors that do not chain, paired channels,
     scores and labels of different lengths, or a feature count other
     than the fitted one."""
-
-
-class InvalidHyperparams(VtalarmError):
-    """Model hyperparameters fail validation, including a head count that
-    does not divide the model dimension and an even filter size."""
-
-
-class BatchTooSmall(VtalarmError):
-    """Train-mode batch statistics need at least two elements per feature."""
 
 
 class DivergedLoss(VtalarmError):
@@ -105,6 +77,15 @@ class MissingInput(VtalarmError):
 
 
 class InvalidConfig(VtalarmError):
-    """Pipeline configuration is invalid: a config file or flag, a split
-    file, a feature table, or synthetic-data, feature-extraction or
-    resampling settings."""
+    """A setting is invalid: a config file or flag, a split file, a feature
+    table, an ingest output, or the settings of synthetic data, feature
+    extraction, resampling, a model or its training."""
+
+
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``minimum`` (0 or
+    1); a bool, a float or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "a positive integer" if minimum else "a non-negative integer"
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+    return int(value)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingleClass, ValueOutOfRange
+from .errors import ShapeMismatch, TooFewSamples, ValueOutOfRange
 
 
 def _check_scores_labels(scores, labels):
@@ -28,7 +28,7 @@ def _check_scores_labels(scores, labels):
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueOutOfRange("labels must be 0 or 1")
     if labels.min() == labels.max():
-        raise SingleClass("need both classes present")
+        raise TooFewSamples("need both classes present")
     return scores, labels.astype(np.int64)
 
 

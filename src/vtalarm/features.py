@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
+from .errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange, check_count
 from .wfdb_io import AlarmWindow
 
 @dataclass
@@ -50,7 +50,7 @@ class SpectralParams:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.segment_length < 8:
+        if check_count("segment_length", self.segment_length) < 8:
             raise InvalidConfig("segment_length must be at least 8")
         if not 0.0 <= self.overlap < 1.0:
             raise InvalidConfig("overlap must be in [0, 1)")
@@ -92,6 +92,8 @@ class FeatureVector:
 
 def spectral_params_for(fs: float, seconds: float = 4.0, overlap: float = 0.5) -> SpectralParams:
     """Default Welch setup: 4 s Hann segments with 50% overlap."""
+    if not np.isfinite(seconds * fs):
+        raise InvalidConfig(f"a segment of {seconds} s at {fs} Hz is not a finite number of samples")
     return SpectralParams(segment_length=int(round(seconds * fs)), fs=fs, overlap=overlap)
 
 
@@ -107,8 +109,9 @@ def morlet_scales(
     The scale-frequency map is f = omega0 * fs / (2 pi s); descending
     frequencies give ascending scales.
     """
-    if n_scales < 1 or min(f_min, f_max) <= 0:
-        raise InvalidConfig(f"need n_scales >= 1 and positive frequencies, got {n_scales}, {f_min}, {f_max}")
+    check_count("n_scales", n_scales)
+    if min(f_min, f_max) <= 0:
+        raise InvalidConfig(f"need positive frequencies, got {f_min}, {f_max}")
     freqs = np.logspace(np.log10(f_max), np.log10(f_min), n_scales)
     scales = omega0 * fs / (2.0 * np.pi * freqs)
     return WaveletConfig(omega0=omega0, scales=scales)
@@ -157,7 +160,7 @@ def _taper(params: SpectralParams) -> np.ndarray:
 def _segment_starts(n: int, params: SpectralParams) -> np.ndarray:
     seg = params.segment_length
     if n < seg:
-        raise TooShort(f"signal of {n} samples shorter than segment_length {seg}")
+        raise TooFewSamples(f"signal of {n} samples shorter than segment_length {seg}")
     step = max(1, int(round(seg * (1.0 - params.overlap))))
     return np.arange(0, n - seg + 1, step)
 
@@ -240,7 +243,7 @@ def time_domain_stats(channel: np.ndarray) -> tuple[float, float, float, float, 
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.size < 2:
-        raise TooShort(f"need at least 2 samples, got {x.size}")
+        raise TooFewSamples(f"need at least 2 samples, got {x.size}")
     return tuple(float(v) for v in _moments(x, np.empty_like(x), np.empty_like(x)))
 
 
@@ -266,7 +269,7 @@ def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
 def dominant_frequency(psd: PsdEstimate) -> float:
     """Frequency of the strongest non-DC bin; ties go to the lower bin."""
     if psd.power.size < 2:
-        raise TooShort("PSD needs at least 2 bins")
+        raise TooFewSamples("PSD needs at least 2 bins")
     return float(psd.frequencies[1 + int(np.argmax(psd.power[1:]))])
 
 
@@ -277,7 +280,7 @@ def spectral_entropy(psd: PsdEstimate) -> float:
     skipped in the sum. An all-zero spectrum returns 0.
     """
     if psd.power.size < 2:
-        raise TooShort("PSD needs at least 2 bins")
+        raise TooFewSamples("PSD needs at least 2 bins")
     return float(_entropy(np.asarray(psd.power, dtype=np.float64)))
 
 
@@ -296,7 +299,7 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
         raise ShapeMismatch(f"channel lengths differ: {a.size} vs {b.size}")
     index = _segment_index(a.size, params)
     if index.shape[0] < 2:
-        raise TooShort("coherence needs at least 2 segments")
+        raise TooFewSamples("coherence needs at least 2 segments")
     n_bins = params.segment_length // 2 + 1
     spectra = np.empty((2, index.shape[0], n_bins), np.complex128)
     _segment_spectra(np.stack([a, b]), index, _taper(params), np.empty((2,) + index.shape), spectra)
@@ -328,7 +331,7 @@ def cwt_morlet(channel: np.ndarray, config: WaveletConfig) -> np.ndarray:
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.size < 16:
-        raise TooShort(f"CWT needs at least 16 samples, got {x.size}")
+        raise TooFewSamples(f"CWT needs at least 16 samples, got {x.size}")
     kernels = _morlet_kernels(config)
     n = x.size
     max_len = max(k.size for k in kernels)
@@ -347,7 +350,7 @@ def wavelet_energy(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     """Total and per-scale mean-square coefficient energy."""
     coeffs = np.asarray(coeffs)
     if coeffs.size == 0:
-        raise TooShort("empty coefficient matrix")
+        raise TooFewSamples("empty coefficient matrix")
     per_scale = (np.abs(coeffs) ** 2).sum(axis=1) / coeffs.shape[1]
     return float(per_scale.sum()), per_scale
 
@@ -442,7 +445,7 @@ class FeaturePlan:
                 raise InvalidConfig(f"analysis_span {analysis_span} outside the {n_samples / fs:g} s window")
         n = hi - lo
         if n < 16:
-            raise TooShort(f"CWT needs at least 16 samples, got {n}")
+            raise TooFewSamples(f"CWT needs at least 16 samples, got {n}")
         segment_index = _segment_index(n, spectral)
 
         kernels = _morlet_kernels(wavelet)
@@ -569,7 +572,7 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     if n_samples != plan.n_samples:
         raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
     if n_channels > 1 and plan.segment_index.shape[0] < 2:
-        raise TooShort("coherence needs at least 2 segments")
+        raise TooFewSamples("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels))))
     ws = _Workspace.allocate(plan, n_channels)
     with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about

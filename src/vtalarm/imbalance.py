@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, MinorityTooSmall, NotEnoughNeighbors, SingleClass
+from .errors import InvalidConfig, TooFewSamples, check_count
 from .preprocess import largest_remainder
 from .rng import STREAM_ADASYN, STREAM_SMOTE, derive_rng
 
@@ -32,9 +32,7 @@ class ResampleConfig:
             raise InvalidConfig(f"unknown resample method {self.method!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidConfig("ratio must be in (0, 1]")
-        k = self.k_neighbors
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidConfig(f"k_neighbors must be a positive integer, got {k!r}")
+        check_count("k_neighbors", self.k_neighbors)
 
 
 @dataclass
@@ -65,7 +63,7 @@ def k_nearest(
     candidates = np.asarray(candidates)
     candidates = candidates[candidates != query_index]
     if k > candidates.size:
-        raise NotEnoughNeighbors(f"asked for {k} neighbors among {candidates.size} candidates")
+        raise TooFewSamples(f"asked for {k} neighbors among {candidates.size} candidates")
     diffs = points[candidates]  # fancy indexing copies, so the rest works in place
     diffs -= points[query_index]
     diffs *= diffs
@@ -79,7 +77,7 @@ def _split_classes(labels: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("both classes must be present")
+        raise TooFewSamples("both classes must be present")
     minority_label = 1 if n_pos <= n_neg else 0
     minority_idx = np.flatnonzero(labels == minority_label)
     majority_idx = np.flatnonzero(labels != minority_label)
@@ -91,7 +89,7 @@ def _interpolation_targets(
 ) -> tuple[int, np.ndarray, int, list[np.ndarray]]:
     minority_label, minority_idx, majority_idx = _split_classes(labels)
     if minority_idx.size < 2:
-        raise MinorityTooSmall("oversampling needs at least 2 minority samples")
+        raise TooFewSamples("oversampling needs at least 2 minority samples")
     target = int(round(config.ratio * majority_idx.size))
     n_new = max(0, target - minority_idx.size)
     k = min(config.k_neighbors, minority_idx.size - 1)
@@ -187,7 +185,7 @@ def class_weights(labels: np.ndarray) -> ClassWeights:
     n_pos = int(np.sum(labels == 1))
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("both classes must be present")
+        raise TooFewSamples("both classes must be present")
     return ClassWeights(weight_true=n / (2.0 * n_pos), weight_false=n / (2.0 * n_neg))
 
 

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, InvalidHyperparams, ShapeMismatch, VersionMismatch
+from ..errors import CorruptCheckpoint, InvalidConfig, ShapeMismatch, VersionMismatch
 from ..preprocess import ScalerParams
 from .model import Model, build_model
 
@@ -78,7 +78,7 @@ def deserialize_model(data: bytes) -> Model:
         model.load_arrays(arrays)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"arrays do not fit the declared model: {exc}") from exc
-    except InvalidHyperparams as exc:
+    except InvalidConfig as exc:
         raise CorruptCheckpoint(f"header declares no valid model: {exc}") from exc
     bounds = [arrays.get("input.minimum"), arrays.get("input.maximum")]
     if any(b is not None for b in bounds):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
+from ..errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange
 
 TILE_BYTES = 1 << 20  # bytes of one attention score tile, (query rows, T) float64
 SHIFT_SLACK = 200.0  # most an attention row's softmax shift may exceed its max score
@@ -98,7 +98,7 @@ class Conv1D(Layer):
     def __init__(self, in_channels: int, n_filters: int, filter_size: int, rng):
         super().__init__()
         if filter_size % 2 != 1:
-            raise InvalidHyperparams("filter_size must be odd for symmetric same padding")
+            raise InvalidConfig("filter_size must be odd for symmetric same padding")
         self.c, self.k, self.f = in_channels, n_filters, filter_size
         fan_in = filter_size * in_channels
         self.params = {
@@ -158,7 +158,7 @@ class BatchNorm(Layer):
         if train:
             m = int(np.prod([x.shape[a] for a in axes]))
             if m < 2:
-                raise BatchTooSmall("train-mode batchnorm needs >= 2 elements per feature")
+                raise TooFewSamples("train-mode batchnorm needs >= 2 elements per feature")
             mean = x.mean(axis=axes)
             xhat = x - mean
             # the variance from the centered array, as np.var computes it
@@ -250,7 +250,7 @@ class MultiHeadAttention(Layer):
     def __init__(self, model_dim: int, n_heads: int, rng):
         super().__init__()
         if model_dim % n_heads != 0:
-            raise InvalidHyperparams(f"model_dim {model_dim} not divisible by {n_heads} heads")
+            raise InvalidConfig(f"model_dim {model_dim} not divisible by {n_heads} heads")
         self.model_dim, self.n_heads = model_dim, n_heads
         self.d_k = model_dim // n_heads
         self._heads = np.repeat(np.eye(n_heads), self.d_k, axis=0)  # (model_dim, H): column c is in head c // d_k
@@ -400,7 +400,7 @@ class Dropout(Layer):
     def __init__(self, p: float, rng: np.random.Generator | None = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
-            raise InvalidHyperparams(f"dropout probability must be in [0, 1), got {p}")
+            raise InvalidConfig(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidHyperparams, ShapeMismatch
+from ..errors import InvalidConfig, ShapeMismatch, check_count
 from ..preprocess import ScalerParams
 from ..rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
 from .layers import (
@@ -181,42 +181,35 @@ def _cnn_layers(n_channels: int, hp: dict, rng) -> list:
     return layers
 
 
-def _count(name: str, value) -> int:
-    """``value`` if it is a positive integer; a bool, a float or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidHyperparams(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def hyperparams_for(architecture: str, hyperparams: dict) -> dict:
     """The defaults of ``architecture`` overlaid with ``hyperparams``. Unknown
     keys are rejected; every count must be a positive int and ``dropout_p``
     a number in [0, 1)."""
     if architecture not in ARCHITECTURES:
-        raise InvalidHyperparams(f"unknown architecture {architecture!r}")
+        raise InvalidConfig(f"unknown architecture {architecture!r}")
     if not isinstance(hyperparams, dict):
-        raise InvalidHyperparams(f"{architecture} hyperparameters must be a mapping, got {hyperparams!r}")
+        raise InvalidConfig(f"{architecture} hyperparameters must be a mapping, got {hyperparams!r}")
     defaults = FCNN_DEFAULTS if architecture == "fcnn" else CNN_DEFAULTS
     for key in hyperparams:
         if key not in defaults:
-            raise InvalidHyperparams(f"unknown hyperparameter {key!r} for {architecture}")
+            raise InvalidConfig(f"unknown hyperparameter {key!r} for {architecture}")
     hp = {**defaults, **hyperparams}
     p = hp["dropout_p"]
     if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p < 1.0:
-        raise InvalidHyperparams(f"dropout_p must be a number in [0, 1), got {p!r}")
+        raise InvalidConfig(f"dropout_p must be a number in [0, 1), got {p!r}")
     hp["dropout_p"] = float(p)
     sizes = "hidden_sizes" if architecture == "fcnn" else "dense_sizes"
     if not isinstance(hp[sizes], (list, tuple)) or (architecture == "fcnn" and not hp[sizes]):
-        raise InvalidHyperparams(f"bad {sizes} {hp[sizes]!r}")
-    hp[sizes] = [_count(sizes, s) for s in hp[sizes]]
+        raise InvalidConfig(f"bad {sizes} {hp[sizes]!r}")
+    hp[sizes] = [check_count(sizes, s) for s in hp[sizes]]
     if architecture == "fcnn":
         return hp
     for key in ("n_filters", "filter_size", "n_heads", "decimation"):
-        hp[key] = _count(key, hp[key])
+        hp[key] = check_count(key, hp[key])
     if hp["filter_size"] % 2 != 1:
-        raise InvalidHyperparams(f"filter_size must be odd, got {hp['filter_size']}")
+        raise InvalidConfig(f"filter_size must be odd, got {hp['filter_size']}")
     if hp["n_filters"] % hp["n_heads"] != 0:
-        raise InvalidHyperparams(f"n_filters {hp['n_filters']} not divisible by n_heads {hp['n_heads']}")
+        raise InvalidConfig(f"n_filters {hp['n_filters']} not divisible by n_heads {hp['n_heads']}")
     return hp
 
 
@@ -233,13 +226,13 @@ def build_model(
     :func:`hyperparams_for`.
     """
     hp = hyperparams_for(architecture, {} if hyperparams is None else hyperparams)
-    input_shape = tuple(_count("every input dimension", v) for v in input_shape)
+    input_shape = tuple(check_count("every input dimension", v) for v in input_shape)
     if architecture == "fcnn" and len(input_shape) != 1:
-        raise InvalidHyperparams(f"fcnn input shape must be (n_features,), got {input_shape}")
+        raise InvalidConfig(f"fcnn input shape must be (n_features,), got {input_shape}")
     if architecture == "cnn" and len(input_shape) != 2:
-        raise InvalidHyperparams(f"cnn input shape must be (n_samples, n_channels), got {input_shape}")
+        raise InvalidConfig(f"cnn input shape must be (n_samples, n_channels), got {input_shape}")
     if architecture == "cnn" and input_shape[0] < 2 * hp["filter_size"]:
-        raise InvalidHyperparams(
+        raise InvalidConfig(
             f"window of {input_shape[0]} samples is too short for filter_size {hp['filter_size']} plus pooling"
         )
     rng = derive_rng(seed, STREAM_INIT)

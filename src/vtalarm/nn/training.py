@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DivergedLoss, InvalidHyperparams, ShapeMismatch, TooFewSamples
+from ..errors import DivergedLoss, InvalidConfig, ShapeMismatch, TooFewSamples, check_count
 from ..evaluate import roc_auc
 from ..imbalance import ClassWeights
 from ..rng import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 from .layers import Adam, weighted_bce_with_logits
-from .model import Model, _count
+from .model import Model
 
 
 @dataclass
@@ -27,12 +27,12 @@ class TrainConfig:
     def __post_init__(self):
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr <= np.finfo(float).max:
-            raise InvalidHyperparams(f"learning_rate must be a finite positive number, got {lr!r}")
+            raise InvalidConfig(f"learning_rate must be a finite positive number, got {lr!r}")
         for name in ("batch_size", "max_epochs", "patience"):
-            _count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         if self.batch_size < 2:
             # train-mode batchnorm cannot normalize a single example
-            raise InvalidHyperparams(f"batch_size must be >= 2, got {self.batch_size}")
+            raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray]:

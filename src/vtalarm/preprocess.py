@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples
+from .errors import InvalidConfig, ShapeMismatch, TooFewSamples
 from .rng import STREAM_SPLIT, derive_rng
 from .wfdb_io import AlarmWindow, read_utf8
 
@@ -59,7 +59,7 @@ def fit_scaler(features: np.ndarray) -> ScalerParams:
     """Columnwise min/max over the given (training) rows."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
-        raise EmptyInput("fit_scaler needs at least one row")
+        raise TooFewSamples("fit_scaler needs at least one row")
     return ScalerParams(minimum=features.min(axis=0), maximum=features.max(axis=0))
 
 

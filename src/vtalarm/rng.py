@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import check_count
 
 # Stream ids, one per consumer. New consumers append; never renumber.
 STREAM_SPLIT = 1
@@ -27,8 +27,7 @@ def derive_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Generator for (seed, stream, index); index separates per-item streams.
     ``seed`` must be a non-negative integer: a float or a bool would be
     truncated into another seed's stream."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_count("seed", seed, minimum=0)
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, index)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream, index)))
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_count
 from .rng import STREAM_SYNTH, derive_rng
 from .wfdb_io import (
     FMT16,
@@ -43,15 +43,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n = self.n_events
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidConfig(f"n_events must be a positive integer, got {n!r}")
+        check_count("n_events", self.n_events)
         if not 0.0 < self.class_ratio < 1.0:
             raise InvalidConfig(f"class_ratio must be in (0, 1), got {self.class_ratio}")
         if not 50 <= self.fs <= 1000:  # VTaC records are 250 Hz; also refuses NaN
             raise InvalidConfig(f"fs must be in [50, 1000] Hz, got {self.fs}")
-        if self.separability < 0:
-            raise InvalidConfig(f"separability must be >= 0, got {self.separability}")
+        if not 0 <= self.separability < np.inf:  # also refuses NaN
+            raise InvalidConfig(f"separability must be finite and >= 0, got {self.separability}")
 
 
 def _event_rng(config: SynthConfig, event_index: int) -> np.random.Generator:
@@ -154,14 +152,14 @@ def generate_feature_dataset(
     apart along a random unit direction. Exactly round(n * class_ratio)
     rows are labeled 1; row order is a seed-determined shuffle.
     """
-    if n < 20:
+    if check_count("n", n) < 20:
         raise InvalidConfig(f"need n >= 20, got {n}")
-    if d < 2:
+    if check_count("d", d) < 2:
         raise InvalidConfig(f"need d >= 2, got {d}")
     if not 0.0 < class_ratio < 1.0:
         raise InvalidConfig(f"class_ratio must be in (0, 1), got {class_ratio}")
-    if separability < 0:
-        raise InvalidConfig(f"separability must be >= 0, got {separability}")
+    if not 0 <= separability < np.inf:
+        raise InvalidConfig(f"separability must be finite and >= 0, got {separability}")
     n_true = int(round(n * class_ratio))
     if n_true == 0 or n_true == n:
         raise InvalidConfig(f"class_ratio {class_ratio} leaves a single class at n={n}")

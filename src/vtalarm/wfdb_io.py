@@ -97,6 +97,14 @@ def _parse_number(token: str, kind, what: str):
         raise MalformedHeader(f"non-numeric {what}: {token!r}") from None
 
 
+def _bare_name(name: str, what: str) -> str:
+    """``name`` if it names a file directly inside the directory it is read
+    from: no path separator, and neither ``.`` nor ``..``."""
+    if name in (".", "..") or Path(name).name != name:
+        raise MalformedHeader(f"{what} must be a bare file name, got {name!r}")
+    return name
+
+
 def _parse_gain_token(token: str) -> tuple[float, int | None, str]:
     """Split a WFDB gain field ``gain(baseline)/units`` into its parts."""
     units = "mV"
@@ -120,8 +128,9 @@ def parse_header(text: str) -> RecordHeader:
     """Parse ``.hea`` contents into a :class:`RecordHeader`.
 
     Comment lines (leading ``#``) are ignored. Raises MalformedHeader on
-    missing fields and UnsupportedFormat for storage formats other than
-    16/212 or multi-segment records.
+    missing fields or a signal file outside the header's directory, and
+    UnsupportedFormat for storage formats other than 16/212 or
+    multi-segment records.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -156,7 +165,7 @@ def parse_header(text: str) -> RecordHeader:
         tokens = ln.split()
         if len(tokens) < 2:
             raise MalformedHeader(f"signal line needs file name and format: {ln!r}")
-        file_name = tokens[0]
+        file_name = _bare_name(tokens[0], "signal file name")
         fmt_token = tokens[1]
         if fmt_token not in ("16", "212"):
             raise UnsupportedFormat(f"storage format {fmt_token!r} not supported")
@@ -385,7 +394,8 @@ def read_utf8(path: str | Path, error: type[VtalarmError]) -> str:
 
 
 def read_alarm_index(path: str | Path) -> list[tuple[str, float, int]]:
-    """Read the sidecar CSV: one ``record_id,alarm_time_s,label`` per event."""
+    """Read the sidecar CSV: one ``record_id,alarm_time_s,label`` per event.
+    A record id with a path separator or a ``..`` raises MalformedHeader."""
     events = []
     for raw in read_utf8(path, MalformedHeader).splitlines():
         line = raw.strip()
@@ -397,6 +407,7 @@ def read_alarm_index(path: str | Path) -> list[tuple[str, float, int]]:
         if len(parts) != 3:
             raise MalformedHeader(f"alarm index line needs 3 fields: {raw!r}")
         record_id, time_s, label = parts
+        _bare_name(record_id, "record id")
         if label.lower() not in ("true", "false"):
             raise MalformedHeader(f"alarm label must be true/false, got {label!r}")
         alarm_time = _parse_number(time_s, float, "alarm time")

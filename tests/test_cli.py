@@ -486,8 +486,8 @@ def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_pat
         ({"split": {"ratios": [0.5, 0.2, 0.2]}}, "InvalidConfig"),
         ({"split": {"ratios": ["half", 0.2, 0.3]}}, "InvalidConfig"),
         ({"resample": {"method": "smote", "ratio": 1.5}}, "InvalidConfig"),
-        ({"model": {"fcnn": {"hidden_sizes": ["x"]}}}, "InvalidHyperparams"),
-        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "x"}}}, "InvalidHyperparams"),
+        ({"model": {"fcnn": {"hidden_sizes": ["x"]}}}, "InvalidConfig"),
+        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "x"}}}, "InvalidConfig"),
         ({"train": {"batch_size": 4.9}}, "InvalidConfig"),
         ({"train": {"use_class_weights": "false"}}, "InvalidConfig"),
         ({"train": {"learning_rate": float("nan")}}, "InvalidConfig"),
@@ -496,10 +496,10 @@ def test_train_with_a_one_class_val_list_exits_before_training(pipeline, tmp_pat
         ({"threshold": "x"}, "InvalidConfig"),
         ({"data_dir": 5}, "InvalidConfig"),
         ({"split": {"file": 3}}, "InvalidConfig"),
-        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "4"}}}, "InvalidHyperparams"),
-        ({"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidHyperparams"),
-        ({"architecture": "cnn", "model": {"cnn": {"decimation": -5}}}, "InvalidHyperparams"),
-        ({"architecture": "cnn", "model": {"cnn": {"decimation": "x"}}}, "InvalidHyperparams"),
+        ({"architecture": "cnn", "model": {"cnn": {"n_filters": "4"}}}, "InvalidConfig"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidConfig"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": -5}}}, "InvalidConfig"),
+        ({"architecture": "cnn", "model": {"cnn": {"decimation": "x"}}}, "InvalidConfig"),
     ],
 )
 def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch, settings, error):
@@ -518,8 +518,8 @@ def test_train_with_invalid_settings_exits_nonzero(pipeline, tmp_path, capsys, m
         ("synth", {"synth": {"n_events": "24"}}, "InvalidConfig"),
         ("featurize", {"wavelet": {"n_scales": 24.0}}, "InvalidConfig"),
         ("featurize", {"features": {"analysis_span": [0, "60"]}}, "InvalidConfig"),
-        ("train", {"model": {"fcnn": {"hidden_sizes": [4.7]}}}, "InvalidHyperparams"),
-        ("train", {"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidHyperparams"),
+        ("train", {"model": {"fcnn": {"hidden_sizes": [4.7]}}}, "InvalidConfig"),
+        ("train", {"architecture": "cnn", "model": {"cnn": {"decimation": 0}}}, "InvalidConfig"),
         ("evaluate", {"threshold": "x"}, "InvalidConfig"),
         ("evaluate", {"threshold": float("inf")}, "InvalidConfig"),
     ],
@@ -539,7 +539,7 @@ def test_a_misspelled_hyperparameter_of_either_architecture_exits_nonzero(tmp_pa
     cfg.write_text(json.dumps({"model": {"cnn": {"n_filter": 8}}}))
     monkeypatch.setattr(cli, "_require", lambda *args: pytest.fail("a data file was read"))
     assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: InvalidHyperparams: unknown hyperparameter 'n_filter' for cnn"]
+    assert capsys.readouterr().err.splitlines() == ["error: InvalidConfig: unknown hyperparameter 'n_filter' for cnn"]
     assert not (tmp_path / "out").exists()
 
 
@@ -585,7 +585,7 @@ def test_ingest_of_an_empty_alarm_index_exits_nonzero(tmp_path, capsys):
     raw.mkdir()
     (raw / "alarms.csv").write_text("record_id,alarm_time_s,label\n")
     assert run("ingest", str(raw), "--out", str(tmp_path / "work")) == 1
-    assert capsys.readouterr().err.startswith("error: EmptyInput:")
+    assert capsys.readouterr().err.startswith("error: TooFewSamples:")
     assert not (tmp_path / "work" / "windows.npy").exists()
 
 
@@ -822,6 +822,11 @@ def _number_the_record_ids(path):
     path.write_text(json.dumps({**meta, "record_ids": list(range(len(meta["record_ids"])))}))
 
 
+def _double_the_rate(path):
+    meta = json.loads(path.read_text())
+    path.write_text(json.dumps({**meta, "fs": 2 * meta["fs"]}))
+
+
 def _label_the_first_window_2(path):
     labels = np.load(path)
     labels[0] = 2
@@ -834,12 +839,13 @@ def _label_the_first_window_2(path):
         ("meta.json", lambda p: p.write_text("{")),
         ("meta.json", lambda p: p.write_text("{}")),
         ("meta.json", _number_the_record_ids),
+        ("meta.json", _double_the_rate),
         ("windows.npy", lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
         ("labels.npy", lambda p: np.save(p, np.load(p).astype(np.float64))),
         ("labels.npy", _label_the_first_window_2),
     ],
-    ids=["meta-not-json", "meta-without-fields", "meta-with-numeric-record-ids", "truncated-windows",
-         "float-labels", "a-label-of-2"],
+    ids=["meta-not-json", "meta-without-fields", "meta-with-numeric-record-ids", "meta-at-another-rate",
+         "truncated-windows", "float-labels", "a-label-of-2"],
 )
 def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, capsys, name, damage):
     root, raw, work, model, cfg = pipeline
@@ -867,6 +873,17 @@ def test_a_text_file_that_is_not_utf8_exits_nonzero(pipeline, tmp_path, capsys, 
     argv = {"ingest": ["raw"], "evaluate": ["model", "work"]}[command]
     assert run(command, *(str(tmp_path / a) for a in argv), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
+def test_ingest_of_a_record_in_another_directory_exits_nonzero(pipeline, tmp_path, capsys):
+    root, raw, work, model, cfg = pipeline
+    shutil.copytree(raw, tmp_path / "raw")
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "alarms.csv").write_text("record_id,alarm_time_s,label\n../raw/ev00000,320,true\n")
+    assert run("ingest", str(other), "--out", str(tmp_path / "work")) == 1
+    assert capsys.readouterr().err.startswith("error: MalformedHeader: record id must be a bare file name")
+    assert not (tmp_path / "work").exists()
 
 
 def test_ingest_with_a_huge_alarm_time_exits_nonzero(pipeline, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import auc_pair_oracle
 
-from vtalarm.errors import ShapeMismatch, SingleClass, ValueOutOfRange
+from vtalarm.errors import ShapeMismatch, TooFewSamples, ValueOutOfRange
 from vtalarm.evaluate import alerts, classification_metrics, roc_auc
 
 
@@ -58,7 +58,7 @@ def test_auc_perfect_and_chance_extremes():
 def test_auc_input_validation():
     with pytest.raises(ShapeMismatch):
         roc_auc(np.zeros(3), np.zeros(4))
-    with pytest.raises(SingleClass):
+    with pytest.raises(TooFewSamples):
         roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(ValueOutOfRange):
         roc_auc(np.array([0.1, np.nan]), np.array([0, 1]))

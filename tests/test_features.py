@@ -10,7 +10,7 @@ from helpers import feature_vector_oracle, tail_gram_oracle, welch_psd_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vtalarm.errors import InvalidConfig, ShapeMismatch, TooShort, ValueOutOfRange
+from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange
 from vtalarm.features import (
     FeaturePlan,
     PsdEstimate,
@@ -92,7 +92,7 @@ def test_welch_frequency_grid_and_df():
 
 def test_welch_too_short_signal():
     params = SpectralParams(segment_length=64, fs=10.0)
-    with pytest.raises(TooShort):
+    with pytest.raises(TooFewSamples):
         welch_psd(np.zeros(32), params)
 
 
@@ -105,7 +105,15 @@ def test_spectral_params_validation():
         SpectralParams(segment_length=64, fs=10.0, window="hamming")
     with pytest.raises(InvalidConfig):
         SpectralParams(segment_length=64, fs=float("nan"))
+    with pytest.raises(InvalidConfig, match="segment_length"):
+        SpectralParams(segment_length=64.5, fs=10.0)
     assert spectral_params_for(125.0).segment_length == 500
+
+
+@pytest.mark.parametrize("seconds, fs", [(float("inf"), 50.0), (float("nan"), 50.0), (4.0, float("inf"))])
+def test_spectral_params_for_refuses_a_segment_that_is_not_a_finite_length(seconds, fs):
+    with pytest.raises(InvalidConfig, match="finite number of samples"):
+        spectral_params_for(fs, seconds=seconds)
 
 
 # ----------------------------------------------------- derived psd quantities
@@ -156,7 +164,7 @@ def test_coherence_of_independent_noise_shows_segment_bias():
 
 def test_coherence_requires_two_segments_and_equal_lengths():
     params = SpectralParams(segment_length=128, fs=64.0, overlap=0.0)
-    with pytest.raises(TooShort):
+    with pytest.raises(TooFewSamples):
         coherence(np.zeros(128), np.zeros(128), params)
     with pytest.raises(ShapeMismatch):
         coherence(np.zeros(512), np.zeros(510), params)
@@ -215,7 +223,7 @@ def test_cwt_energy_scales_quadratically_with_amplitude():
 
 
 def test_cwt_minimum_length():
-    with pytest.raises(TooShort):
+    with pytest.raises(TooFewSamples):
         cwt_morlet(np.zeros(15), morlet_scales(fs=50.0))
 
 
@@ -228,7 +236,9 @@ def test_wavelet_config_validation():
         WaveletConfig(omega0=6.0, scales=np.array([1.0, np.nan]))
 
 
-@pytest.mark.parametrize("settings", [{"n_scales": -1}, {"n_scales": 0}, {"f_min": -1.0}, {"f_max": 0.0}])
+@pytest.mark.parametrize(
+    "settings", [{"n_scales": -1}, {"n_scales": 0}, {"f_min": -1.0}, {"f_max": 0.0}, {"n_scales": 24.0}, {"n_scales": 2.5}]
+)
 def test_morlet_scales_rejects_a_bad_setting(settings):
     with pytest.raises(InvalidConfig):
         morlet_scales(fs=50.0, **settings)
@@ -312,7 +322,7 @@ def test_feature_plan_validates_once():
         FeaturePlan.build(1000, spectral, wavelet, analysis_span=(0.0, 1000.0))
     with pytest.raises(InvalidConfig):
         FeaturePlan.build(1000, spectral, wavelet, analysis_span=(12.0, 4.0))
-    with pytest.raises(TooShort):
+    with pytest.raises(TooFewSamples):
         FeaturePlan.build(1000, spectral, wavelet, analysis_span=(0.0, 2.0))  # 100 samples < one segment
     plan = FeaturePlan.build(1000, spectral, wavelet)
     with pytest.raises(ShapeMismatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vtalarm.errors import InvalidConfig, MinorityTooSmall, NotEnoughNeighbors, SingleClass
+from vtalarm.errors import InvalidConfig, TooFewSamples
 from vtalarm.imbalance import (
     ClassWeights,
     ResampleConfig,
@@ -45,7 +45,7 @@ def test_k_nearest_excludes_query_and_honors_candidates():
 
 
 def test_k_nearest_not_enough_neighbors():
-    with pytest.raises(NotEnoughNeighbors):
+    with pytest.raises(TooFewSamples):
         k_nearest(np.zeros((3, 2)), 0, 3)
 
 
@@ -124,10 +124,10 @@ def test_smote_k_clamped_to_minority_size():
 
 def test_smote_errors():
     features, labels = two_blob_data(30, 100, seed=8)
-    with pytest.raises(SingleClass):
+    with pytest.raises(TooFewSamples):
         smote(features, np.ones_like(labels), ResampleConfig(method="smote"))
     one_minority = np.array([1] + [0] * 29)
-    with pytest.raises(MinorityTooSmall):
+    with pytest.raises(TooFewSamples):
         smote(features[:30], one_minority, ResampleConfig(method="smote"))
 
 
@@ -232,7 +232,7 @@ def test_class_weights_sum_identity():
 
 
 def test_class_weights_single_class_rejected():
-    with pytest.raises(SingleClass):
+    with pytest.raises(TooFewSamples):
         class_weights(np.ones(10, dtype=int))
 
 

@@ -14,7 +14,7 @@ from helpers import (
     softmax,
 )
 
-from vtalarm.errors import BatchTooSmall, InvalidHyperparams, ShapeMismatch, ValueOutOfRange
+from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange
 from vtalarm.nn import layers as nn_layers
 from vtalarm.nn.layers import (
     BN_EPS,
@@ -288,7 +288,7 @@ def test_attention_inference_peak_stays_near_its_input_and_output():
 
 
 def test_batchnorm_rejects_single_element_batch():
-    with pytest.raises(BatchTooSmall):
+    with pytest.raises(TooFewSamples):
         BatchNorm(3).forward(np.zeros((1, 3)), train=True)
 
 
@@ -482,7 +482,7 @@ def test_attention_inference_forward_keeps_no_cache():
 
 
 def test_attention_rejects_indivisible_heads():
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         MultiHeadAttention(10, 4, np.random.default_rng(0))
 
 
@@ -500,7 +500,7 @@ def test_conv1d_inference_peak_stays_near_its_output():
 
 
 def test_conv1d_rejects_an_even_filter_size():
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         Conv1D(3, 8, 6, np.random.default_rng(0))
 
 
@@ -532,7 +532,7 @@ def test_dropout_zero_fraction_and_inverted_scaling():
 
 
 def test_dropout_rejects_bad_probability():
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         Dropout(1.0)
 
 

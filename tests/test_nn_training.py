@@ -17,7 +17,7 @@ import vtalarm
 from vtalarm.errors import (
     CorruptCheckpoint,
     DivergedLoss,
-    InvalidHyperparams,
+    InvalidConfig,
     ShapeMismatch,
     TooFewSamples,
     VersionMismatch,
@@ -70,15 +70,15 @@ def test_cnn_parameter_count_matches_hand_sum():
 
 
 def test_build_model_rejects_bad_settings():
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model("fcnn", (17,), seed=0, hyperparams={"n_filters": 8})
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model("cnn", (500, 3), seed=0, hyperparams={"filter_size": 6})
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model("cnn", (500, 3), seed=0, hyperparams={"n_filters": 30, "n_heads": 4})
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model("fcnn", (17,), seed=0, hyperparams={"dropout_p": 1.0})
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model("transformer", (17,), seed=0)
 
 
@@ -105,7 +105,7 @@ def test_build_model_rejects_bad_settings():
     ],
 )
 def test_build_model_rejects_values_of_the_wrong_type(arch, shape, hyperparams):
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         build_model(arch, shape, seed=0, hyperparams=hyperparams)
 
 
@@ -114,7 +114,7 @@ def test_hyperparams_for_overlays_the_checked_values_on_the_defaults():
     assert hp == {**CNN_DEFAULTS, "n_filters": 8, "n_heads": 2, "dropout_p": 0.0}
     assert type(hp["dropout_p"]) is float
     assert hyperparams_for("fcnn", {}) == FCNN_DEFAULTS
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         hyperparams_for("cnn", {"decimation": 4.7})
 
 
@@ -210,13 +210,13 @@ def test_train_rejects_mismatched_or_too_few_examples():
 
 
 def test_train_config_validation():
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         TrainConfig(batch_size=1)
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         TrainConfig(max_epochs=0)
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         TrainConfig(patience=0)
 
 
@@ -238,7 +238,7 @@ def test_train_config_validation():
     ],
 )
 def test_train_config_rejects_values_of_the_wrong_type(settings):
-    with pytest.raises(InvalidHyperparams):
+    with pytest.raises(InvalidConfig):
         TrainConfig(**settings)
 
 

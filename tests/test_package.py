@@ -1,5 +1,5 @@
 """Package hygiene: every exported name resolves, every error class is
-raised, and README's configuration table matches the config defaults."""
+raised, and README's error and configuration tables match the package."""
 
 import ast
 import importlib
@@ -39,13 +39,29 @@ def _raised_names() -> set[str]:
     return names
 
 
-def test_every_error_class_is_raised_somewhere():
-    classes = {
+def _error_classes() -> set[str]:
+    """The names of the VtalarmError subclasses in vtalarm.errors, without the base class."""
+    return {
         c.__name__
         for c in vars(errors).values()
         if isinstance(c, type) and issubclass(c, errors.VtalarmError) and c is not errors.VtalarmError
     }
-    assert sorted(classes - _raised_names()) == []
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"## {title}") :]
+    return section[: section.index("\n## ", 1)]
+
+
+def test_every_error_class_is_raised_somewhere():
+    assert sorted(_error_classes() - _raised_names()) == []
+
+
+def test_readme_errors_table_lists_every_error_class_once():
+    rows = [line for line in _readme_section("Errors").splitlines() if line.startswith("| ")]
+    names = [name for row in rows[1:] for name in re.findall(r"`([^`]*)`", row.split("|")[2])]
+    assert sorted(names) == sorted(_error_classes() | {"VtalarmError"})
 
 
 def _dotted(config: dict, prefix: str = "") -> dict:
@@ -62,11 +78,8 @@ def _dotted(config: dict, prefix: str = "") -> dict:
 def _readme_config_table() -> dict:
     """README's configuration table as {dotted key: default}. A row may
     list several keys with one default each, or with one default for all."""
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Configuration") :]
-    section = section[: section.index("\n## ", 1)]
     table = {}
-    for line in section.splitlines():
+    for line in _readme_section("Configuration").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) != 4 or not cells[0].startswith("`"):
             continue

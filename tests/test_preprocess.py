@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vtalarm.errors import EmptyInput, InvalidConfig, ShapeMismatch, TooFewSamples
+from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples
 from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from vtalarm.wfdb_io import AlarmWindow
 
@@ -76,7 +76,7 @@ def test_scaler_constant_feature_maps_to_zero():
 
 
 def test_scaler_errors():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(TooFewSamples):
         fit_scaler(np.empty((0, 3)))
     params = fit_scaler(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):

@@ -148,12 +148,25 @@ def test_config_validation():
         generate_feature_dataset(10, 5, 1.0, 0.5, 0)
     with pytest.raises(InvalidConfig):
         generate_feature_dataset(100, 1, 1.0, 0.5, 0)
+    with pytest.raises(InvalidConfig, match="n must"):
+        generate_feature_dataset(100.0, 5, 1.0, 0.5, 0)
+    with pytest.raises(InvalidConfig, match="d must"):
+        generate_feature_dataset(100, 2.5, 1.0, 0.5, 0)
 
 
 @pytest.mark.parametrize("n_events", [10.0, 2.5, "10", True, -3])
 def test_config_refuses_a_non_integer_event_count(n_events):
     with pytest.raises(InvalidConfig, match="n_events"):
         SynthConfig(n_events=n_events)
+
+
+@pytest.mark.parametrize("separability", [float("nan"), float("inf"), -1.0])
+def test_config_refuses_a_separability_that_is_not_finite_and_non_negative(separability):
+    """A NaN separability would write a corpus with no burst on any true alarm."""
+    with pytest.raises(InvalidConfig, match="separability"):
+        SynthConfig(n_events=10, separability=separability)
+    with pytest.raises(InvalidConfig, match="separability"):
+        generate_feature_dataset(100, 5, separability, 0.5, 0)
 
 
 def test_config_takes_a_numpy_integer_event_count():

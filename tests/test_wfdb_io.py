@@ -114,6 +114,12 @@ def test_parse_header_rejects_non_finite_values(text):
         parse_header(text)
 
 
+@pytest.mark.parametrize("file_name", ["/etc/hostname", "../raw/rec1.dat", "sub/rec1.dat", "rec1.dat/", ".", ".."])
+def test_parse_header_refuses_a_signal_file_outside_the_record_directory(file_name):
+    with pytest.raises(MalformedHeader, match="bare file name"):
+        parse_header(f"rec1 1 250 100\n{file_name} 16 200\n")
+
+
 def test_parse_header_rejects_unsupported():
     with pytest.raises(UnsupportedFormat):
         parse_header("rec1/3 1 250 100\nrec1.dat 16\n")  # multi-segment
@@ -281,4 +287,12 @@ def test_alarm_index_rejects_bad_label(tmp_path):
     path = tmp_path / "alarms.csv"
     path.write_text("record_id,alarm_time_s,label\nrec_a,300.0,maybe\n")
     with pytest.raises(MalformedHeader):
+        read_alarm_index(path)
+
+
+@pytest.mark.parametrize("record_id", ["../raw/ev00001", "sub/ev00001", "/srv/ev00001", ".."])
+def test_alarm_index_refuses_a_record_outside_the_corpus_directory(tmp_path, record_id):
+    path = tmp_path / "alarms.csv"
+    path.write_text(f"record_id,alarm_time_s,label\n{record_id},320,true\n")
+    with pytest.raises(MalformedHeader, match="bare file name"):
         read_alarm_index(path)
