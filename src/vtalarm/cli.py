@@ -35,7 +35,7 @@ from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train, write_history
 from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from .synth import SynthConfig, generate_corpus
-from .wfdb_io import POST_ALARM_S, PRE_ALARM_S, extract_alarm_window, load_record, read_alarm_index, read_utf8
+from .wfdb_io import extract_alarm_window, load_record, read_alarm_index, read_utf8, window_bounds
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -206,7 +206,7 @@ def _load_windows(data_dir: Path):
     if len(counts) != 1 or not 0.0 < fs < np.inf:
         raise InvalidConfig(f"{data_dir}/meta.json does not describe windows.npy and labels.npy")
     windows = _WindowFile(windows)
-    n_samples = round(PRE_ALARM_S * fs) + round(POST_ALARM_S * fs)
+    n_samples = sum(window_bounds(fs))
     if windows.shape[1] != n_samples:
         raise InvalidConfig(
             f"{data_dir}/meta.json gives fs {fs:g} Hz, at which a window has {n_samples} samples; "
@@ -287,7 +287,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
             "record_ids": record_ids,
             "fs": fs,
             "channels": channels,
-            "alarm_index": int(round(PRE_ALARM_S * fs)),
+            "alarm_index": window_bounds(fs)[0],
             "n_windows": shape[0],
             "window_samples": shape[1],
             "n_channels": shape[2],

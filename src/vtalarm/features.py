@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange, check_count
 from .wfdb_io import AlarmWindow
@@ -157,25 +158,23 @@ def _taper(params: SpectralParams) -> np.ndarray:
     return np.ones(n)
 
 
-def _segment_starts(n: int, params: SpectralParams) -> np.ndarray:
+def _segment_step(n: int, params: SpectralParams) -> int:
+    """Samples between the starts of consecutive segments of a signal of n samples."""
     seg = params.segment_length
     if n < seg:
         raise TooFewSamples(f"signal of {n} samples shorter than segment_length {seg}")
-    step = max(1, int(round(seg * (1.0 - params.overlap))))
-    return np.arange(0, n - seg + 1, step)
+    return max(1, int(round(seg * (1.0 - params.overlap))))
 
 
-def _segment_index(n: int, params: SpectralParams) -> np.ndarray:
-    """(n_segments, segment_length): the sample index of every segment."""
-    return _segment_starts(n, params)[:, None] + np.arange(params.segment_length)
+def _segments(x: np.ndarray, params: SpectralParams) -> np.ndarray:
+    """(..., n) -> a read-only view (..., n_segments, segment_length) of x's segments."""
+    step = _segment_step(x.shape[-1], params)
+    return sliding_window_view(x, params.segment_length, axis=-1)[..., ::step, :]
 
 
-def _segment_spectra(
-    x: np.ndarray, index: np.ndarray, taper: np.ndarray, segments: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """(..., n) -> ``out`` (..., n_segments, n_bins): demeaned, tapered segment
-    rFFTs, cut through ``segments`` (float64 scratch, (..., n_segments, n_taper))."""
-    np.take(x, index, axis=-1, out=segments, mode="clip")  # every index is valid; "clip" skips a buffered copy
+def _segment_spectra(segments: np.ndarray, taper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_segments, n_taper) segments -> (..., n_segments, n_bins) rFFTs of
+    the demeaned, tapered segments, which are demeaned and tapered in place."""
     segments -= segments.mean(axis=-1, keepdims=True)
     segments *= taper
     return np.fft.rfft(segments, axis=-1, out=out)
@@ -257,10 +256,7 @@ def welch_psd(channel: np.ndarray, params: SpectralParams) -> PsdEstimate:
     """
     x = np.asarray(channel, dtype=np.float64)
     taper = _taper(params)
-    index = _segment_index(x.size, params)
-    n_bins = params.segment_length // 2 + 1
-    spectra = np.empty((index.shape[0], n_bins), np.complex128)
-    _segment_spectra(x, index, taper, np.empty(index.shape), spectra)
+    spectra = _segment_spectra(_segments(x, params).copy(), taper)
     freqs = np.fft.rfftfreq(params.segment_length, d=1.0 / params.fs)
     power = _density(_mean_power(spectra, np.empty(spectra.shape)), params, taper)
     return PsdEstimate(frequencies=freqs, power=power, df=params.fs / params.segment_length)
@@ -297,12 +293,10 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
         raise ShapeMismatch(f"channel lengths differ: {a.size} vs {b.size}")
-    index = _segment_index(a.size, params)
-    if index.shape[0] < 2:
+    segments = _segments(np.stack([a, b]), params).copy()
+    if segments.shape[1] < 2:
         raise TooFewSamples("coherence needs at least 2 segments")
-    n_bins = params.segment_length // 2 + 1
-    spectra = np.empty((2, index.shape[0], n_bins), np.complex128)
-    _segment_spectra(np.stack([a, b]), index, _taper(params), np.empty((2,) + index.shape), spectra)
+    spectra = _segment_spectra(segments, _taper(params))
     power = _mean_power(spectra, np.empty(spectra.shape))
     return float(_mean_coherence(power[0], power[1], _mean_cross(spectra[0], spectra[1], np.empty_like(spectra[1]))))
 
@@ -374,22 +368,21 @@ def _fast_len(m: int) -> int:
     return best
 
 
-def _edge_gram(taps: np.ndarray) -> np.ndarray:
-    """Upper triangle of the real symmetric G with
-    sum_q |sum_p z_p taps[q + p]|^2 = z^T G z over q + p < len(taps), for real z.
+def _edge_gram(gram: np.ndarray, taps: np.ndarray) -> None:
+    """Add to the upper triangle of ``gram[:h, :h]``, h = len(taps), that of
+    the real symmetric G with
+    sum_q |sum_p z_p taps[q + p]|^2 = z^T G z over q + p < h, for real z.
 
     G[p, p + d] = sum_{r >= p} Re(conj(taps[r]) taps[r + d]): one running
-    sum over r per lag d, so G costs O(len(taps)^2) rather than a product
-    of two Hankel matrices.
+    sum over r per lag d, so G costs O(h^2) rather than a product of two
+    Hankel matrices.
     """
     h = taps.size
     padded = np.concatenate([taps, np.zeros_like(taps)])
-    upper = np.zeros((h, h))
     suffix = np.zeros(h)
     for p in range(h - 1, -1, -1):
         suffix += (np.conj(taps[p]) * padded[p : p + h]).real
-        upper[p, p:] = suffix[: h - p]
-    return upper
+        gram[p, p:h] += suffix[: h - p]
 
 
 @dataclass(eq=False)
@@ -408,7 +401,9 @@ class FeaturePlan:
     is a quadratic form with ``edge_gram`` on x[:edge] and on
     x[::-1][:edge] (zero-padded when n < ``edge``). One Gram serves both
     edges because every kernel is conjugate-symmetric, psi[::-1] ==
-    conj(psi), which makes the tail's taps the head's reversed.
+    conj(psi), which makes the tail's taps the head's reversed. It is the
+    plan's one large array (29.2 MB at 250 Hz); segments are cut from each
+    window through a strided view, so no index table is kept.
     """
 
     n_samples: int
@@ -416,7 +411,6 @@ class FeaturePlan:
     spectral: SpectralParams
     wavelet: WaveletConfig
     taper: np.ndarray
-    segment_index: np.ndarray
     frequencies: np.ndarray
     fft_len: int
     weights: np.ndarray
@@ -446,7 +440,7 @@ class FeaturePlan:
         n = hi - lo
         if n < 16:
             raise TooFewSamples(f"CWT needs at least 16 samples, got {n}")
-        segment_index = _segment_index(n, spectral)
+        _segment_step(n, spectral)  # refuses a span shorter than one segment
 
         kernels = _morlet_kernels(wavelet)
         edge = max(psi.size // 2 for psi in kernels)
@@ -457,8 +451,9 @@ class FeaturePlan:
             half = psi.size // 2
             taps = np.conj(psi[::-1])  # the correlation filter cwt_morlet convolves with
             power += np.abs(np.fft.fft(taps, fft_len)) ** 2
-            edge_gram[:half, :half] += _edge_gram(taps[:half][::-1])
-        edge_gram += np.triu(edge_gram, 1).T
+            _edge_gram(edge_gram, taps[:half][::-1])
+        for p in range(edge - 1):  # mirror row by row: no second Gram-sized array
+            edge_gram[p + 1 :, p] = edge_gram[p, p + 1 :]
         k = np.arange(fft_len // 2 + 1)
         mirror = (fft_len - k) % fft_len
         weights = np.where(mirror == k, power[k], power[k] + power[mirror]) / fft_len
@@ -469,7 +464,6 @@ class FeaturePlan:
             spectral=spectral,
             wavelet=wavelet,
             taper=_taper(spectral),
-            segment_index=segment_index,
             frequencies=np.fft.rfftfreq(spectral.segment_length, d=1.0 / spectral.fs),
             fft_len=fft_len,
             weights=weights,
@@ -482,7 +476,9 @@ class _Workspace:
     """Every window-sized array :func:`feature_matrix` writes.
 
     It is allocated once per call and every window overwrites it, so no
-    window allocates an array of its own size.
+    window allocates an array of its own size. ``segments`` takes a copy of
+    the strided segment view, and ``wavelet_spectrum`` also holds the
+    wavelet power in its real halves.
     """
 
     x: np.ndarray
@@ -492,39 +488,37 @@ class _Workspace:
     spectra: np.ndarray
     power: np.ndarray
     wavelet_spectrum: np.ndarray
-    wavelet_power: np.ndarray
     cross: np.ndarray
 
     @classmethod
     def allocate(cls, plan: FeaturePlan, n_channels: int) -> _Workspace:
         """Arrays for one window of ``n_channels``; ``cross`` holds one
         channel pair at a time."""
-        signal = (n_channels, plan.span.stop - plan.span.start)
-        segments = (n_channels,) + plan.segment_index.shape
+        x = np.empty((n_channels, plan.span.stop - plan.span.start))
+        segments = _segments(x, plan.spectral).shape
         bins = segments[:-1] + (plan.frequencies.size,)
-        wavelet = (n_channels, plan.fft_len // 2 + 1)
         return cls(
-            x=np.empty(signal),
-            centered=np.empty(signal),
-            squared=np.empty(signal),
+            x=x,
+            centered=np.empty_like(x),
+            squared=np.empty_like(x),
             segments=np.empty(segments),
             spectra=np.empty(bins, np.complex128),
             power=np.empty(bins),
-            wavelet_spectrum=np.empty(wavelet, np.complex128),
-            wavelet_power=np.empty(wavelet),
+            wavelet_spectrum=np.empty((n_channels, plan.fft_len // 2 + 1), np.complex128),
             cross=np.empty(bins[1:], np.complex128),
         )
 
 
-def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
+def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray) -> np.ndarray:
     """(..., n) -> (...): sum over scales of the mean-square CWT coefficient.
-    ``spectrum`` (complex) and ``power`` (real) are (..., fft_len // 2 + 1) scratch."""
+    ``spectrum`` is (..., fft_len // 2 + 1) complex scratch; |X|^2 lands in
+    its real halves."""
     n = x.shape[-1]
     np.fft.rfft(x, plan.fft_len, axis=-1, out=spectrum)
-    re, im = spectrum.real, spectrum.imag
-    np.multiply(re, re, out=power)
-    im *= im
-    power += im
+    parts = spectrum.view(np.float64)  # re, im, re, im, ...
+    parts *= parts
+    power = parts[..., 0::2]
+    power += parts[..., 1::2]
     power *= plan.weights
     full = power.sum(axis=-1)
     edge = plan.edge_gram.shape[0]
@@ -539,7 +533,8 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     """(n_samples, C) window -> its (n_features,) feature row, computed in ``ws``."""
     x = ws.x  # (C, n)
     np.copyto(x, window[plan.span].T)
-    spectra = _segment_spectra(x, plan.segment_index, plan.taper, ws.segments, ws.spectra)
+    np.copyto(ws.segments, _segments(x, plan.spectral))
+    spectra = _segment_spectra(ws.segments, plan.taper, ws.spectra)
     power = _mean_power(spectra, ws.power)
     psd = _density(power, plan.spectral, plan.taper)
     per_channel = np.concatenate(
@@ -547,7 +542,7 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
             _moments(x, ws.centered, ws.squared),
             plan.frequencies[1 + np.argmax(psd[..., 1:], axis=-1)][..., None],
             _entropy(psd)[..., None],
-            _total_wavelet_energy(x, plan, ws.wavelet_spectrum, ws.wavelet_power)[..., None],
+            _total_wavelet_energy(x, plan, ws.wavelet_spectrum)[..., None],
         ],
         axis=-1,
     )
@@ -571,10 +566,10 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
         raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
-    if n_channels > 1 and plan.segment_index.shape[0] < 2:
+    ws = _Workspace.allocate(plan, n_channels)
+    if n_channels > 1 and ws.segments.shape[1] < 2:
         raise TooFewSamples("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels))))
-    ws = _Workspace.allocate(plan, n_channels)
     with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
         for i in range(n_windows):
             out[i] = _window_features(windows[i], plan, ws)

@@ -21,6 +21,8 @@ from .errors import InvalidConfig, check_count
 from .rng import STREAM_SYNTH, derive_rng
 from .wfdb_io import (
     FMT16,
+    POST_ALARM_S,
+    PRE_ALARM_S,
     RecordHeader,
     SignalSpec,
     WaveformRecord,
@@ -29,6 +31,8 @@ from .wfdb_io import (
 )
 
 DURATION_S = 420.0
+# Seconds between an alarm window and either end of its record.
+ALARM_MARGIN_S = 5.0
 MARKER_AMPLITUDE = 5.0
 NOISE_STD = 0.05
 BURST_AMPLITUDE_PER_SEPARABILITY = 0.75
@@ -64,7 +68,8 @@ def generate_waveform_event(
 
     Channels: two harmonic-series channels (base rate 1.0-1.4 Hz, three
     harmonics), one pulsatile channel. The alarm lands between 305 s and
-    355 s so the surrounding 5+1 minute window always fits. Identical
+    355 s, so the surrounding 5+1 minute window fits with ``ALARM_MARGIN_S``
+    to spare at either end. Identical
     (config, label, event_index) reproduce the record bit for bit.
     """
     if label not in (0, 1):
@@ -76,7 +81,7 @@ def generate_waveform_event(
 
     base_hz = rng.uniform(1.0, 1.4)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    alarm_time = rng.uniform(305.0, 355.0)
+    alarm_time = rng.uniform(PRE_ALARM_S + ALARM_MARGIN_S, DURATION_S - POST_ALARM_S - ALARM_MARGIN_S)
     onset = int(round(alarm_time * fs))
 
     channels = []
@@ -177,6 +182,7 @@ def generate_feature_dataset(
 __all__ = [
     "SynthConfig",
     "DURATION_S",
+    "ALARM_MARGIN_S",
     "MARKER_AMPLITUDE",
     "generate_waveform_event",
     "corpus_labels",

@@ -353,17 +353,23 @@ def _format_number(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def window_bounds(fs: float) -> tuple[int, int]:
+    """(n_pre, n_post): the samples an alarm window at ``fs`` Hz keeps before
+    the onset and from it on. A window has n_pre + n_post samples, which
+    may differ by one from round(WINDOW_S * fs)."""
+    return int(round(PRE_ALARM_S * fs)), int(round(POST_ALARM_S * fs))
+
+
 def extract_alarm_window(
     record: WaveformRecord, alarm_time: float, label: int
 ) -> AlarmWindow:
     """Carve the 360 s window around an alarm onset.
 
-    The window spans 5 minutes before the onset and 1 minute after;
-    ``alarm_index`` is always ``300 * fs``.
+    The window spans 5 minutes before the onset and 1 minute after, as
+    :func:`window_bounds` counts them; ``alarm_index`` is its ``n_pre``.
     """
     fs = record.header.sampling_frequency
-    n_pre = int(round(PRE_ALARM_S * fs))
-    n_post = int(round(POST_ALARM_S * fs))
+    n_pre, n_post = window_bounds(fs)
     if not np.isfinite(alarm_time * fs):
         raise WindowOutOfBounds(f"alarm at {alarm_time} s lies outside any record at {fs} Hz")
     onset = int(round(alarm_time * fs))
@@ -425,8 +431,10 @@ def write_alarm_index(path: str | Path, events: list[tuple[str, float, int]]) ->
 
 
 def load_record(data_dir: str | Path, record_id: str, verify_checksums: bool = False) -> WaveformRecord:
-    """Read ``<data_dir>/<record_id>.hea`` and its ``.dat`` from disk."""
+    """Read ``<data_dir>/<record_id>.hea`` and its ``.dat`` from disk. A
+    record id with a path separator or a ``..`` raises MalformedHeader."""
     data_dir = Path(data_dir)
+    _bare_name(record_id, "record id")
     header = parse_header(read_utf8(data_dir / f"{record_id}.hea", MalformedHeader))
     dat = (data_dir / header.signals[0].file_name).read_bytes()
     return read_signal(header, dat, verify_checksums=verify_checksums)
@@ -453,6 +461,7 @@ __all__ = [
     "parse_header",
     "read_signal",
     "write_record",
+    "window_bounds",
     "extract_alarm_window",
     "read_utf8",
     "read_alarm_index",

@@ -15,9 +15,8 @@ import numpy as np
 from vtalarm.features import (
     SpectralParams,
     WaveletConfig,
-    _edge_gram,
     _morlet_kernels,
-    _segment_starts,
+    _segment_step,
     _taper,
     coherence,
     cwt_morlet,
@@ -47,23 +46,30 @@ def read_history(path) -> list[dict]:
     ]
 
 
+def segment_gather_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
+    """(..., n) -> (..., n_segments, segment_length): every segment gathered
+    through an explicit table of sample indices, one row per segment."""
+    seg = params.segment_length
+    starts = np.arange(0, x.shape[-1] - seg + 1, _segment_step(x.shape[-1], params))
+    return np.take(x, starts[:, None] + np.arange(seg), axis=-1)
+
+
 def welch_psd_oracle(x: np.ndarray, params: SpectralParams) -> np.ndarray:
     """Welch PSD via an explicit DFT matrix instead of an FFT."""
     x = np.asarray(x, dtype=np.float64)
     seg = params.segment_length
     w = _taper(params)
-    starts = _segment_starts(x.size, params)
+    segments = segment_gather_oracle(x, params)
     n_bins = seg // 2 + 1
     k = np.arange(n_bins)[:, None]
     n = np.arange(seg)[None, :]
     dft = np.exp(-2j * np.pi * k * n / seg)
     acc = np.zeros(n_bins)
-    for s in starts:
-        segment = x[s : s + seg]
+    for segment in segments:
         segment = (segment - segment.mean()) * w
         spectrum = dft @ segment
         acc += np.abs(spectrum) ** 2
-    power = acc / starts.size / (params.fs * np.sum(w**2))
+    power = acc / len(segments) / (params.fs * np.sum(w**2))
     power[1:] *= 2.0
     if seg % 2 == 0:
         power[-1] /= 2.0
@@ -95,16 +101,32 @@ def feature_vector_oracle(
     return np.asarray(values)
 
 
+def _edge_gram_upper(taps: np.ndarray) -> np.ndarray:
+    """Upper triangle of the real symmetric G with
+    sum_q |sum_p z_p taps[q + p]|^2 = z^T G z over q + p < len(taps), for real z,
+    as its own (h, h) matrix: the running sum over r of
+    Re(conj(taps[r]) taps[r + d]) per lag d, row by row from the last."""
+    h = taps.size
+    padded = np.concatenate([taps, np.zeros_like(taps)])
+    upper = np.zeros((h, h))
+    suffix = np.zeros(h)
+    for p in range(h - 1, -1, -1):
+        suffix += (np.conj(taps[p]) * padded[p : p + h]).real
+        upper[p, p:] = suffix[: h - p]
+    return upper
+
+
 def tail_gram_oracle(wavelet: WaveletConfig) -> np.ndarray:
     """The Gram of the edge outputs that the same-length crop drops at the
-    end of a channel, built from each kernel's own tail taps. The plan
-    builds one Gram from the head taps and uses it for both edges."""
+    end of a channel, built from each kernel's own tail taps, one (h, h)
+    matrix per kernel summed and mirrored with ``np.triu``. The plan builds
+    one Gram in place from the head taps and uses it for both edges."""
     kernels = _morlet_kernels(wavelet)
     edge = max(psi.size // 2 for psi in kernels)
     gram = np.zeros((edge, edge))
     for psi in kernels:
         half = psi.size // 2
-        gram[:half, :half] += _edge_gram(np.conj(psi[::-1])[half + 1 :])
+        gram[:half, :half] += _edge_gram_upper(np.conj(psi[::-1])[half + 1 :])
     gram += np.triu(gram, 1).T
     return gram
 

@@ -191,6 +191,22 @@ def test_synth_and_ingest_outputs(pipeline):
     assert meta["channels"] == ["ECG lead I", "ECG lead II", "PLETH"]
 
 
+def test_a_rate_at_which_the_sides_round_apart_runs_end_to_end(tmp_path):
+    """At 50.0015 Hz a window has round(300 fs) + round(60 fs) = 18000 samples
+    but round(360 fs) = 18001. Ingest, its meta.json and featurize all count
+    the window as extract_alarm_window cuts it."""
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    assert run("synth", "--n-events", "4", "--class-ratio", "0.5", "--fs", "50.0015", "--out", str(raw)) == 0
+    assert run("ingest", str(raw), "--out", str(work)) == 0
+    assert run("featurize", str(work), "--out", str(work)) == 0
+    meta = json.loads((work / "meta.json").read_text())
+    record_id, alarm_time, label = wfdb_io.read_alarm_index(raw / "alarms.csv")[0]
+    window = wfdb_io.extract_alarm_window(wfdb_io.load_record(raw, record_id), alarm_time, label)
+    assert (meta["alarm_index"], meta["window_samples"]) == (window.alarm_index, len(window.samples)) == (15000, 18000)
+    assert np.load(work / "windows.npy", mmap_mode="r").shape == (4, 18000, 3)
+    assert len((work / "features.csv").read_text().splitlines()) == 2 + 4
+
+
 def test_featurize_output(pipeline):
     root, raw, work, model, cfg = pipeline
     lines = (work / "features.csv").read_text().splitlines()

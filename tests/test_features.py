@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import feature_vector_oracle, tail_gram_oracle, welch_psd_oracle
+from helpers import feature_vector_oracle, segment_gather_oracle, tail_gram_oracle, welch_psd_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vtalarm import features
 from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange
 from vtalarm.features import (
     FeaturePlan,
@@ -17,6 +18,7 @@ from vtalarm.features import (
     SpectralParams,
     WaveletConfig,
     _morlet_kernels,
+    _segments,
     _Workspace,
     build_feature_vector,
     coherence,
@@ -168,6 +170,28 @@ def test_coherence_requires_two_segments_and_equal_lengths():
         coherence(np.zeros(128), np.zeros(128), params)
     with pytest.raises(ShapeMismatch):
         coherence(np.zeros(512), np.zeros(510), params)
+
+
+@pytest.mark.parametrize("n, seg, overlap", [(1000, 64, 0.3), (1000, 64, 0.5), (1000, 64, 0.0), (1024, 128, 0.5)])
+def test_segment_view_matches_the_index_gather_bit_for_bit(n, seg, overlap):
+    """The strided view of the segments against a gather through an index
+    table. The step does not divide n - seg in the first three cases, so the
+    last samples belong to no segment."""
+    fs = 50.0
+    params = SpectralParams(segment_length=seg, fs=fs, overlap=overlap)
+    windows = _correlated_windows(np.random.default_rng(n + seg), 2, n)
+    x, y = windows[0, :, 0].astype(np.float64), windows[0, :, 1].astype(np.float64)
+    assert np.array_equal(_segments(windows[0].T, params), segment_gather_oracle(windows[0].T, params))
+    plan = FeaturePlan.build(n, params, morlet_scales(fs))
+
+    def outputs():
+        return [welch_psd(x, params).power, np.float64(coherence(x, y, params)), feature_matrix(windows, plan)]
+
+    viewed = outputs()
+    with mock.patch.object(features, "_segments", segment_gather_oracle):
+        gathered = outputs()
+    for got, want in zip(viewed, gathered):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_coherence_in_unit_interval():
@@ -345,8 +369,25 @@ def test_feature_matrix_rejects_non_finite_windows():
 
 @pytest.mark.parametrize("fs", [50.0, 125.0, 250.0])
 def test_one_edge_gram_serves_the_tail_bit_for_bit(fs):
+    """The oracle sums one (h, h) matrix per kernel and mirrors it with
+    ``np.triu``; the plan adds every kernel's rows into its one Gram."""
     plan = FeaturePlan.build(int(20 * fs), spectral_params_for(fs), morlet_scales(fs))
-    assert np.array_equal(tail_gram_oracle(morlet_scales(fs)), plan.edge_gram)
+    assert tail_gram_oracle(morlet_scales(fs)).tobytes() == plan.edge_gram.tobytes()
+
+
+def test_plan_build_holds_little_beyond_its_edge_gram():
+    """A 360 s window at 250 Hz, the VTaC rate: the Gram is 29.2 MB, and
+    building it in place keeps no second Gram-sized matrix alive."""
+    fs = 250.0
+    spectral, wavelet = spectral_params_for(fs), morlet_scales(fs)
+    tracemalloc.start()
+    try:
+        plan = FeaturePlan.build(int(360 * fs), spectral, wavelet)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.edge_gram.shape == (1909, 1909)
+    assert peak < 1.25 * plan.edge_gram.nbytes
 
 
 def test_fft_length_is_five_smooth():

@@ -1,5 +1,8 @@
 """Record container: header parsing, both sample packings, windowing."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -269,6 +272,18 @@ def test_window_copies_do_not_alias():
     window = extract_alarm_window(record, alarm_time=310.0, label=0)
     window.samples[0, 0] = 99.0
     assert record.samples[20, 0] == 0.0
+
+
+@pytest.mark.parametrize("record_id", ["../raw/r1", "raw/r1", "/srv/r1", "..", "."])
+def test_load_record_refuses_a_record_outside_its_directory_before_reading(tmp_path, record_id):
+    (tmp_path / "raw").mkdir()
+    other = tmp_path / "other"
+    other.mkdir()
+    save_record(tmp_path / "raw", make_record(np.zeros((30, 2)), name="r1"))
+    unread = mock.Mock(side_effect=AssertionError("a file was read"))
+    with mock.patch.object(Path, "read_text", unread), mock.patch.object(Path, "read_bytes", unread):
+        with pytest.raises(MalformedHeader, match="record id must be a bare file name"):
+            load_record(other, record_id)
 
 
 # ----------------------------------------------------------------- alarm index
