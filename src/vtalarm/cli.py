@@ -120,7 +120,7 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
         if not path.exists():
             raise MissingInput(f"config file {path} does not exist")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            loaded = json.loads(read_utf8(path, InvalidConfig))
         except ValueError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):

@@ -4,9 +4,9 @@ Layout: magic ``VTCK`` | u32 format version | u64 header length | JSON
 header | concatenated float64 little-endian arrays. The header records
 the architecture, input shape, hyperparameters, and the name/shape of
 every array in payload order, so a checkpoint is sufficient to rebuild
-the model without any other context. The layer arrays come first; a
-model with an input range adds it as ``input.minimum`` and
-``input.maximum``, each of shape ``(input_shape[-1],)``.
+the model without any other context. The arrays are
+``Model.named_arrays()`` in its order; a name the model does not have,
+or one listed twice, is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import struct
 import numpy as np
 
 from ..errors import CorruptCheckpoint, InvalidConfig, ShapeMismatch, VersionMismatch
-from ..preprocess import ScalerParams
 from .model import Model, build_model
 
 MAGIC = b"VTCK"
@@ -27,8 +26,6 @@ FORMAT_VERSION = 1
 
 def serialize_model(model: Model) -> bytes:
     arrays = model.named_arrays()
-    if model.scaler is not None:
-        arrays += [("input.minimum", model.scaler.minimum), ("input.maximum", model.scaler.maximum)]
     header = {
         "architecture": model.architecture,
         "input_shape": list(model.input_shape),
@@ -59,6 +56,8 @@ def deserialize_model(data: bytes) -> Model:
         entries = [(e["name"], tuple(int(v) for v in e["shape"])) for e in header["arrays"]]
         if any(not isinstance(name, str) or min(shape, default=0) < 0 for name, shape in entries):
             raise ValueError("every array needs a name and a non-negative shape")
+        if len({name for name, _ in entries}) != len(entries):
+            raise ValueError("an array name is listed twice")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
 
@@ -80,12 +79,6 @@ def deserialize_model(data: bytes) -> Model:
         raise CorruptCheckpoint(f"arrays do not fit the declared model: {exc}") from exc
     except InvalidConfig as exc:
         raise CorruptCheckpoint(f"header declares no valid model: {exc}") from exc
-    bounds = [arrays.get("input.minimum"), arrays.get("input.maximum")]
-    if any(b is not None for b in bounds):
-        width = (model.input_shape[-1],)
-        if any(b is None or b.shape != width for b in bounds):
-            raise CorruptCheckpoint(f"the input range needs input.minimum and input.maximum of shape {width}")
-        model.scaler = ScalerParams(*bounds)
     return model
 
 

@@ -473,16 +473,17 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> No
 
 
 class Adam:
-    """Adam over a model's named parameters, one state slot per tensor."""
+    """Adam over each layer's ``params`` by its ``grads``, one state slot per
+    (layer, key)."""
 
     def __init__(self, lr: float):
         self.lr = lr
-        self.states: dict[str, dict] = {}
+        self.states: dict[tuple[Layer, str], dict] = {}
 
-    def step(self, named_params: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
-        for name, param, grad in named_params:
-            state = self.states.setdefault(name, {})
-            adam_step(param, grad, state, self.lr)
+    def step(self, layers: list[Layer]) -> None:
+        for layer in layers:
+            for key, param in layer.params.items():
+                adam_step(param, layer.grads[key], self.states.setdefault((layer, key), {}), self.lr)
 
 
 __all__ = [

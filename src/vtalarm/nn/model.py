@@ -75,32 +75,31 @@ class Model:
             dout = layer.backward(dout)
         return dout
 
-    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for key in sorted(layer.params):
-                out.append((f"layer{i}.{key}", layer.params[key]))
-        return out
-
-    def named_gradients(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for key in sorted(layer.params):
-                out.append((f"layer{i}.{key}", layer.grads[key]))
-        return out
-
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Parameters plus persistent state (batchnorm running stats)."""
-        out = list(self.named_parameters())
-        for i, layer in enumerate(self.layers):
-            for key in sorted(layer.state):
-                out.append((f"layer{i}.state.{key}", layer.state[key]))
+        """Everything a checkpoint holds, in payload order: each layer's
+        parameters, then each layer's persistent state (batch-norm running
+        stats), then ``input.minimum`` and ``input.maximum`` when ``scaler``
+        is set."""
+        layers = list(enumerate(self.layers))
+        out = [(f"layer{i}.{key}", layer.params[key]) for i, layer in layers for key in sorted(layer.params)]
+        out += [(f"layer{i}.state.{key}", layer.state[key]) for i, layer in layers for key in sorted(layer.state)]
+        if self.scaler is not None:
+            out += [("input.minimum", self.scaler.minimum), ("input.maximum", self.scaler.maximum)]
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, target in self.named_arrays():
-            if name not in arrays:
-                raise ShapeMismatch(f"missing array {name}")
+        """Copy in exactly what ``named_arrays`` lists: every layer array, and
+        the input range whole or not at all, which sets ``scaler`` or leaves
+        it ``None``. Any other name, a missing name or a wrong shape raises
+        ``ShapeMismatch`` and leaves the model partly loaded."""
+        width = self.input_shape[-1]
+        ranged = "input.minimum" in arrays or "input.maximum" in arrays
+        self.scaler = ScalerParams(np.empty(width), np.empty(width)) if ranged else None
+        targets = self.named_arrays()
+        names, given = {name for name, _ in targets}, set(arrays)
+        if given != names:
+            raise ShapeMismatch(f"missing arrays {sorted(names - given)}, unknown arrays {sorted(given - names)}")
+        for name, target in targets:
             src = arrays[name]
             if src.shape != target.shape:
                 raise ShapeMismatch(f"{name}: expected {target.shape}, got {src.shape}")
@@ -110,7 +109,7 @@ class Model:
         return {name: arr.copy() for name, arr in self.named_arrays()}
 
     def parameter_count(self) -> int:
-        return int(sum(arr.size for _, arr in self.named_parameters()))
+        return int(sum(arr.size for layer in self.layers for arr in layer.params.values()))
 
     def _row_bytes(self) -> int:
         """Bytes of one example's widest batched activation: the input or the

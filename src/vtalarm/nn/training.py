@@ -80,8 +80,7 @@ def train(
     optimizer = Adam(lr=config.learning_rate)
 
     history: list[dict] = []
-    best_auc = -np.inf
-    best_snapshot = model.snapshot()
+    best_auc = -np.inf  # any AUC beats it, so epoch 1 always takes the first snapshot
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -93,14 +92,7 @@ def train(
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at epoch {epoch}")
             model.backward(dlogits)
-            optimizer.step(
-                [
-                    (name, param, grad)
-                    for (name, param), (_, grad) in zip(
-                        model.named_parameters(), model.named_gradients()
-                    )
-                ]
-            )
+            optimizer.step(model.layers)
             loss_sum += loss * len(batch)
 
         val_scores = model.predict(x_val)
@@ -128,7 +120,7 @@ def train(
 def write_history(path, history: list[dict], comment: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "val_auc"])
         for row in history:
             writer.writerow([row["epoch"], repr(float(row["train_loss"])), repr(float(row["val_auc"]))])

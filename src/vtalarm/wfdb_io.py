@@ -392,9 +392,10 @@ def extract_alarm_window(
 # --- alarm index sidecar ---
 
 def read_utf8(path: str | Path, error: type[VtalarmError]) -> str:
-    """The text of ``path``; bytes that are not UTF-8 raise ``error``."""
+    """The text of ``path``, without a leading byte-order mark; bytes that
+    are not UTF-8 raise ``error``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 

@@ -628,6 +628,23 @@ def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
     assert not (out / "windows.npy.partial").exists()
 
 
+def test_an_alarm_index_saved_with_a_byte_order_mark_ingests_the_same(pipeline, tmp_path):
+    root, raw, work, model, cfg = pipeline
+    marked = tmp_path / "raw"
+    shutil.copytree(raw, marked)
+    (marked / "alarms.csv").write_bytes(b"\xef\xbb\xbf" + (raw / "alarms.csv").read_bytes())
+    out = tmp_path / "work"
+    assert run("ingest", str(marked), "--seed", "6", "--out", str(out)) == 0
+    for name in ("windows.npy", "labels.npy", "meta.json"):
+        assert (out / name).read_bytes() == (work / name).read_bytes(), name
+
+
+def test_a_config_file_saved_with_a_byte_order_mark_resolves(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 3}).encode())
+    assert resolve_config(str(cfg))["seed"] == 3
+
+
 def test_ingest_of_a_record_with_its_channels_in_another_order_exits_nonzero(pipeline, tmp_path, capsys):
     root, raw, work, model, cfg = pipeline
     shuffled = tmp_path / "raw"

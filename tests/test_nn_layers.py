@@ -24,6 +24,7 @@ from vtalarm.nn.layers import (
     Dense,
     Dropout,
     GlobalAvgPool,
+    Layer,
     MaxPool1D,
     MultiHeadAttention,
     ReLU,
@@ -609,7 +610,11 @@ def test_adam_converges_on_quadratic():
 
 def test_adam_optimizer_keeps_per_tensor_state():
     optimizer = Adam(lr=0.1)
-    a, b = np.array([1.0]), np.array([2.0])
-    optimizer.step([("a", a, np.array([1.0])), ("b", b, np.array([1.0]))])
-    assert set(optimizer.states) == {"a", "b"}
-    assert optimizer.states["a"]["t"] == 1
+    first, second = Layer(), Layer()
+    first.params, first.grads = {"a": np.array([1.0]), "b": np.array([2.0])}, {"a": np.array([1.0]), "b": np.array([1.0])}
+    second.params, second.grads = {"a": np.array([3.0])}, {"a": np.array([1.0])}
+    optimizer.step([first, second])
+    optimizer.step([first])
+    assert set(optimizer.states) == {(first, "a"), (first, "b"), (second, "a")}
+    assert optimizer.states[(first, "a")]["t"] == 2
+    assert optimizer.states[(second, "a")]["t"] == 1

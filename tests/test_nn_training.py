@@ -39,6 +39,7 @@ from vtalarm.nn import model as nn_model
 from vtalarm.nn.layers import sigmoid
 from vtalarm.nn.model import CNN_DEFAULTS, FCNN_DEFAULTS, hyperparams_for
 from vtalarm.nn.training import _batches
+from vtalarm.preprocess import ScalerParams
 from vtalarm.synth import generate_feature_dataset
 
 
@@ -129,10 +130,10 @@ def test_same_seed_gives_identical_init_different_seed_does_not():
     a = build_model("fcnn", (17,), seed=7)
     b = build_model("fcnn", (17,), seed=7)
     c = build_model("fcnn", (17,), seed=8)
-    for (name, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+    for (name, pa), (_, pb) in zip(a.named_arrays(), b.named_arrays()):
         assert np.array_equal(pa, pb), name
-    first = dict(a.named_parameters())["layer0.W"]
-    assert not np.array_equal(first, dict(c.named_parameters())["layer0.W"])
+    first = dict(a.named_arrays())["layer0.W"]
+    assert not np.array_equal(first, dict(c.named_arrays())["layer0.W"])
 
 
 # -------------------------------------------------------------- training loop
@@ -378,6 +379,38 @@ def test_checkpoint_rejects_corruption():
     assert blob[:4] == MAGIC
 
 
+def _with_one_more_array(blob, entry, payload):
+    """``blob`` with ``entry`` appended to its header's array list and
+    ``payload`` to its arrays, so the byte count still fits the header."""
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    header["arrays"].append(entry)
+    raw = json.dumps(header).encode()
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :] + payload
+
+
+@pytest.mark.parametrize("entry", [{"name": "bogus", "shape": [2]}, {"name": "input.maximum", "shape": [2]}], ids=["an-unknown-name", "a-repeated-name"])
+def test_checkpoint_refuses_an_array_the_model_does_not_hold_once(entry):
+    model = build_model("fcnn", (2,), seed=0, hyperparams={"hidden_sizes": [4]})
+    model.scaler = ScalerParams(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+    blob = serialize_model(model)
+    assert deserialize_model(blob).scaler.maximum.tolist() == [2.0, 3.0]
+    with pytest.raises(CorruptCheckpoint):
+        deserialize_model(_with_one_more_array(blob, entry, np.array([2.0, 3.0]).astype("<f8").tobytes()))
+
+
+def test_load_arrays_takes_the_input_range_whole_or_not_at_all():
+    model = build_model("fcnn", (2,), seed=0, hyperparams={"hidden_sizes": [4]})
+    arrays = model.snapshot()
+    model.load_arrays({**arrays, "input.minimum": np.zeros(2), "input.maximum": np.ones(2)})
+    assert model.scaler.maximum.tolist() == [1.0, 1.0]
+    assert [name for name, _ in model.named_arrays()][-2:] == ["input.minimum", "input.maximum"]
+    with pytest.raises(ShapeMismatch):
+        model.load_arrays({**arrays, "input.minimum": np.zeros(2)})
+    model.load_arrays(arrays)
+    assert model.scaler is None
+
+
 def test_load_arrays_shape_check():
     model = build_model("fcnn", (5,), seed=0, hyperparams={"hidden_sizes": [4]})
     arrays = dict(model.named_arrays())
@@ -400,3 +433,9 @@ def test_history_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# config=abc123 seed=0\n")
     assert read_history(path) == history
+
+
+def test_history_csv_ends_every_line_in_lf(tmp_path):
+    path = tmp_path / "history.csv"
+    write_history(path, [{"epoch": 1, "train_loss": 0.5, "val_auc": 0.75}], comment="c")
+    assert path.read_bytes() == b"# c\nepoch,train_loss,val_auc\n1,0.5,0.75\n"

@@ -100,3 +100,29 @@ def test_readme_config_table_lists_every_key_with_its_default():
     assert sorted(got) == sorted(want)
     for key, default in want.items():
         assert (type(got[key]), got[key]) == (type(default), default), key
+
+
+def test_every_benchmark_probe_names_a_target_the_tracer_can_wrap(monkeypatch):
+    """perfbench wraps its targets from the outside, as ``Tracer.installed``
+    resolves them: a function by its module attribute, a method through its
+    class's own ``__dict__``. ``cli`` must call features' own
+    ``build_feature_vector``, so that one wrapper counts every window."""
+    monkeypatch.syspath_prepend(str(README.parent))
+    from perfbench.layers import PROBES
+
+    unresolved = []
+    for probe in PROBES:
+        module_name, attr = probe.target.split(":")
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and method in vars(cls)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            unresolved.append(probe.target)
+    assert unresolved == []
+    from vtalarm import cli, features
+
+    assert cli.build_feature_vector is features.build_feature_vector
