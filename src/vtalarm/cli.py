@@ -15,6 +15,7 @@ import copy
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .features import (  # noqa: F401  build_feature_vector stays importable fro
 from .imbalance import ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import build_model, hyperparams_for
-from .nn.training import TrainConfig, train, write_history
+from .nn.training import TrainConfig, train
 from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
 from .synth import SynthConfig, generate_corpus
 from .wfdb_io import extract_alarm_window, load_record, read_alarm_index, read_utf8, window_bounds
@@ -153,14 +154,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _write_csv(path: Path, stamp: str, header: list[str], rows) -> None:
+    """A stamped CSV artifact: the ``# config=... seed=...`` line, the header,
+    then one line per row of already-formatted cells, each ending in LF."""
+    lines = [f"# {stamp}", ",".join(header), *map(",".join, rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
+def _score_table(record_ids, scores, flags) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of scores.csv and predictions.csv."""
+    rows = [[rid, repr(float(s)), "true" if a else "false"] for rid, s, a in zip(record_ids, scores, flags)]
+    return ["record_id", "score", "alert"], rows
+
+
 # ---------------------------------------------------------------- features csv
-
-
-def _write_features_csv(path, record_ids, labels, matrix, names, comment):
-    lines = [f"# {comment}", ",".join(["record_id", "label"] + list(names))]
-    for rid, y, row in zip(record_ids, labels, matrix):
-        lines.append(",".join([rid, str(int(y))] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _load_features_csv(path):
@@ -288,11 +295,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
             "fs": fs,
             "channels": channels,
             "alarm_index": window_bounds(fs)[0],
-            "n_windows": shape[0],
             "window_samples": shape[1],
-            "n_channels": shape[2],
-            "dtype": "float32",
-            "imputed": True,
         },
     )
     print(f"ingest: {shape[0]} windows of {shape[1]}x{shape[2]} -> {out_dir} [{_stamp(config)}]")
@@ -307,7 +310,8 @@ def cmd_featurize(config: dict, data_dir: Path, out_dir: Path) -> None:
     matrix = feature_matrix(windows, plan)
     names = feature_names(windows.shape[2])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_features_csv(out_dir / "features.csv", meta["record_ids"], labels, matrix, names, _stamp(config))
+    rows = ([rid, str(int(y)), *map(repr, row.tolist())] for rid, y, row in zip(meta["record_ids"], labels, matrix))
+    _write_csv(out_dir / "features.csv", _stamp(config), ["record_id", "label", *names], rows)
     print(f"featurize: {len(matrix)} x {len(names)} feature matrix -> {out_dir / 'features.csv'} [{_stamp(config)}]")
 
 
@@ -352,11 +356,8 @@ def _prepare_arrays(data_dir: Path, arch: str, hyperparams: dict):
 
 
 def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
-    arch = config["architecture"]
-    if arch not in ("fcnn", "cnn"):
-        raise InvalidConfig(f"architecture must be fcnn or cnn, got {arch!r}")
-    seed = config["seed"]
-    hyperparams = hyperparams_for(arch, config["model"][arch])
+    arch, seed = config["architecture"], config["seed"]
+    hyperparams = hyperparams_for(arch, config["model"].get(arch, {}))
     rcfg = ResampleConfig(**config["resample"], seed=seed)
     use_weights = config["train"]["use_class_weights"]
     if use_weights and rcfg.method != "none":
@@ -392,7 +393,8 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "model.ckpt")
-    write_history(out_dir / "history.csv", history, comment=_stamp(config))
+    rows = ([str(r["epoch"]), repr(float(r["train_loss"])), repr(float(r["val_auc"]))] for r in history)
+    _write_csv(out_dir / "history.csv", _stamp(config), ["epoch", "train_loss", "val_auc"], rows)
     save_split(out_dir / "split.json", split, extra={"config_hash": config_hash(config)})
     best = max(row["val_auc"] for row in history)
     print(
@@ -432,24 +434,14 @@ def _scored_rows(model_dir: Path, data_dir: Path, subset: str, threshold: float)
     return model, [ids[i] for i in idx], labels[idx], scores
 
 
-def _write_scores_csv(path: Path, comment: str, record_ids, scores, threshold: float) -> int:
-    """One record_id,score,alert row per record; returns the number of alerts."""
-    flags = alerts(scores, threshold)
-    lines = [f"# {comment}", "record_id,score,alert"]
-    for rid, score, alert in zip(record_ids, scores, flags):
-        lines.append(f"{rid},{repr(float(score))},{'true' if alert else 'false'}")
-    path.write_text("\n".join(lines) + "\n")
-    return int(flags.sum())
-
-
 def cmd_evaluate(config: dict, model_dir: Path, data_dir: Path, out_dir: Path, subset: str = "test") -> None:
     threshold = config["threshold"]
     model, ids, labels, scores = _scored_rows(model_dir, data_dir, subset, threshold)
     report = classification_metrics(scores, labels, threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"config_hash": config_hash(config), "seed": config["seed"], "subset": subset, **report.to_dict()}
+    payload = {"config_hash": config_hash(config), "seed": config["seed"], "subset": subset, **asdict(report)}
     _write_json(out_dir / "report.json", payload)
-    _write_scores_csv(out_dir / "scores.csv", _stamp(config), ids, scores, threshold)
+    _write_csv(out_dir / "scores.csv", _stamp(config), *_score_table(ids, scores, alerts(scores, threshold)))
     print(
         f"evaluate: {model.architecture} on {len(ids)} {subset} rows, auc {report.roc_auc:.4f} "
         f"-> {out_dir / 'report.json'} [{_stamp(config)}]"
@@ -460,9 +452,10 @@ def cmd_predict(config: dict, model_dir: Path, data_dir: Path, out_dir: Path) ->
     threshold = config["threshold"]
     model, ids, _, scores = _scored_rows(model_dir, data_dir, "all", threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_alerts = _write_scores_csv(out_dir / "predictions.csv", _stamp(config), ids, scores, threshold)
+    flags = alerts(scores, threshold)
+    _write_csv(out_dir / "predictions.csv", _stamp(config), *_score_table(ids, scores, flags))
     print(
-        f"predict: {model.architecture} scored {len(ids)} events, {n_alerts} alerts at "
+        f"predict: {model.architecture} scored {len(ids)} events, {int(flags.sum())} alerts at "
         f"threshold {threshold} -> {out_dir / 'predictions.csv'} [{_stamp(config)}]"
     )
 

@@ -65,33 +65,16 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The metrics of report.json, laid out as the file has them: the file's
+    body is ``dataclasses.asdict`` of this."""
+
     roc_auc: float
     threshold: float
     n_samples: int
-    # Confusion counts with "true alarm" as the positive class.
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    true_alarm: ClassMetrics
-    false_alarm: ClassMetrics
-
-    def to_dict(self) -> dict:
-        return {
-            "roc_auc": self.roc_auc,
-            "threshold": self.threshold,
-            "n_samples": self.n_samples,
-            "confusion_matrix": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
-            "per_class": {
-                name: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "precision_defined": m.precision_defined,
-                }
-                for name, m in (("true_alarm", self.true_alarm), ("false_alarm", self.false_alarm))
-            },
-        }
+    # tp, fp, tn and fn, with "true alarm" as the positive class.
+    confusion_matrix: dict[str, int]
+    # The metrics of "true_alarm" and of "false_alarm".
+    per_class: dict[str, ClassMetrics]
 
 
 def _one_class(tp: int, fp: int, fn: int) -> ClassMetrics:
@@ -116,13 +99,9 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> EvalReport
         roc_auc=auc,
         threshold=float(threshold),
         n_samples=int(labels.size),
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        true_alarm=_one_class(tp, fp, fn),
+        confusion_matrix={"tp": tp, "fp": fp, "tn": tn, "fn": fn},
         # relabel: the false-alarm class is "positive" when predicted below threshold
-        false_alarm=_one_class(tn, fn, fp),
+        per_class={"true_alarm": _one_class(tp, fp, fn), "false_alarm": _one_class(tn, fn, fp)},
     )
 
 

@@ -1,7 +1,7 @@
 from .checkpoint import deserialize_model, load_checkpoint, save_checkpoint, serialize_model
 from .layers import Adam, adam_step, sigmoid, weighted_bce_with_logits
 from .model import Model, build_model
-from .training import TrainConfig, train, write_history
+from .training import TrainConfig, train
 
 __all__ = [
     "Adam",
@@ -16,5 +16,4 @@ __all__ = [
     "sigmoid",
     "train",
     "weighted_bce_with_logits",
-    "write_history",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +116,4 @@ def train(
     return history
 
 
-def write_history(path, history: list[dict], comment: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_auc"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(float(row["train_loss"])), repr(float(row["val_auc"]))])
-
-
-__all__ = ["TrainConfig", "train", "write_history"]
+__all__ = ["TrainConfig", "train"]

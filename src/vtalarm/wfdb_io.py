@@ -401,18 +401,18 @@ def read_utf8(path: str | Path, error: type[VtalarmError]) -> str:
 
 
 def read_alarm_index(path: str | Path) -> list[tuple[str, float, int]]:
-    """Read the sidecar CSV: one ``record_id,alarm_time_s,label`` per event.
-    A record id with a path separator or a ``..`` raises MalformedHeader."""
+    """Read the sidecar CSV: one ``record_id,alarm_time_s,label`` per event,
+    after a header line if the first line that is not a comment is one. A
+    record id with a path separator or a ``..`` raises MalformedHeader."""
+    lines = [line.strip() for line in read_utf8(path, MalformedHeader).splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if lines and lines[0].split(",")[0].strip() == "record_id":
+        del lines[0]
     events = []
-    for raw in read_utf8(path, MalformedHeader).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         parts = [p.strip() for p in line.split(",")]
-        if parts[0] == "record_id":
-            continue
         if len(parts) != 3:
-            raise MalformedHeader(f"alarm index line needs 3 fields: {raw!r}")
+            raise MalformedHeader(f"alarm index line needs 3 fields: {line!r}")
         record_id, time_s, label = parts
         _bare_name(record_id, "record id")
         if label.lower() not in ("true", "false"):

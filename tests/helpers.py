@@ -37,7 +37,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def read_history(path) -> list[dict]:
-    """The rows of a history.csv that ``write_history`` wrote."""
+    """The rows of a history.csv that ``vtalarm train`` wrote."""
     with open(path, newline="") as fh:
         rows = [line for line in fh if not line.startswith("#")]
     return [

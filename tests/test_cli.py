@@ -182,6 +182,7 @@ def test_synth_and_ingest_outputs(pipeline):
     assert (raw / "alarms.csv").exists()
     assert len(list(raw.glob("*.hea"))) == 24
     meta = json.loads((work / "meta.json").read_text())
+    assert sorted(meta) == ["alarm_index", "channels", "config_hash", "fs", "record_ids", "seed", "window_samples"]
     assert meta["seed"] == 6
     assert len(meta["record_ids"]) == 24
     windows = np.load(work / "windows.npy")
@@ -556,6 +557,16 @@ def test_a_misspelled_hyperparameter_of_either_architecture_exits_nonzero(tmp_pa
     monkeypatch.setattr(cli, "_require", lambda *args: pytest.fail("a data file was read"))
     assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.splitlines() == ["error: InvalidConfig: unknown hyperparameter 'n_filter' for cnn"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_of_an_unknown_architecture_exits_before_any_data_is_read(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "rnn.json"
+    cfg.write_text(json.dumps({"architecture": "rnn"}))
+    monkeypatch.setattr(cli, "_require", lambda *args: pytest.fail("a data file was read"))
+    assert run("train", "data", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidConfig:") and "'rnn'" in err[0], err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 """ROC-AUC against a brute-force pair oracle, plus report arithmetic."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from helpers import auc_pair_oracle
@@ -81,14 +83,15 @@ def hand_dataset():
 def test_confusion_counts_and_per_class_metrics():
     scores, labels = hand_dataset()
     report = classification_metrics(scores, labels, threshold=0.5)
-    assert (report.tp, report.fn, report.fp, report.tn) == (93, 7, 6, 94)
+    assert report.confusion_matrix == {"tp": 93, "fn": 7, "fp": 6, "tn": 94}
     assert report.n_samples == 200
-    assert report.true_alarm.precision == pytest.approx(93 / 99)
-    assert report.true_alarm.recall == pytest.approx(0.93)
-    assert report.true_alarm.f1 == pytest.approx(2 * (93 / 99) * 0.93 / (93 / 99 + 0.93))
+    true_alarm, false_alarm = report.per_class["true_alarm"], report.per_class["false_alarm"]
+    assert true_alarm.precision == pytest.approx(93 / 99)
+    assert true_alarm.recall == pytest.approx(0.93)
+    assert true_alarm.f1 == pytest.approx(2 * (93 / 99) * 0.93 / (93 / 99 + 0.93))
     # the suppression class swaps the roles: tn are its hits, fn its false positives
-    assert report.false_alarm.precision == pytest.approx(94 / 101)
-    assert report.false_alarm.recall == pytest.approx(0.94)
+    assert false_alarm.precision == pytest.approx(94 / 101)
+    assert false_alarm.recall == pytest.approx(0.94)
     assert report.roc_auc == roc_auc(scores, labels)
 
 
@@ -98,16 +101,18 @@ def test_confusion_matches_recount_oracle(seed):
     threshold = 0.3
     report = classification_metrics(scores, labels, threshold=threshold)
     predicted = scores >= threshold
-    assert report.tp == int(np.sum(predicted & (labels == 1)))
-    assert report.fp == int(np.sum(predicted & (labels == 0)))
-    assert report.tn == int(np.sum(~predicted & (labels == 0)))
-    assert report.fn == int(np.sum(~predicted & (labels == 1)))
-    assert report.tp + report.fp + report.tn + report.fn == report.n_samples == 80
+    assert report.confusion_matrix == {
+        "tp": int(np.sum(predicted & (labels == 1))),
+        "fp": int(np.sum(predicted & (labels == 0))),
+        "tn": int(np.sum(~predicted & (labels == 0))),
+        "fn": int(np.sum(~predicted & (labels == 1))),
+    }
+    assert sum(report.confusion_matrix.values()) == report.n_samples == 80
 
 
 def test_all_correct_gives_unit_metrics():
     report = classification_metrics(np.array([0.9, 0.9, 0.1]), np.array([1, 1, 0]))
-    for cls in (report.true_alarm, report.false_alarm):
+    for cls in report.per_class.values():
         assert cls.precision == cls.recall == cls.f1 == 1.0
         assert cls.precision_defined
 
@@ -115,15 +120,15 @@ def test_all_correct_gives_unit_metrics():
 def test_undefined_precision_is_flagged_not_faked():
     # nothing predicted positive: true-alarm precision has a 0/0 denominator
     report = classification_metrics(np.array([0.1, 0.2]), np.array([1, 0]))
-    assert report.tp == 0 and report.fp == 0
-    assert not report.true_alarm.precision_defined
-    assert report.true_alarm.precision == 0.0
-    assert report.false_alarm.precision_defined
+    assert report.confusion_matrix["tp"] == 0 and report.confusion_matrix["fp"] == 0
+    assert not report.per_class["true_alarm"].precision_defined
+    assert report.per_class["true_alarm"].precision == 0.0
+    assert report.per_class["false_alarm"].precision_defined
 
 
 def test_report_dict_shape():
     scores, labels = hand_dataset()
-    out = classification_metrics(scores, labels).to_dict()
+    out = asdict(classification_metrics(scores, labels))
     assert out["confusion_matrix"] == {"tp": 93, "fp": 6, "tn": 94, "fn": 7}
     assert set(out["per_class"]) == {"true_alarm", "false_alarm"}
     assert out["n_samples"] == 200
@@ -133,7 +138,7 @@ def test_report_dict_shape():
 
 def test_threshold_is_boundary_inclusive_in_metrics():
     report = classification_metrics(np.array([0.5, 0.4]), np.array([1, 0]), threshold=0.5)
-    assert report.tp == 1 and report.tn == 1
+    assert report.confusion_matrix["tp"] == 1 and report.confusion_matrix["tn"] == 1
 
 
 # -------------------------------------------------------------- alert gating

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtalarm.cli import _load_features_csv, _write_features_csv, resolve_config
+from vtalarm.cli import _load_features_csv, _write_csv, resolve_config
 from vtalarm.errors import VtalarmError
 from vtalarm.nn import build_model, deserialize_model, serialize_model
 from vtalarm.preprocess import ScalerParams, load_split, save_split, split_dataset
@@ -82,7 +82,8 @@ ALARMS = "record_id,alarm_time_s,label\nr001,300,true\nr002,312.5,false\n"
 CONFIG = json.dumps(
     {"seed": 3, "train": {"max_epochs": 7}, "model": {"cnn": {"n_filters": 8}}, "split": {"ratios": [0.6, 0.2, 0.2]}}
 )
-FEATURES = np.array([[0.5, 1e-3, -2.0], [1.5, 2e-3, -1.0]])
+# The rows of a feature table, each cell formatted as featurize formats it.
+FEATURE_ROWS = [["r1", "1", "0.5", "0.001", "-2.0"], ["r2", "0", "1.5", "0.002", "-1.0"]]
 
 
 def _small_fcnn_with_an_input_range():
@@ -169,7 +170,7 @@ def test_extract_alarm_window_fuzz(alarm_time):
         (lambda _: CONFIG, lambda path: resolve_config(str(path))),
         (_written(lambda p: save_split(p, split_dataset(np.array([0, 1] * 6), seed=1))), load_split),
         (
-            _written(lambda p: _write_features_csv(p, ["r1", "r2"], [1, 0], FEATURES, ["a", "b", "c"], "c")),
+            _written(lambda p: _write_csv(p, "c", ["record_id", "label", "a", "b", "c"], FEATURE_ROWS)),
             _load_features_csv,
         ),
     ],

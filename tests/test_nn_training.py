@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import read_history
 
 import vtalarm
 
@@ -32,7 +31,6 @@ from vtalarm.nn import (
     save_checkpoint,
     serialize_model,
     train,
-    write_history,
 )
 from vtalarm.nn.checkpoint import FORMAT_VERSION, MAGIC
 from vtalarm.nn import model as nn_model
@@ -418,24 +416,3 @@ def test_load_arrays_shape_check():
     arrays[name] = np.zeros(np.asarray(arrays[name]).size + 1)
     with pytest.raises(ShapeMismatch):
         model.load_arrays(arrays)
-
-
-# -------------------------------------------------------------------- history
-
-
-def test_history_csv_round_trip(tmp_path):
-    history = [
-        {"epoch": 1, "train_loss": 0.6931471805599453, "val_auc": 0.5},
-        {"epoch": 2, "train_loss": 0.25, "val_auc": 0.9874999999999999},
-    ]
-    path = tmp_path / "history.csv"
-    write_history(path, history, comment="config=abc123 seed=0")
-    text = path.read_text()
-    assert text.startswith("# config=abc123 seed=0\n")
-    assert read_history(path) == history
-
-
-def test_history_csv_ends_every_line_in_lf(tmp_path):
-    path = tmp_path / "history.csv"
-    write_history(path, [{"epoch": 1, "train_loss": 0.5, "val_auc": 0.75}], comment="c")
-    assert path.read_bytes() == b"# c\nepoch,train_loss,val_auc\n1,0.5,0.75\n"

@@ -298,6 +298,14 @@ def test_alarm_index_round_trip(tmp_path):
     assert "true" in text and "false" in text
 
 
+def test_alarm_index_takes_only_its_first_line_as_the_header(tmp_path):
+    path = tmp_path / "alarms.csv"
+    path.write_text("# corpus\nrecord_id,alarm_time_s,label\nr1,310,true\nrecord_id,320,false\n")
+    assert read_alarm_index(path) == [("r1", 310.0, 1), ("record_id", 320.0, 0)]
+    path.write_text("r1,310,true\n")
+    assert read_alarm_index(path) == [("r1", 310.0, 1)]
+
+
 def test_alarm_index_rejects_bad_label(tmp_path):
     path = tmp_path / "alarms.csv"
     path.write_text("record_id,alarm_time_s,label\nrec_a,300.0,maybe\n")
