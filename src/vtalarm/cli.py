@@ -34,7 +34,7 @@ from .imbalance import ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train
-from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
+from .preprocess import apply_scaler, fit_scaler, impute_mean, load_split, split_dataset, split_json
 from .synth import SynthConfig, generate_corpus
 from .wfdb_io import extract_alarm_window, load_record, read_alarm_index, read_utf8, window_bounds
 
@@ -395,7 +395,7 @@ def cmd_train(config: dict, data_dir: Path, out_dir: Path) -> None:
     save_checkpoint(model, out_dir / "model.ckpt")
     rows = ([str(r["epoch"]), repr(float(r["train_loss"])), repr(float(r["val_auc"]))] for r in history)
     _write_csv(out_dir / "history.csv", _stamp(config), ["epoch", "train_loss", "val_auc"], rows)
-    save_split(out_dir / "split.json", split, extra={"config_hash": config_hash(config)})
+    _write_json(out_dir / "split.json", {"config_hash": config_hash(config), **split_json(split)})
     best = max(row["val_auc"] for row in history)
     print(
         f"train: {arch} for {len(history)} epochs on {x_train.shape[0]} rows, "

@@ -11,14 +11,17 @@ names and vector length depend only on the channel count and the
 configuration.
 
 :func:`feature_matrix` computes the features of a whole stack of windows
-from one :class:`FeaturePlan`. Welch and coherence share one segment-FFT
-pass per channel, and the wavelet energy comes from Parseval's identity
-without building the scalogram. :func:`cwt_morlet` stays as the
-reference transform.
+from one :class:`FeaturePlan`, on one worker thread per CPU the process
+may use. Welch and coherence share one segment-FFT pass per channel, and
+the wavelet energy comes from Parseval's identity without building the
+scalogram. :func:`cwt_morlet` stays as the reference transform.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -473,59 +476,102 @@ class FeaturePlan:
 
 @dataclass
 class _Workspace:
-    """Every window-sized array :func:`feature_matrix` writes.
+    """Every window-sized array one :func:`feature_matrix` worker writes.
 
-    It is allocated once per call and every window overwrites it, so no
-    window allocates an array of its own size. ``segments`` takes a copy of
-    the strided segment view, and ``wavelet_spectrum`` also holds the
-    wavelet power in its real halves.
+    Each worker allocates one and every window it claims overwrites it, so
+    no window allocates an array of its own size. Only ``x`` (the window)
+    and ``spectra`` (its segment spectra) live through a whole window. The
+    other window-sized arrays live one after another, so they are C-ordered
+    views of the head of one float64 scratch array, in the order
+    :func:`_window_features` uses them: ``segments`` (a copy of the strided
+    segment view), ``power`` (|spectra|^2), ``centered`` and ``squared``
+    (the moments), ``wavelet_spectrum`` (which also holds the wavelet power
+    in its real halves) and ``cross`` (one channel pair's cross-spectrum).
+    ``edges`` holds the head and the reversed tail the wavelet edge
+    correction reads, and ``edge_product`` their product with the edge Gram.
     """
 
     x: np.ndarray
+    spectra: np.ndarray
+    segments: np.ndarray
+    power: np.ndarray
     centered: np.ndarray
     squared: np.ndarray
-    segments: np.ndarray
-    spectra: np.ndarray
-    power: np.ndarray
     wavelet_spectrum: np.ndarray
     cross: np.ndarray
+    edges: np.ndarray
+    edge_product: np.ndarray
 
     @classmethod
     def allocate(cls, plan: FeaturePlan, n_channels: int) -> _Workspace:
-        """Arrays for one window of ``n_channels``; ``cross`` holds one
-        channel pair at a time."""
+        """Arrays for one window of ``n_channels``."""
         x = np.empty((n_channels, plan.span.stop - plan.span.start))
         segments = _segments(x, plan.spectral).shape
         bins = segments[:-1] + (plan.frequencies.size,)
+        shapes = {
+            "segments": (segments, np.float64),
+            "power": (bins, np.float64),
+            "moments": ((2,) + x.shape, np.float64),
+            "wavelet_spectrum": ((n_channels, plan.fft_len // 2 + 1), np.complex128),
+            "cross": (bins[1:], np.complex128),
+        }
+        words = {k: math.prod(shape) * np.dtype(dtype).itemsize // 8 for k, (shape, dtype) in shapes.items()}
+        scratch = np.empty(max(words.values()))
+        views = {k: scratch[: words[k]].view(dtype).reshape(shape) for k, (shape, dtype) in shapes.items()}
+        centered, squared = views.pop("moments")
         return cls(
             x=x,
-            centered=np.empty_like(x),
-            squared=np.empty_like(x),
-            segments=np.empty(segments),
             spectra=np.empty(bins, np.complex128),
-            power=np.empty(bins),
-            wavelet_spectrum=np.empty((n_channels, plan.fft_len // 2 + 1), np.complex128),
-            cross=np.empty(bins[1:], np.complex128),
+            centered=centered,
+            squared=squared,
+            edges=np.empty((2, n_channels, plan.edge_gram.shape[0])),
+            edge_product=np.empty((2, n_channels, plan.edge_gram.shape[0])),
+            **views,
         )
 
 
-def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, spectrum: np.ndarray) -> np.ndarray:
+# Multiply-adds in a matrix product small enough that OpenBLAS runs it on
+# the calling thread (OpenBLAS 0.3.31 splits a product with M = 3 rows only
+# past about 10**6). A larger one wakes OpenBLAS's own threads, which then
+# compete with feature_matrix's workers for the same CPUs.
+_SERIAL_PRODUCT = 2**19
+
+
+def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> np.ndarray:
     """(..., n) -> (...): sum over scales of the mean-square CWT coefficient.
-    ``spectrum`` is (..., fft_len // 2 + 1) complex scratch; |X|^2 lands in
-    its real halves."""
+    |X|^2 lands in the real halves of ``ws.wavelet_spectrum``. ``ws.edges``
+    (2, ..., edge) takes the head, then the reversed tail, zero-padded past
+    n. Their product with the edge Gram goes into ``ws.edge_product``: in
+    one call when each of its BLAS calls (one per edge) is at most
+    ``_SERIAL_PRODUCT``, else as column blocks of at most that size, each
+    the transpose of a contiguous row block of the symmetric Gram, so every
+    product runs on the calling thread. Blocks change the rounding (a
+    quadratic form by about 1e-15 relative), so a product that already
+    stays on one thread is not split."""
     n = x.shape[-1]
-    np.fft.rfft(x, plan.fft_len, axis=-1, out=spectrum)
-    parts = spectrum.view(np.float64)  # re, im, re, im, ...
+    np.fft.rfft(x, plan.fft_len, axis=-1, out=ws.wavelet_spectrum)
+    parts = ws.wavelet_spectrum.view(np.float64)  # re, im, re, im, ...
     parts *= parts
     power = parts[..., 0::2]
     power += parts[..., 1::2]
     power *= plan.weights
     full = power.sum(axis=-1)
-    edge = plan.edge_gram.shape[0]
-    edges = np.zeros((2,) + x.shape[:-1] + (edge,))  # the head, then the reversed tail
-    edges[0, ..., : min(n, edge)] = x[..., :edge]
-    edges[1, ..., : min(n, edge)] = x[..., ::-1][..., :edge]
-    head, tail = np.sum((edges @ plan.edge_gram) * edges, axis=-1)
+    edges, product = ws.edges, ws.edge_product
+    edge = edges.shape[-1]
+    m = min(n, edge)
+    edges[0, ..., :m] = x[..., :m]
+    edges[1, ..., :m] = x[..., ::-1][..., :m]
+    edges[..., m:] = 0.0
+    rows = math.prod(x.shape[:-1])
+    if rows * edge * edge <= _SERIAL_PRODUCT:
+        np.matmul(edges, plan.edge_gram, out=product)
+    else:
+        step = max(1, _SERIAL_PRODUCT // (2 * rows * edge))
+        flat, out = edges.reshape(2 * rows, edge), product.reshape(2 * rows, edge)
+        for j in range(0, edge, step):
+            np.matmul(flat, plan.edge_gram[j : j + step].T, out=out[:, j : j + step])
+    product *= edges
+    head, tail = product.sum(axis=-1)
     return (full - (head + tail)) / n
 
 
@@ -542,7 +588,7 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
             _moments(x, ws.centered, ws.squared),
             plan.frequencies[1 + np.argmax(psd[..., 1:], axis=-1)][..., None],
             _entropy(psd)[..., None],
-            _total_wavelet_energy(x, plan, ws.wavelet_spectrum)[..., None],
+            _total_wavelet_energy(x, plan, ws)[..., None],
         ],
         axis=-1,
     )
@@ -553,15 +599,27 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     return np.concatenate([per_channel.ravel(), np.asarray(coh, dtype=np.float64)])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     """Feature rows of a (n_windows, n_samples, n_channels) stack of imputed windows.
 
-    Windows go through one at a time, each in the one workspace allocated
-    here, so working memory is that of one window and no window allocates
-    afresh. ``windows`` needs only a ``shape`` and indexing by window, so a
-    reader that loads each window from disk works too; each window becomes
-    float64 on its own, so the windows may stay float32 as ingest stores
-    them. A window's row does not depend on its place in the stack.
+    One worker thread per CPU the process may use (at most one per window;
+    the calling thread is one of them) claims windows one at a time from a
+    shared counter and computes each in its own workspace, so working
+    memory is one window's per worker, and no window allocates afresh. The
+    first exception any worker raises stops the others claiming and is
+    raised here. ``windows`` needs only a ``shape`` and indexing by window,
+    so a reader that loads each window from disk works too; each window
+    becomes float64 on its own, so the windows may stay float32 as ingest
+    stores them. A window's row does not depend on its place in the stack
+    or on the number of workers.
     """
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
@@ -570,9 +628,34 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     if n_channels > 1 and ws.segments.shape[1] < 2:
         raise TooFewSamples("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels))))
-    with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
-        for i in range(n_windows):
-            out[i] = _window_features(windows[i], plan, ws)
+    lock = threading.Lock()
+    claimed = 0
+    errors: list[BaseException] = []
+
+    def work(ws: _Workspace | None) -> None:
+        nonlocal claimed
+        try:
+            if ws is None:
+                ws = _Workspace.allocate(plan, n_channels)
+            with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
+                while True:
+                    with lock:
+                        if errors or claimed == n_windows:
+                            return
+                        i, claimed = claimed, claimed + 1
+                    out[i] = _window_features(windows[i], plan, ws)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(None,)) for _ in range(min(_usable_cpus(), n_windows) - 1)]
+    for thread in helpers:
+        thread.start()
+    work(ws)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")

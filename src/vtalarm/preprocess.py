@@ -137,18 +137,11 @@ def split_dataset(
     )
 
 
-def save_split(path: str | Path, split: DatasetSplit, extra: dict | None = None) -> None:
-    """Persist a split as JSON so later stages reuse the same partition."""
-    payload = dict(extra or {})
-    payload.update(
-        {
-            "seed": split.seed,
-            "train": [int(i) for i in split.train_indices],
-            "val": [int(i) for i in split.val_indices],
-            "test": [int(i) for i in split.test_indices],
-        }
-    )
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def split_json(split: DatasetSplit) -> dict:
+    """The keys :func:`load_split` reads: the split's seed and its three
+    lists of row indices."""
+    lists = {"train": split.train_indices, "val": split.val_indices, "test": split.test_indices}
+    return {"seed": split.seed, **{name: idx.tolist() for name, idx in lists.items()}}
 
 
 def load_split(path: str | Path) -> DatasetSplit:
@@ -180,6 +173,6 @@ __all__ = [
     "fit_scaler",
     "apply_scaler",
     "split_dataset",
-    "save_split",
+    "split_json",
     "load_split",
 ]

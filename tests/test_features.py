@@ -1,6 +1,11 @@
 """Spectral, wavelet and statistical features against naive oracles."""
 
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
+from collections import Counter
 from dataclasses import fields
 from unittest import mock
 
@@ -481,25 +486,40 @@ def test_row_bytes_do_not_depend_on_the_stack(n):
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
 
 
-def test_workspace_leaks_nothing_between_windows():
-    """A zero-variance channel in the third and the last of 5 windows, each
-    right after a window of normal variance in the same workspace."""
-    fs, n = 50.0, 1500
-    windows = _correlated_windows(np.random.default_rng(48), 5, n)
-    windows[2, :, 1] = 4.0
-    windows[4, :, 0] = -1.5
-    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
+def _workers(monkeypatch, n: int) -> None:
+    """Run feature_matrix with ``n`` workers, as on a process allowed ``n`` CPUs."""
+    monkeypatch.setattr(features, "_usable_cpus", lambda: n)
+
+
+def _poisoned_workspaces():
+    """Every workspace filled with NaN, so a read of anything not yet written shows."""
     allocate = _Workspace.allocate
 
     def poisoned(plan, n_channels):
-        """A workspace filled with NaN, so a read of anything not yet written shows."""
         ws = allocate(plan, n_channels)
         for f in fields(ws):
             getattr(ws, f.name).fill(np.nan)
         return ws
 
-    with mock.patch.object(_Workspace, "allocate", poisoned):
-        rows = feature_matrix(windows, plan)
+    return mock.patch.object(_Workspace, "allocate", poisoned)
+
+
+def test_workspace_leaks_nothing_between_windows(monkeypatch):
+    """A zero-variance channel in the third and the last of 5 windows, each
+    right after a window of normal variance in the same workspace; the same
+    bytes at 1, 2 and 3 workers."""
+    fs, n = 50.0, 1500
+    windows = _correlated_windows(np.random.default_rng(48), 5, n)
+    windows[2, :, 1] = 4.0
+    windows[4, :, 0] = -1.5
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
+    stacks = []
+    for n_workers in (1, 2, 3):
+        _workers(monkeypatch, n_workers)
+        with _poisoned_workspaces():
+            stacks.append(feature_matrix(windows, plan))
+    rows = stacks[0]
+    assert all(other.tobytes() == rows.tobytes() for other in stacks[1:])
     for i, window in enumerate(windows):
         assert rows[i].tobytes() == feature_matrix(window[None], plan)[0].tobytes()
         assert _relative_error(rows[i], feature_vector_oracle(window, fs, plan.spectral, plan.wavelet)) <= 1e-12
@@ -516,18 +536,121 @@ def test_one_plan_gives_the_same_bytes_twice():
     assert feature_matrix(windows, plan).tobytes() == feature_matrix(windows, plan).tobytes()
 
 
-def test_feature_matrix_memory_stays_within_chunk_bytes():
-    """Working memory is one window's workspace (4.3 MiB here), not the stack's."""
-    fs = 50.0
-    windows = np.random.default_rng(50).normal(size=(20, 18000, 3)).astype(np.float32)
-    plan = FeaturePlan.build(18000, spectral_params_for(fs), morlet_scales(fs))
+class _Reader:
+    """A window reader that counts the reads of each window and, as a file
+    read can, raises on reading window ``bad``."""
+
+    def __init__(self, windows, bad: int | None = None):
+        self.windows, self.bad, self.shape = windows, bad, windows.shape
+        self.reads = Counter()
+        self.lock = threading.Lock()
+
+    def __getitem__(self, i):
+        with self.lock:
+            self.reads[i] += 1
+        if i == self.bad:
+            raise OSError(f"cannot read window {i}")
+        return self.windows[i]
+
+
+def test_more_workers_than_cpus_claim_each_window_once(monkeypatch):
+    """8 workers claim windows in whatever order the threads run, here
+    switched every microsecond: each window is read once, and each row has
+    the bytes one worker gives it."""
+    fs, n = 50.0, 3000
+    windows = _correlated_windows(np.random.default_rng(51), 11, n)
+    windows[5, :, 2] = 7.0
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
+    _workers(monkeypatch, 1)
+    want = feature_matrix(windows, plan)
+    _workers(monkeypatch, 8)
+    reader = _Reader(windows)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _poisoned_workspaces():
+            rows = feature_matrix(reader, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows.tobytes() == want.tobytes()
+    assert reader.reads == dict.fromkeys(range(len(windows)), 1)
+
+
+@pytest.mark.parametrize("bad", [0, 4, 9])
+def test_a_worker_error_is_raised_in_the_caller(monkeypatch, bad):
+    fs, n = 50.0, 1500
+    windows = _correlated_windows(np.random.default_rng(52), 10, n)
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
+    _workers(monkeypatch, 2)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match=f"cannot read window {bad}"):
+        feature_matrix(_Reader(windows, bad), plan)
+    assert threading.active_count() == threads  # every helper has ended
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_a_non_finite_window_warns_in_no_worker(monkeypatch, n_workers):
+    """Each worker thread silences numpy's floating-point warnings itself:
+    a warning turned into an error in a helper would be raised instead."""
+    plan = FeaturePlan.build(1000, spectral_params_for(50.0), morlet_scales(50.0))
+    windows = np.random.default_rng(53).normal(size=(6, 1000, 2))
+    windows[3, 10, 0] = np.nan
+    windows[4, 20, 1] = np.inf
+    _workers(monkeypatch, n_workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOutOfRange, match="window 3"):
+            feature_matrix(windows, plan)
+
+
+def test_usable_cpus_follow_the_affinity_mask_or_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert features._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert features._usable_cpus() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+def test_edge_product_in_row_blocks_matches_one_product(monkeypatch, n_channels):
+    """Past ``_SERIAL_PRODUCT`` the edge Gram product runs as row blocks of
+    the Gram, so that no BLAS call leaves its worker's thread. A 50 Hz plan
+    (a 381-sample edge) forced through blocks of 48 columns, the last one
+    short, gives the one-product rows within 1e-12 at 1 and 2 workers."""
+    fs, n = 50.0, 3000
+    windows = np.ascontiguousarray(_correlated_windows(np.random.default_rng(54), 4, n)[..., :n_channels])
+    plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))
+    edge = plan.edge_gram.shape[0]
+    assert n_channels * edge * edge <= features._SERIAL_PRODUCT
+    want = feature_matrix(windows, plan)
+    monkeypatch.setattr(features, "_SERIAL_PRODUCT", 2 * n_channels * edge * 48)
+    stacks = []
+    for n_workers in (1, 2):
+        _workers(monkeypatch, n_workers)
+        with _poisoned_workspaces():
+            stacks.append(feature_matrix(windows, plan))
+    assert stacks[0].tobytes() == stacks[1].tobytes()
+    for got, row in zip(stacks[0], want):
+        assert _relative_error(got, row) <= 1e-12
+
+
+def _traced_peak(windows, plan) -> int:
     tracemalloc.start()
     try:
         feature_matrix(windows, plan)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 << 20
+
+
+def test_feature_matrix_memory_stays_within_chunk_bytes(monkeypatch):
+    """Working memory is one workspace per worker (2.2 MB here), not the stack's."""
+    fs = 50.0
+    windows = np.random.default_rng(50).normal(size=(20, 18000, 3)).astype(np.float32)
+    plan = FeaturePlan.build(18000, spectral_params_for(fs), morlet_scales(fs))
+    _workers(monkeypatch, 2)
+    assert _traced_peak(windows, plan) <= 6 << 20
+    _workers(monkeypatch, 1)
+    assert _traced_peak(windows, plan) <= 5 << 19  # 2.5 MiB
 
 
 def test_build_feature_vector_is_one_row_of_feature_matrix():

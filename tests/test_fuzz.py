@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtalarm.cli import _load_features_csv, _write_csv, resolve_config
+from vtalarm.cli import _load_features_csv, _write_csv, _write_json, resolve_config
 from vtalarm.errors import VtalarmError
 from vtalarm.nn import build_model, deserialize_model, serialize_model
-from vtalarm.preprocess import ScalerParams, load_split, save_split, split_dataset
+from vtalarm.preprocess import ScalerParams, load_split, split_dataset, split_json
 from vtalarm.wfdb_io import extract_alarm_window, parse_header, read_alarm_index, read_signal
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -168,7 +168,7 @@ def test_extract_alarm_window_fuzz(alarm_time):
     [
         (lambda _: ALARMS, read_alarm_index),
         (lambda _: CONFIG, lambda path: resolve_config(str(path))),
-        (_written(lambda p: save_split(p, split_dataset(np.array([0, 1] * 6), seed=1))), load_split),
+        (_written(lambda p: _write_json(p, split_json(split_dataset(np.array([0, 1] * 6), seed=1)))), load_split),
         (
             _written(lambda p: _write_csv(p, "c", ["record_id", "label", "a", "b", "c"], FEATURE_ROWS)),
             _load_features_csv,

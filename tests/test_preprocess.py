@@ -1,10 +1,12 @@
 """Imputation, scaling and stratified splitting."""
 
+import json
+
 import numpy as np
 import pytest
 
 from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples
-from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, load_split, save_split, split_dataset
+from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, load_split, split_dataset, split_json
 from vtalarm.wfdb_io import AlarmWindow
 
 
@@ -130,7 +132,7 @@ def test_split_file_round_trip(tmp_path):
     labels = np.array([0, 1] * 20)
     split = split_dataset(labels, seed=3)
     path = tmp_path / "split.json"
-    save_split(path, split, extra={"config_hash": "deadbeef"})
+    path.write_text(json.dumps({"config_hash": "deadbeef", **split_json(split)}))
     back = load_split(path)
     assert np.array_equal(back.train_indices, split.train_indices)
     assert np.array_equal(back.val_indices, split.val_indices)
