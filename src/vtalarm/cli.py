@@ -236,7 +236,10 @@ class _WindowFile:
         per_window = self.shape[1] * self.shape[2]
         with open(self.path, "rb") as fh:
             fh.seek(self.offset + i * per_window * self.dtype.itemsize)
-            return np.fromfile(fh, dtype=self.dtype, count=per_window).reshape(self.shape[1:])
+            window = np.fromfile(fh, dtype=self.dtype, count=per_window)
+        if window.size != per_window:
+            raise InvalidConfig(f"{self.path} ends inside window {i}; run ingest again")
+        return window.reshape(self.shape[1:])
 
 
 # ------------------------------------------------------------------- commands

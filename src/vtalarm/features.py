@@ -20,14 +20,13 @@ scalogram. :func:`cwt_morlet` stays as the reference transform.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import workers
 from .errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange, check_count
 from .wfdb_io import AlarmWindow
 
@@ -599,63 +598,32 @@ def _window_features(window: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     return np.concatenate([per_channel.ravel(), np.asarray(coh, dtype=np.float64)])
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     """Feature rows of a (n_windows, n_samples, n_channels) stack of imputed windows.
 
-    One worker thread per CPU the process may use (at most one per window;
-    the calling thread is one of them) claims windows one at a time from a
-    shared counter and computes each in its own workspace, so working
-    memory is one window's per worker, and no window allocates afresh. The
-    first exception any worker raises stops the others claiming and is
-    raised here. ``windows`` needs only a ``shape`` and indexing by window,
-    so a reader that loads each window from disk works too; each window
-    becomes float64 on its own, so the windows may stay float32 as ingest
-    stores them. A window's row does not depend on its place in the stack
-    or on the number of workers.
+    Each window is one item of :func:`workers.run`, so each worker thread
+    computes its windows in its own workspace: working memory is one
+    window's per worker, and no window allocates afresh. A failing window
+    raises the error a serial loop would. ``windows`` needs only a
+    ``shape`` and indexing by window, so a reader that loads each window
+    from disk works too; each window becomes float64 on its own, so the
+    windows may stay float32 as ingest stores them. A window's row does
+    not depend on its place in the stack or on the number of workers.
     """
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
         raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
-    ws = _Workspace.allocate(plan, n_channels)
-    if n_channels > 1 and ws.segments.shape[1] < 2:
+    span = plan.span.stop - plan.span.start
+    n_segments = (span - plan.spectral.segment_length) // _segment_step(span, plan.spectral) + 1
+    if n_channels > 1 and n_segments < 2:
         raise TooFewSamples("coherence needs at least 2 segments")
     out = np.empty((n_windows, len(feature_names(n_channels))))
-    lock = threading.Lock()
-    claimed = 0
-    errors: list[BaseException] = []
 
-    def work(ws: _Workspace | None) -> None:
-        nonlocal claimed
-        try:
-            if ws is None:
-                ws = _Workspace.allocate(plan, n_channels)
-            with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
-                while True:
-                    with lock:
-                        if errors or claimed == n_windows:
-                            return
-                        i, claimed = claimed, claimed + 1
-                    out[i] = _window_features(windows[i], plan, ws)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
+    def window(ws: _Workspace, i: int) -> None:
+        out[i] = _window_features(windows[i], plan, ws)
 
-    helpers = [threading.Thread(target=work, args=(None,)) for _ in range(min(_usable_cpus(), n_windows) - 1)]
-    for thread in helpers:
-        thread.start()
-    work(ws)
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with np.errstate(all="ignore"):  # a non-finite window is reported below, not warned about
+        workers.run(n_windows, lambda: _Workspace.allocate(plan, n_channels), window)
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ValueOutOfRange(f"window {bad[0]} has a non-finite feature value")

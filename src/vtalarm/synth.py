@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .errors import InvalidConfig, check_count
 from .rng import STREAM_SYNTH, derive_rng
 from .wfdb_io import (
@@ -136,16 +137,22 @@ def corpus_labels(config: SynthConfig) -> np.ndarray:
 def generate_corpus(config: SynthConfig, out_dir: str | Path) -> list[tuple[str, float, int]]:
     """Write every event's .hea/.dat pair plus the alarms.csv sidecar.
 
-    Returns the (record_id, alarm_time, label) event list in file order.
+    Each event is one item of :func:`workers.run`: it draws from its own
+    stream, so no file's bytes depend on the number of workers, and a
+    failing event raises the error a serial loop would. Returns the
+    (record_id, alarm_time, label) event list in file order.
     """
     labels = corpus_labels(config)  # refuses a single-class corpus before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    events = []
-    for idx, label in enumerate(labels):
-        record, alarm_time = generate_waveform_event(config, int(label), idx)
+    events = [None] * len(labels)
+
+    def event(_, i: int) -> None:
+        record, alarm_time = generate_waveform_event(config, int(labels[i]), i)
         save_record(out_dir, record, fmt=FMT16)
-        events.append((record.header.record_name, alarm_time, int(label)))
+        events[i] = (record.header.record_name, alarm_time, int(labels[i]))
+
+    workers.run(len(labels), lambda: None, event)
     write_alarm_index(out_dir / "alarms.csv", events)
     return events
 

@@ -246,10 +246,12 @@ def _decode_fmt212(data: bytes, total: int) -> np.ndarray:
     return adc
 
 
-def _channel_checksum(adc_column: np.ndarray) -> int:
-    """WFDB checksum: 16-bit signed sum of a channel's digital samples."""
-    total = int(adc_column.astype(np.int64).sum()) & 0xFFFF
-    return total - 0x10000 if total >= 0x8000 else total
+def _checksums(adc: np.ndarray) -> list[int]:
+    """WFDB checksums of an (n, C) array of digital samples: each channel's
+    int64 sum as a 16-bit signed integer. One sum per column: numpy's
+    axis-0 sum of an (n, 3) array is about 8x slower."""
+    totals = [int(column.sum(dtype=np.int64)) & 0xFFFF for column in adc.T]
+    return [t - 0x10000 if t >= 0x8000 else t for t in totals]
 
 
 def read_signal(
@@ -270,11 +272,8 @@ def read_signal(
 
     missing = adc == _SENTINEL[fmt]
     if verify_checksums:
-        for c, spec in enumerate(header.signals):
-            if spec.checksum is None:
-                continue
-            got = _channel_checksum(adc[:, c])
-            if got != spec.checksum:
+        for c, (spec, got) in enumerate(zip(header.signals, _checksums(adc))):
+            if spec.checksum is not None and got != spec.checksum:
                 raise ChecksumMismatch(
                     f"channel {c}: stored checksum {spec.checksum}, computed {got}"
                 )
@@ -308,24 +307,34 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
     """Serialize a record to (header text, signal bytes).
 
     Physical values are quantized with each channel's gain/baseline;
-    values whose quantized ADC code leaves the format's range raise
-    ValueOutOfRange. Masked samples become the format's sentinel.
+    unmasked values whose quantized ADC code is not finite or leaves the
+    format's range raise ValueOutOfRange. Masked samples become the
+    format's sentinel, whatever they hold.
     """
     if fmt not in (FMT16, FMT212):
         raise UnsupportedFormat(f"storage format {fmt} not supported")
     header = record.header
-    scaled = record.samples.astype(np.float64)
-    for column, spec in zip(scaled.T, header.signals):  # in place: no (n, C) temporaries
-        column *= spec.adc_gain
-        column += spec.baseline
-    adc = np.rint(scaled, out=scaled).astype(np.int64)
-    valid = ~record.missing_mask
-    if np.any((adc[valid] < _ADC_MIN[fmt]) | (adc[valid] > _ADC_MAX[fmt])):
-        raise ValueOutOfRange(
-            f"quantized value outside [{_ADC_MIN[fmt]}, {_ADC_MAX[fmt]}] for format {fmt}"
-        )
-    adc = adc.astype(np.int32)
-    adc[record.missing_mask] = _SENTINEL[fmt]
+    gains = np.array([spec.adc_gain for spec in header.signals], dtype=np.float64)
+    baselines = np.array([spec.baseline for spec in header.signals], dtype=np.float64)
+    missing = record.missing_mask
+    masked = missing.any()
+    with np.errstate(over="ignore", invalid="ignore"):  # a masked sample may hold anything
+        scaled = record.samples * gains
+        scaled += baselines
+        np.rint(scaled, out=scaled)
+    if masked:
+        scaled[missing] = 0.0
+    if scaled.size:
+        low, high = scaled.min(), scaled.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueOutOfRange("an unmasked sample quantizes to a non-finite value")
+        if low < _ADC_MIN[fmt] or high > _ADC_MAX[fmt]:
+            raise ValueOutOfRange(
+                f"quantized value outside [{_ADC_MIN[fmt]}, {_ADC_MAX[fmt]}] for format {fmt}"
+            )
+    adc = scaled.astype("<i2")
+    if masked:
+        adc[missing] = _SENTINEL[fmt]
 
     dat_name = header.signals[0].file_name if header.signals else f"{header.record_name}.dat"
     lines = [
@@ -333,9 +342,8 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
         f"{_format_number(header.sampling_frequency)} {header.n_samples}"
     ]
     adc_res = 16 if fmt == FMT16 else 12
-    for c, spec in enumerate(header.signals):
+    for c, (spec, checksum) in enumerate(zip(header.signals, _checksums(adc))):
         init_value = int(adc[0, c]) if header.n_samples else 0
-        checksum = _channel_checksum(adc[:, c])
         lines.append(
             f"{dat_name} {fmt} {_format_number(spec.adc_gain)}({spec.baseline})/{spec.units} "
             f"{adc_res} {spec.baseline} {init_value} {checksum} 0 {spec.description}".rstrip()
@@ -343,7 +351,7 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
     header_text = "\n".join(lines) + "\n"
 
     if fmt == FMT16:
-        signal_bytes = adc.astype("<i2").tobytes()
+        signal_bytes = adc.tobytes()
     else:
         signal_bytes = _encode_fmt212(adc)
     return header_text, signal_bytes

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from vtalarm.errors import UnsupportedFormat, ValueOutOfRange
 from vtalarm.features import (
     SpectralParams,
     WaveletConfig,
@@ -27,6 +28,16 @@ from vtalarm.features import (
     welch_psd,
 )
 from vtalarm.nn.layers import Dropout
+from vtalarm.wfdb_io import (
+    _ADC_MAX,
+    _ADC_MIN,
+    _SENTINEL,
+    FMT16,
+    FMT212,
+    WaveformRecord,
+    _encode_fmt212,
+    _format_number,
+)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -129,6 +140,39 @@ def tail_gram_oracle(wavelet: WaveletConfig) -> np.ndarray:
         gram[:half, :half] += _edge_gram_upper(np.conj(psi[::-1])[half + 1 :])
     gram += np.triu(gram, 1).T
     return gram
+
+
+def write_record_oracle(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
+    """``write_record`` one channel at a time: per-column gain and baseline
+    passes on a copy, the range check on a boolean-indexed copy of the
+    unmasked codes, and each checksum from an int64 copy of its column."""
+    if fmt not in (FMT16, FMT212):
+        raise UnsupportedFormat(f"storage format {fmt} not supported")
+    header = record.header
+    scaled = record.samples.astype(np.float64)
+    for column, spec in zip(scaled.T, header.signals):
+        column *= spec.adc_gain
+        column += spec.baseline
+    adc = np.rint(scaled, out=scaled).astype(np.int64)
+    valid = ~record.missing_mask
+    if np.any((adc[valid] < _ADC_MIN[fmt]) | (adc[valid] > _ADC_MAX[fmt])):
+        raise ValueOutOfRange(f"quantized value outside [{_ADC_MIN[fmt]}, {_ADC_MAX[fmt]}] for format {fmt}")
+    adc = adc.astype(np.int32)
+    adc[record.missing_mask] = _SENTINEL[fmt]
+
+    dat_name = header.signals[0].file_name if header.signals else f"{header.record_name}.dat"
+    lines = [f"{header.record_name} {header.n_signals} {_format_number(header.sampling_frequency)} {header.n_samples}"]
+    adc_res = 16 if fmt == FMT16 else 12
+    for c, spec in enumerate(header.signals):
+        init_value = int(adc[0, c]) if header.n_samples else 0
+        total = int(adc[:, c].astype(np.int64).sum()) & 0xFFFF
+        checksum = total - 0x10000 if total >= 0x8000 else total
+        lines.append(
+            f"{dat_name} {fmt} {_format_number(spec.adc_gain)}({spec.baseline})/{spec.units} "
+            f"{adc_res} {spec.baseline} {init_value} {checksum} 0 {spec.description}".rstrip()
+        )
+    signal_bytes = adc.astype("<i2").tobytes() if fmt == FMT16 else _encode_fmt212(adc)
+    return "\n".join(lines) + "\n", signal_bytes
 
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -900,6 +900,26 @@ def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, 
     assert capsys.readouterr().err.startswith(f"error: InvalidConfig: {data}")
 
 
+def test_featurize_of_windows_cut_short_after_loading_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch):
+    """windows.npy loses its last bytes after featurize has checked it: the
+    read of the last window names the file and the window."""
+    root, raw, work, model, cfg = pipeline
+    data = tmp_path / "work"
+    shutil.copytree(work, data)
+    path = data / "windows.npy"
+    n_windows = np.load(path, mmap_mode="r").shape[0]
+    load = cli._load_windows
+
+    def load_then_cut(data_dir):
+        loaded = load(data_dir)
+        path.write_bytes(path.read_bytes()[:-8])
+        return loaded
+
+    monkeypatch.setattr(cli, "_load_windows", load_then_cut)
+    assert run("featurize", str(data), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: InvalidConfig: {path} ends inside window {n_windows - 1};")
+
+
 @pytest.mark.parametrize(
     "command, pattern, error",
     [

@@ -1,6 +1,5 @@
 """Spectral, wavelet and statistical features against naive oracles."""
 
-import os
 import sys
 import threading
 import tracemalloc
@@ -15,7 +14,7 @@ from helpers import feature_vector_oracle, segment_gather_oracle, tail_gram_orac
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vtalarm import features
+from vtalarm import features, workers
 from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange
 from vtalarm.features import (
     FeaturePlan,
@@ -356,6 +355,10 @@ def test_feature_plan_validates_once():
     plan = FeaturePlan.build(1000, spectral, wavelet)
     with pytest.raises(ShapeMismatch):
         feature_matrix(np.zeros((2, 999, 3)), plan)
+    one_segment = FeaturePlan.build(1000, spectral, wavelet, analysis_span=(0.0, 5.8))  # 290 samples
+    assert feature_matrix(np.ones((1, 1000, 1)), one_segment).shape == (1, 8)
+    with pytest.raises(TooFewSamples, match="coherence needs at least 2 segments"):
+        feature_matrix(np.ones((1, 1000, 2)), one_segment)
 
 
 def test_feature_vector_refuses_spectral_settings_at_another_rate():
@@ -488,7 +491,7 @@ def test_row_bytes_do_not_depend_on_the_stack(n):
 
 def _workers(monkeypatch, n: int) -> None:
     """Run feature_matrix with ``n`` workers, as on a process allowed ``n`` CPUs."""
-    monkeypatch.setattr(features, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n)
 
 
 def _poisoned_workspaces():
@@ -590,8 +593,9 @@ def test_a_worker_error_is_raised_in_the_caller(monkeypatch, bad):
 
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_a_non_finite_window_warns_in_no_worker(monkeypatch, n_workers):
-    """Each worker thread silences numpy's floating-point warnings itself:
-    a warning turned into an error in a helper would be raised instead."""
+    """feature_matrix silences numpy's floating-point warnings in every
+    worker: a warning turned into an error in a helper would be raised
+    instead."""
     plan = FeaturePlan.build(1000, spectral_params_for(50.0), morlet_scales(50.0))
     windows = np.random.default_rng(53).normal(size=(6, 1000, 2))
     windows[3, 10, 0] = np.nan
@@ -601,13 +605,6 @@ def test_a_non_finite_window_warns_in_no_worker(monkeypatch, n_workers):
         warnings.simplefilter("error")
         with pytest.raises(ValueOutOfRange, match="window 3"):
             feature_matrix(windows, plan)
-
-
-def test_usable_cpus_follow_the_affinity_mask_or_the_cpu_count(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert features._usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert features._usable_cpus() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("n_channels", [1, 3])

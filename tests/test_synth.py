@@ -1,10 +1,12 @@
 """Synthetic corpus generator: determinism, geometry, and class structure."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from vtalarm import synth, workers
 from vtalarm.errors import InvalidConfig
 from vtalarm.evaluate import roc_auc
 from vtalarm.features import SpectralParams, dominant_frequency, welch_psd
@@ -82,6 +84,40 @@ def test_corpus_generation_is_deterministic(tmp_path):
     generate_corpus(config, tmp_path / "b")
     for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fs", [50.0, 250.0])
+def test_corpus_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, fs):
+    config = SynthConfig(n_events=5, class_ratio=0.4, fs=fs, seed=23)
+    corpora = []
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: n_workers)
+        out = tmp_path / str(n_workers)
+        generate_corpus(config, out)
+        corpora.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(corpora[0]) == 2 * 5 + 1
+    assert corpora[1] == corpora[0] and corpora[2] == corpora[0]
+
+
+def test_a_failing_event_raises_the_lowest_index_error(tmp_path, monkeypatch):
+    """Events 2 and 4 fail to save, event 2 slowly: at 2 workers event 4
+    fails first, and event 2's error is raised, as a serial loop raises it.
+    No alarm index is written."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    save = synth.save_record
+
+    def failing_save(data_dir, record, fmt):
+        name = record.header.record_name
+        if name == "ev00002":
+            time.sleep(0.05)
+        if name in ("ev00002", "ev00004"):
+            raise OSError(f"cannot write {name}")
+        save(data_dir, record, fmt=fmt)
+
+    monkeypatch.setattr(synth, "save_record", failing_save)
+    with pytest.raises(OSError, match="cannot write ev00002"):
+        generate_corpus(SynthConfig(n_events=8, class_ratio=0.5, seed=29), tmp_path)
+    assert not (tmp_path / "alarms.csv").exists()
 
 
 def test_burst_separates_dominant_frequency():

@@ -1,10 +1,12 @@
 """Record container: header parsing, both sample packings, windowing."""
 
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import write_record_oracle
 
 from vtalarm.errors import (
     ChecksumMismatch,
@@ -217,6 +219,38 @@ def test_write_record_rejects_out_of_range():
     record212 = make_record(np.array([[11.0]]), fmt=FMT212)  # 2200 > 2047
     with pytest.raises(ValueOutOfRange):
         write_record(record212, fmt=FMT212)
+
+
+@pytest.mark.parametrize("fmt", [FMT16, FMT212])
+@pytest.mark.parametrize("masked", [False, True])
+def test_write_record_gives_the_per_channel_oracle_bytes(fmt, masked):
+    """Random gains, baselines and lengths (odd ones too), codes up to the
+    format's limits, with no masked sample or about one in ten."""
+    rng = np.random.default_rng(fmt + masked)
+    limit = 32767 if fmt == FMT16 else 2047
+    for _ in range(50):
+        n, c = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+        gains = [float(rng.uniform(50, 400)) for _ in range(c)]
+        baselines = [int(rng.integers(-20, 20)) for _ in range(c)]
+        codes = rng.integers(-limit, limit + 1, size=(n, c)) - np.array(baselines)
+        samples = (codes + rng.uniform(-0.49, 0.49, size=(n, c))) / np.array(gains)
+        mask = rng.random((n, c)) < 0.1 if masked else None
+        record = make_record(samples, fmt=fmt, gains=gains, baselines=baselines, mask=mask)
+        assert write_record(record, fmt=fmt) == write_record_oracle(record, fmt=fmt)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+def test_write_record_refuses_a_non_finite_sample_without_a_warning(value):
+    samples = np.zeros((6, 2))
+    samples[3, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOutOfRange):
+            write_record(make_record(samples))
+        mask = np.zeros(samples.shape, dtype=bool)
+        mask[3, 1] = True  # a masked sample becomes the sentinel, whatever it holds
+        header_text, data = write_record(make_record(samples, mask=mask))
+    assert (header_text, data) == write_record_oracle(make_record(np.zeros((6, 2)), mask=mask))
 
 
 def test_header_survives_round_trip_fields():
