@@ -33,7 +33,6 @@ samples = np.stack([np.sin(2 * np.pi * 1.0 * t), 0.5 * np.cos(2 * np.pi * 2.0 * 
 
 header = RecordHeader(
     record_name="demo0",
-    n_signals=2,
     sampling_frequency=fs,
     n_samples=samples.shape[0],
     signals=[

@@ -14,7 +14,7 @@ import numpy as np
 
 from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, split_dataset
 from vtalarm.synth import SynthConfig, generate_waveform_event
-from vtalarm.wfdb_io import extract_alarm_window
+from vtalarm.wfdb_io import extract_alarm_window, window_bounds
 
 config = SynthConfig(n_events=1, fs=50.0, separability=2.0, seed=4)
 record, alarm_time = generate_waveform_event(config, label=1)
@@ -22,10 +22,13 @@ print("recording:", record.samples.shape, "at", record.header.sampling_frequency
 print("alarm fired at", round(alarm_time, 2), "s")
 
 # The window is always 300 s before and 60 s after the alarm, so every
-# event yields the same array shape regardless of recording length.
-window = extract_alarm_window(record, alarm_time, label=1)
-print("window:", window.samples.shape)
-print("alarm sample inside the window:", window.alarm_index, "== 300 s x", window.fs, "Hz")
+# event yields the same array shape regardless of recording length. It is
+# a record itself: the recording's rows around the onset, under a header
+# that counts the window's samples.
+window = extract_alarm_window(record, alarm_time)
+fs = window.header.sampling_frequency
+print("window:", window.samples.shape, "=", window.header.n_samples, "samples")
+print("alarm sample inside the window:", window_bounds(fs)[0], "== 300 s x", fs, "Hz")
 
 # Suppose the pulse sensor dropped out for 60 samples. Masked samples
 # get that channel's mean over the samples that do exist.

@@ -37,7 +37,6 @@ from .preprocess import (
 from .rng import derive_rng
 from .synth import SynthConfig, generate_corpus, generate_feature_dataset, generate_waveform_event
 from .wfdb_io import (
-    AlarmWindow,
     RecordHeader,
     SignalSpec,
     WaveformRecord,
@@ -93,7 +92,6 @@ __all__ = [
     "generate_corpus",
     "generate_feature_dataset",
     "generate_waveform_event",
-    "AlarmWindow",
     "RecordHeader",
     "SignalSpec",
     "WaveformRecord",

@@ -277,7 +277,7 @@ def cmd_ingest(config: dict, data_dir: Path, out_dir: Path) -> None:
                     raise InvalidConfig(f"{record_id} samples at {record.header.sampling_frequency} Hz, corpus at {fs} Hz")
                 elif names != channels:
                     raise InvalidConfig(f"{record_id} has channels {names}, corpus has {channels}")
-                window = impute_mean(extract_alarm_window(record, alarm_time, label))
+                window = impute_mean(extract_alarm_window(record, alarm_time))
                 if shape is None:
                     shape = (len(events),) + window.samples.shape
                     np.lib.format.write_array_header_1_0(fh, {"descr": "<f4", "fortran_order": False, "shape": shape})

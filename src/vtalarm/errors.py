@@ -49,13 +49,14 @@ class TooFewSamples(VtalarmError):
     both are needed, or a batch too small to normalize."""
 
 
-# --- neural network ---
-
 class ShapeMismatch(VtalarmError):
-    """Array shapes disagree: tensors that do not chain, paired channels,
-    scores and labels of different lengths, or a feature count other
-    than the fitted one."""
+    """Array shapes disagree: a record to write with no signals, or whose
+    samples or mask are not its header's (n_samples, n_signals), tensors
+    that do not chain, paired channels, scores and labels of different
+    lengths, or a feature count other than the fitted one."""
 
+
+# --- neural network ---
 
 class DivergedLoss(VtalarmError):
     """Training loss became non-finite."""

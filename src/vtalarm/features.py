@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import workers
 from .errors import InvalidConfig, ShapeMismatch, TooFewSamples, ValueOutOfRange, check_count
-from .wfdb_io import AlarmWindow
+from .wfdb_io import WaveformRecord
 
 @dataclass
 class SpectralParams:
@@ -540,13 +540,13 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     """(..., n) -> (...): sum over scales of the mean-square CWT coefficient.
     |X|^2 lands in the real halves of ``ws.wavelet_spectrum``. ``ws.edges``
     (2, ..., edge) takes the head, then the reversed tail, zero-padded past
-    n. Their product with the edge Gram goes into ``ws.edge_product``: in
-    one call when each of its BLAS calls (one per edge) is at most
-    ``_SERIAL_PRODUCT``, else as column blocks of at most that size, each
-    the transpose of a contiguous row block of the symmetric Gram, so every
-    product runs on the calling thread. Blocks change the rounding (a
-    quadratic form by about 1e-15 relative), so a product that already
-    stays on one thread is not split."""
+    n. Their product with the edge Gram goes into ``ws.edge_product`` as
+    column blocks of at most ``_SERIAL_PRODUCT`` multiply-adds, each the
+    transpose of a contiguous row block of the symmetric Gram, so every
+    product runs on the calling thread. Measured on OpenBLAS 0.3.31
+    (scipy-openblas, AVX-512 Xeon), one BLAS thread or the default: at
+    50 Hz, windows of 2-4 channels get the rows of one whole product bit
+    for bit, and a one-channel window's wavelet energy may move by one ulp."""
     n = x.shape[-1]
     np.fft.rfft(x, plan.fft_len, axis=-1, out=ws.wavelet_spectrum)
     parts = ws.wavelet_spectrum.view(np.float64)  # re, im, re, im, ...
@@ -561,14 +561,11 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     edges[0, ..., :m] = x[..., :m]
     edges[1, ..., :m] = x[..., ::-1][..., :m]
     edges[..., m:] = 0.0
-    rows = math.prod(x.shape[:-1])
-    if rows * edge * edge <= _SERIAL_PRODUCT:
-        np.matmul(edges, plan.edge_gram, out=product)
-    else:
-        step = max(1, _SERIAL_PRODUCT // (2 * rows * edge))
-        flat, out = edges.reshape(2 * rows, edge), product.reshape(2 * rows, edge)
-        for j in range(0, edge, step):
-            np.matmul(flat, plan.edge_gram[j : j + step].T, out=out[:, j : j + step])
+    rows = 2 * math.prod(x.shape[:-1])
+    step = max(1, _SERIAL_PRODUCT // (rows * edge))
+    flat, out = edges.reshape(rows, edge), product.reshape(rows, edge)
+    for j in range(0, edge, step):
+        np.matmul(flat, plan.edge_gram[j : j + step].T, out=out[:, j : j + step])
     product *= edges
     head, tail = product.sum(axis=-1)
     return (full - (head + tail)) / n
@@ -646,7 +643,7 @@ def feature_names(n_channels: int) -> list[str]:
 
 
 def build_feature_vector(
-    window: AlarmWindow,
+    window: WaveformRecord,
     spectral: SpectralParams,
     wavelet: WaveletConfig,
     analysis_span: tuple[float, float] | None = None,
@@ -659,8 +656,9 @@ def build_feature_vector(
     """
     if window.missing_mask.any():
         raise ValueOutOfRange("window has missing samples; run impute_mean first")
-    if spectral.fs != window.fs:
-        raise InvalidConfig(f"the window samples at {window.fs} Hz, the spectral settings at {spectral.fs} Hz")
+    fs = window.header.sampling_frequency
+    if spectral.fs != fs:
+        raise InvalidConfig(f"the window samples at {fs} Hz, the spectral settings at {spectral.fs} Hz")
     samples = np.asarray(window.samples, dtype=np.float64)
     plan = FeaturePlan.build(samples.shape[0], spectral, wavelet, analysis_span)
     values = feature_matrix(samples[None], plan)[0]

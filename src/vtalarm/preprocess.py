@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch, TooFewSamples
 from .rng import STREAM_SPLIT, derive_rng
-from .wfdb_io import AlarmWindow, read_utf8
+from .wfdb_io import WaveformRecord, read_utf8
 
 
 @dataclass
@@ -35,7 +35,7 @@ class DatasetSplit:
     seed: int
 
 
-def impute_mean(window: AlarmWindow) -> AlarmWindow:
+def impute_mean(window: WaveformRecord) -> WaveformRecord:
     """Replace masked samples with their channel's mean over unmasked ones.
 
     A channel with every sample missing is filled with 0. The returned

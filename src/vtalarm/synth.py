@@ -108,7 +108,6 @@ def generate_waveform_event(
     record_id = f"ev{event_index:05d}"
     header = RecordHeader(
         record_name=record_id,
-        n_signals=3,
         sampling_frequency=fs,
         n_samples=n,
         signals=[

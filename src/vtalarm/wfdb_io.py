@@ -9,12 +9,14 @@ format 16, -2048 for format 212) and surface as ``missing_mask`` entries
 rather than NaN so downstream imputation can see them.
 
 Alarm onsets live in a sidecar CSV (``record_id,alarm_time_s,label``)
-because the record files themselves carry no event markers.
+because the record files themselves carry no event markers. An alarm's
+window is a record too: the record's rows around the onset, which
+:func:`extract_alarm_window` cuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import (
     ChecksumMismatch,
     MalformedHeader,
+    ShapeMismatch,
     TruncatedData,
     UnsupportedFormat,
     ValueOutOfRange,
@@ -59,35 +62,23 @@ class SignalSpec:
 @dataclass
 class RecordHeader:
     record_name: str
-    n_signals: int
     sampling_frequency: float
     n_samples: int
     signals: list[SignalSpec] = field(default_factory=list)
 
+    @property
+    def n_signals(self) -> int:
+        return len(self.signals)
+
 
 @dataclass
 class WaveformRecord:
-    """Multichannel signal in physical units, shape (n_samples, n_signals)."""
+    """Multichannel signal in physical units, shape (n_samples, n_signals).
+    An alarm window is one too: the record's rows around the onset."""
 
     header: RecordHeader
     samples: np.ndarray
     missing_mask: np.ndarray
-
-
-@dataclass
-class AlarmWindow:
-    """Fixed 6-minute segment around one alarm: 5 min before, 1 min after.
-
-    ``label`` is 1 for a true alarm, 0 for a false alarm. ``alarm_index``
-    is the sample offset of the alarm onset inside ``samples``.
-    """
-
-    record_id: str
-    samples: np.ndarray
-    missing_mask: np.ndarray
-    label: int
-    alarm_index: int
-    fs: float
 
 
 def _parse_number(token: str, kind, what: str):
@@ -206,7 +197,7 @@ def parse_header(text: str) -> RecordHeader:
                 checksum=checksum,
             )
         )
-    return RecordHeader(record_name, n_signals, fs, n_samples, signals)
+    return RecordHeader(record_name, fs, n_samples, signals)
 
 
 def _record_format(header: RecordHeader) -> int:
@@ -309,11 +300,16 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
     Physical values are quantized with each channel's gain/baseline;
     unmasked values whose quantized ADC code is not finite or leaves the
     format's range raise ValueOutOfRange. Masked samples become the
-    format's sentinel, whatever they hold.
+    format's sentinel, whatever they hold. A header with no signals, or
+    samples and mask that are not its (n_samples, n_signals), raise
+    ShapeMismatch.
     """
     if fmt not in (FMT16, FMT212):
         raise UnsupportedFormat(f"storage format {fmt} not supported")
     header = record.header
+    shape = (header.n_samples, header.n_signals)
+    if not (header.signals and record.samples.shape == record.missing_mask.shape == shape):
+        raise ShapeMismatch(f"header counts {shape}, samples are {record.samples.shape}, mask {record.missing_mask.shape}")
     gains = np.array([spec.adc_gain for spec in header.signals], dtype=np.float64)
     baselines = np.array([spec.baseline for spec in header.signals], dtype=np.float64)
     missing = record.missing_mask
@@ -336,7 +332,7 @@ def write_record(record: WaveformRecord, fmt: int = FMT16) -> tuple[str, bytes]:
     if masked:
         adc[missing] = _SENTINEL[fmt]
 
-    dat_name = header.signals[0].file_name if header.signals else f"{header.record_name}.dat"
+    dat_name = header.signals[0].file_name
     lines = [
         f"{header.record_name} {header.n_signals} "
         f"{_format_number(header.sampling_frequency)} {header.n_samples}"
@@ -368,13 +364,12 @@ def window_bounds(fs: float) -> tuple[int, int]:
     return int(round(PRE_ALARM_S * fs)), int(round(POST_ALARM_S * fs))
 
 
-def extract_alarm_window(
-    record: WaveformRecord, alarm_time: float, label: int
-) -> AlarmWindow:
-    """Carve the 360 s window around an alarm onset.
+def extract_alarm_window(record: WaveformRecord, alarm_time: float) -> WaveformRecord:
+    """The record's rows [onset - n_pre, onset + n_post) around an alarm
+    onset, as :func:`window_bounds` counts them: the onset is row n_pre.
 
-    The window spans 5 minutes before the onset and 1 minute after, as
-    :func:`window_bounds` counts them; ``alarm_index`` is its ``n_pre``.
+    The window's header is the record's with the window's ``n_samples``
+    and no stored checksums, which covered the whole record.
     """
     fs = record.header.sampling_frequency
     n_pre, n_post = window_bounds(fs)
@@ -387,13 +382,11 @@ def extract_alarm_window(
             f"alarm at {alarm_time} s needs samples [{start}, {end}) but record has "
             f"{record.header.n_samples}"
         )
-    return AlarmWindow(
-        record_id=record.header.record_name,
+    signals = [replace(spec, checksum=None) for spec in record.header.signals]
+    return WaveformRecord(
+        header=replace(record.header, n_samples=end - start, signals=signals),
         samples=record.samples[start:end].copy(),
         missing_mask=record.missing_mask[start:end].copy(),
-        label=int(label),
-        alarm_index=n_pre,
-        fs=fs,
     )
 
 
@@ -466,7 +459,6 @@ __all__ = [
     "SignalSpec",
     "RecordHeader",
     "WaveformRecord",
-    "AlarmWindow",
     "parse_header",
     "read_signal",
     "write_record",

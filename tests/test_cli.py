@@ -201,9 +201,10 @@ def test_a_rate_at_which_the_sides_round_apart_runs_end_to_end(tmp_path):
     assert run("ingest", str(raw), "--out", str(work)) == 0
     assert run("featurize", str(work), "--out", str(work)) == 0
     meta = json.loads((work / "meta.json").read_text())
-    record_id, alarm_time, label = wfdb_io.read_alarm_index(raw / "alarms.csv")[0]
-    window = wfdb_io.extract_alarm_window(wfdb_io.load_record(raw, record_id), alarm_time, label)
-    assert (meta["alarm_index"], meta["window_samples"]) == (window.alarm_index, len(window.samples)) == (15000, 18000)
+    record_id, alarm_time, _ = wfdb_io.read_alarm_index(raw / "alarms.csv")[0]
+    window = wfdb_io.extract_alarm_window(wfdb_io.load_record(raw, record_id), alarm_time)
+    onset = wfdb_io.window_bounds(window.header.sampling_frequency)[0]
+    assert (meta["alarm_index"], meta["window_samples"]) == (onset, len(window.samples)) == (15000, 18000)
     assert np.load(work / "windows.npy", mmap_mode="r").shape == (4, 18000, 3)
     assert len((work / "features.csv").read_text().splitlines()) == 2 + 4
 

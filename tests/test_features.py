@@ -37,15 +37,11 @@ from vtalarm.features import (
     welch_psd,
     wavelet_energy,
 )
-from vtalarm.wfdb_io import AlarmWindow
+from test_wfdb_io import make_record
 
 
 def make_window(samples, fs):
-    samples = np.asarray(samples, dtype=np.float64)
-    return AlarmWindow(
-        record_id="w", samples=samples, missing_mask=np.zeros(samples.shape, dtype=bool),
-        label=0, alarm_index=0, fs=fs,
-    )
+    return make_record(samples, fs=fs, name="w")
 
 
 # ---------------------------------------------------------------------- welch
@@ -609,10 +605,11 @@ def test_a_non_finite_window_warns_in_no_worker(monkeypatch, n_workers):
 
 @pytest.mark.parametrize("n_channels", [1, 3])
 def test_edge_product_in_row_blocks_matches_one_product(monkeypatch, n_channels):
-    """Past ``_SERIAL_PRODUCT`` the edge Gram product runs as row blocks of
-    the Gram, so that no BLAS call leaves its worker's thread. A 50 Hz plan
-    (a 381-sample edge) forced through blocks of 48 columns, the last one
-    short, gives the one-product rows within 1e-12 at 1 and 2 workers."""
+    """The edge Gram product runs as row blocks of the Gram, of at most
+    ``_SERIAL_PRODUCT`` multiply-adds, so that no BLAS call leaves its
+    worker's thread. A 50 Hz plan (a 381-sample edge) forced through blocks
+    of 48 columns, the last one short, gives the rows of its default blocks
+    within 1e-12 at 1 and 2 workers."""
     fs, n = 50.0, 3000
     windows = np.ascontiguousarray(_correlated_windows(np.random.default_rng(54), 4, n)[..., :n_channels])
     plan = FeaturePlan.build(n, spectral_params_for(fs), morlet_scales(fs))

@@ -157,7 +157,7 @@ SMALL_RECORD = read_signal(parse_header("r 1 2 760\nr.dat 16 200(0)/mV 16 0 0 II
 @given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(300.0, 320.0))
 def test_extract_alarm_window_fuzz(alarm_time):
     try:
-        window = extract_alarm_window(SMALL_RECORD, alarm_time, 1)
+        window = extract_alarm_window(SMALL_RECORD, alarm_time)
     except VtalarmError:
         return
     assert window.samples.shape == (720, 1)

@@ -7,17 +7,11 @@ import pytest
 
 from vtalarm.errors import InvalidConfig, ShapeMismatch, TooFewSamples
 from vtalarm.preprocess import apply_scaler, fit_scaler, impute_mean, load_split, split_dataset, split_json
-from vtalarm.wfdb_io import AlarmWindow
+from test_wfdb_io import make_record
 
 
 def make_window(samples, mask=None):
-    samples = np.asarray(samples, dtype=np.float64)
-    if mask is None:
-        mask = np.zeros(samples.shape, dtype=bool)
-    return AlarmWindow(
-        record_id="w0", samples=samples, missing_mask=np.asarray(mask, dtype=bool),
-        label=0, alarm_index=0, fs=1.0,
-    )
+    return make_record(samples, fs=1.0, mask=mask, name="w0")
 
 
 # ------------------------------------------------------------------ imputation

@@ -1,6 +1,7 @@
 """Record container: header parsing, both sample packings, windowing."""
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -11,15 +12,17 @@ from helpers import write_record_oracle
 from vtalarm.errors import (
     ChecksumMismatch,
     MalformedHeader,
+    ShapeMismatch,
     TruncatedData,
     UnsupportedFormat,
     ValueOutOfRange,
     WindowOutOfBounds,
 )
+from vtalarm.preprocess import impute_mean
+from vtalarm.synth import SynthConfig, generate_waveform_event
 from vtalarm.wfdb_io import (
     FMT16,
     FMT212,
-    AlarmWindow,
     RecordHeader,
     SignalSpec,
     WaveformRecord,
@@ -31,6 +34,7 @@ from vtalarm.wfdb_io import (
     read_alarm_index,
     read_signal,
     save_record,
+    window_bounds,
     write_alarm_index,
     write_record,
 )
@@ -43,7 +47,6 @@ def make_record(samples, fs=125.0, fmt=FMT16, gains=None, baselines=None, mask=N
     baselines = baselines or [0] * c
     header = RecordHeader(
         record_name=name,
-        n_signals=c,
         sampling_frequency=fs,
         n_samples=n,
         signals=[
@@ -275,6 +278,26 @@ def test_disk_round_trip(tmp_path):
     assert np.allclose(back.samples, samples, atol=0.5 / 200)
 
 
+@pytest.mark.parametrize(
+    "garble",
+    [
+        lambda r: replace(r, header=replace(r.header, n_samples=90)),
+        lambda r: replace(r, header=replace(r.header, signals=r.header.signals[:2])),
+        lambda r: replace(r, missing_mask=r.missing_mask[:, :2]),
+        lambda r: WaveformRecord(replace(r.header, signals=[]), r.samples[:, :0], r.missing_mask[:, :0]),
+    ],
+    ids=["sample-count", "signal-count", "mask", "no-signals"],
+)
+def test_a_record_whose_header_or_mask_disagrees_with_its_samples_is_not_saved(tmp_path, garble):
+    """Each count of the header, and the mask's shape, must be the samples'
+    (100, 3); else the record line would promise bytes the file lacks. A
+    record of no signals is refused too, as the reader refuses its header."""
+    record = garble(make_record(np.zeros((100, 3)), fs=50.0, name="r"))
+    with pytest.raises(ShapeMismatch):
+        save_record(tmp_path, record)
+    assert not list(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------------ windowing
 
 
@@ -283,27 +306,41 @@ def test_extract_alarm_window_geometry():
     n = 760  # 380 s
     samples = np.arange(n, dtype=np.float64).reshape(-1, 1) / 100.0
     record = make_record(samples, fs=fs)
-    window = extract_alarm_window(record, alarm_time=310.0, label=1)
-    assert isinstance(window, AlarmWindow)
-    assert window.samples.shape == (720, 1)  # 360 s * 2 Hz
-    assert window.alarm_index == 600  # 300 s * 2 Hz
+    record.header.signals[0].checksum = 123
+    window = extract_alarm_window(record, alarm_time=310.0)
+    assert window.samples.shape == window.missing_mask.shape == (720, 1)  # 360 s * 2 Hz
+    assert (window.header.n_samples, window.header.sampling_frequency) == (720, fs)
+    assert [spec.checksum for spec in window.header.signals] == [None]
+    assert record.header.signals[0].checksum == 123
+    assert window_bounds(fs)[0] == 600  # 300 s * 2 Hz
     onset = int(round(310.0 * fs))
-    assert window.samples[window.alarm_index, 0] == samples[onset, 0]
-    assert window.label == 1
-    assert window.fs == fs
+    assert window.samples[window_bounds(fs)[0], 0] == samples[onset, 0]
+
+
+def test_an_imputed_window_saves_and_loads_as_a_record(tmp_path):
+    record, alarm_time = generate_waveform_event(SynthConfig(n_events=1, fs=50.0), label=1)
+    onset = int(round(alarm_time * 50.0))
+    record.missing_mask[onset - 40 : onset, 1] = True
+    window = impute_mean(extract_alarm_window(record, alarm_time))
+    save_record(tmp_path, window)
+    back = load_record(tmp_path, record.header.record_name, verify_checksums=True)
+    assert back.samples.shape == (18000, 3)
+    assert back.header.sampling_frequency == 50.0
+    assert not back.missing_mask.any()
+    assert np.allclose(back.samples, window.samples, atol=0.5 / 200)
 
 
 def test_extract_alarm_window_bounds():
     record = make_record(np.zeros((760, 1)), fs=2.0)
     with pytest.raises(WindowOutOfBounds):
-        extract_alarm_window(record, alarm_time=299.0, label=0)  # needs 300 s before
+        extract_alarm_window(record, alarm_time=299.0)  # needs 300 s before
     with pytest.raises(WindowOutOfBounds):
-        extract_alarm_window(record, alarm_time=321.0, label=0)  # needs 60 s after
+        extract_alarm_window(record, alarm_time=321.0)  # needs 60 s after
 
 
 def test_window_copies_do_not_alias():
     record = make_record(np.zeros((760, 1)), fs=2.0)
-    window = extract_alarm_window(record, alarm_time=310.0, label=0)
+    window = extract_alarm_window(record, alarm_time=310.0)
     window.samples[0, 0] = 99.0
     assert record.samples[20, 0] == 0.0
 
