@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import combinations
 
 import numpy as np
@@ -70,6 +71,11 @@ class PsdEstimate:
     df: float
 
 
+# The most bytes a plan's float64 edge Gram may take: a widest Morlet kernel of 11585
+# samples each side, where the defaults need 381 at 50 Hz and 7639 at 1000 Hz.
+_EDGE_GRAM_BYTES = 2**30
+
+
 @dataclass
 class WaveletConfig:
     """Morlet CWT configuration: center parameter and ascending scales."""
@@ -85,6 +91,12 @@ class WaveletConfig:
             raise InvalidConfig("scales must be a non-empty vector")
         if not (np.all(np.isfinite(self.scales)) and np.all(self.scales > 0) and np.all(np.diff(self.scales) > 0)):
             raise InvalidConfig("scales must be finite, positive and strictly ascending")
+        half = math.floor(4 * Decimal(float(self.scales[-1])))  # _morlet_kernels' widest, exact at any scale
+        if half > math.isqrt(_EDGE_GRAM_BYTES // 8):
+            raise InvalidConfig(
+                f"the widest Morlet kernel is {Decimal(half):.6g} samples each side, so its edge Gram needs"
+                f" {Decimal(8 * half * half):.3g} bytes, over {_EDGE_GRAM_BYTES}: raise wavelet.f_min or lower wavelet.omega0"
+            )
 
 
 @dataclass
@@ -562,7 +574,7 @@ def _total_wavelet_energy(x: np.ndarray, plan: FeaturePlan, ws: _Workspace) -> n
     edges[1, ..., :m] = x[..., ::-1][..., :m]
     edges[..., m:] = 0.0
     rows = 2 * math.prod(x.shape[:-1])
-    step = max(1, _SERIAL_PRODUCT // (rows * edge))
+    step = max(1, _SERIAL_PRODUCT // (rows * max(edge, 1)))  # edge is 0 when every kernel is one tap
     flat, out = edges.reshape(rows, edge), product.reshape(rows, edge)
     for j in range(0, edge, step):
         np.matmul(flat, plan.edge_gram[j : j + step].T, out=out[:, j : j + step])

@@ -625,6 +625,19 @@ def test_featurize_with_a_span_outside_the_window_exits_nonzero(pipeline, capsys
     assert capsys.readouterr().err.startswith("error: InvalidConfig:")
 
 
+def test_featurize_refuses_a_wavelet_too_wide_to_plan(pipeline, capsys):
+    """f_min 1e-3 Hz at 50 Hz asks for a 190985-sample kernel half-width,
+    whose edge Gram would take 272 GiB: refused before any is built."""
+    root, raw, work, model, cfg = pipeline
+    wide = root / "wide.json"
+    wide.write_text(json.dumps({"wavelet": {"f_min": 1e-3}}))
+    assert run("featurize", str(work), "--config", str(wide), "--out", str(root / "wide")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidConfig: the widest Morlet kernel is 190985 samples"), err
+    assert "wavelet.f_min" in err[0]
+    assert not (root / "wide" / "features.csv").exists()
+
+
 def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
     root, raw, work, model, cfg = pipeline
     broken = tmp_path / "raw"

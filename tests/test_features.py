@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import feature_vector_oracle, segment_gather_oracle, tail_gram_oracle, welch_psd_oracle
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vtalarm import features, workers
@@ -261,7 +261,18 @@ def test_wavelet_config_validation():
 
 
 @pytest.mark.parametrize(
-    "settings", [{"n_scales": -1}, {"n_scales": 0}, {"f_min": -1.0}, {"f_max": 0.0}, {"n_scales": 24.0}, {"n_scales": 2.5}]
+    "settings",
+    [
+        {"n_scales": -1},
+        {"n_scales": 0},
+        {"f_min": -1.0},
+        {"f_max": 0.0},
+        {"n_scales": 24.0},
+        {"n_scales": 2.5},
+        {"f_min": 1e-3},  # a 190985-sample half-width: a 272 GiB edge Gram
+        {"f_min": 1e-300},
+        {"omega0": 1e300},
+    ],
 )
 def test_morlet_scales_rejects_a_bad_setting(settings):
     with pytest.raises(InvalidConfig):
@@ -433,16 +444,25 @@ def feature_cases(draw):
     flat = draw(st.none() | st.integers(0, n_channels - 1))
     if flat is not None:
         windows[:, :, flat] = np.float32(rng.uniform(-5.0, 5.0))  # a zero-variance channel
-    return windows, fs, spectral, span
+    return windows, fs, spectral, wavelet, span
+
+
+def _one_tap_case(**settings):
+    """Three 2-channel windows at 50 Hz whose Morlet kernels, all scales below
+    a quarter sample, are one tap each: a plan with an empty edge Gram."""
+    windows = np.random.default_rng(55).normal(5.0, 2.0, size=(3, 400, 2)).astype(np.float32)
+    return windows, 50.0, spectral_params_for(50.0, seconds=1.0), morlet_scales(50.0, **settings), None
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(feature_cases())
+@example(_one_tap_case(f_min=1000.0, f_max=2000.0))
+@example(_one_tap_case(omega0=1e-300))
 def test_feature_matrix_matches_per_window_oracle(case):
     """The stack path against the scalogram oracle: every fs, n above and
-    below the longest kernel, with and without a span, a constant channel."""
-    windows, fs, spectral, span = case
-    wavelet = morlet_scales(fs)
+    below the longest kernel, with and without a span, a constant channel,
+    and kernels of one tap."""
+    windows, fs, spectral, wavelet, span = case
     plan = FeaturePlan.build(windows.shape[1], spectral, wavelet, span)
     rows = feature_matrix(windows, plan)
     shifted = feature_matrix(np.roll(windows, 1, axis=0), plan)

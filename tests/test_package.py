@@ -1,11 +1,15 @@
-"""Package hygiene: every exported name resolves, every error class is
+"""Package hygiene: the package itself exports nothing, every module
+imports on its own, every exported name resolves, every error class is
 raised, and README's error and configuration tables match the package."""
 
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,25 @@ from vtalarm.cli import DEFAULT_CONFIG
 SRC = Path(vtalarm.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["vtalarm"] + [info.name for info in pkgutil.walk_packages(vtalarm.__path__, "vtalarm.")]
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that turns every warning into an error."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_the_package_exports_nothing():
+    """Each name is imported from the module that defines it."""
+    out = _fresh_python("import vtalarm; print(sorted(n for n in vars(vtalarm) if not n.startswith('_')))")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_imports_on_its_own(name):
+    """No module leans on an import order that another import fixed first."""
+    out = _fresh_python(f"import {name}")
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("name", MODULES)
