@@ -30,7 +30,7 @@ from .features import (  # noqa: F401  build_feature_vector stays importable fro
     morlet_scales,
     spectral_params_for,
 )
-from .imbalance import ResampleConfig, class_weights, resample
+from .imbalance import METHODS, ResampleConfig, class_weights, resample
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import build_model, hyperparams_for
 from .nn.training import TrainConfig, train
@@ -496,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "fit a model")
     p.add_argument("data_dir", nargs="?", help="featurize output (fcnn) or ingest output (cnn)")
     p.add_argument("--arch", dest="architecture", choices=["fcnn", "cnn"], help="model architecture")
-    p.add_argument("--resample", dest="resample.method", choices=["smote", "adasyn", "none"], help="training-set oversampling method")
+    p.add_argument("--resample", dest="resample.method", choices=METHODS, help="training-set oversampling method")
     p.add_argument("--ratio", dest="resample.ratio", metavar="RATIO", type=float, help="target minority/majority ratio for oversampling")
     p.add_argument("--k", dest="resample.k_neighbors", metavar="K", type=int, help="neighbor count for smote/adasyn")
     p.add_argument("--class-weights", dest="train.use_class_weights", action="store_true", default=None, help="weight the loss by inverse class frequency")

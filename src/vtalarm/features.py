@@ -71,9 +71,14 @@ class PsdEstimate:
     df: float
 
 
-# The most bytes a plan's float64 edge Gram may take: a widest Morlet kernel of 11585
-# samples each side, where the defaults need 381 at 50 Hz and 7639 at 1000 Hz.
-_EDGE_GRAM_BYTES = 2**30
+# The most bytes a plan's float64 edge Gram, or a feature_matrix worker's Welch segment
+# copy and spectra, may take: a widest Morlet kernel of 11585 samples each side, where
+# the defaults need 381 at 50 Hz and 7639 at 1000 Hz.
+_ARRAY_BYTES = 2**30
+
+# The most scales morlet_scales gives: FeaturePlan.build makes one fft_len FFT and one
+# edge-Gram pass a scale, 3.7-5.0 ms at 250 Hz (Xeon, one BLAS thread), so under a minute.
+_MAX_SCALES = 10**4
 
 
 @dataclass
@@ -92,10 +97,10 @@ class WaveletConfig:
         if not (np.all(np.isfinite(self.scales)) and np.all(self.scales > 0) and np.all(np.diff(self.scales) > 0)):
             raise InvalidConfig("scales must be finite, positive and strictly ascending")
         half = math.floor(4 * Decimal(float(self.scales[-1])))  # _morlet_kernels' widest, exact at any scale
-        if half > math.isqrt(_EDGE_GRAM_BYTES // 8):
+        if half > math.isqrt(_ARRAY_BYTES // 8):
             raise InvalidConfig(
                 f"the widest Morlet kernel is {Decimal(half):.6g} samples each side, so its edge Gram needs"
-                f" {Decimal(8 * half * half):.3g} bytes, over {_EDGE_GRAM_BYTES}: raise wavelet.f_min or lower wavelet.omega0"
+                f" {Decimal(8 * half * half):.3g} bytes, over {_ARRAY_BYTES}: raise wavelet.f_min or lower wavelet.omega0"
             )
 
 
@@ -124,7 +129,8 @@ def morlet_scales(
     The scale-frequency map is f = omega0 * fs / (2 pi s); descending
     frequencies give ascending scales.
     """
-    check_count("n_scales", n_scales)
+    if check_count("n_scales", n_scales) > _MAX_SCALES:
+        raise InvalidConfig(f"{n_scales} scales are over the {_MAX_SCALES} a plan may build: lower wavelet.n_scales")
     if min(f_min, f_max) <= 0:
         raise InvalidConfig(f"need positive frequencies, got {f_min}, {f_max}")
     freqs = np.logspace(np.log10(f_max), np.log10(f_min), n_scales)
@@ -626,6 +632,12 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     n_segments = (span - plan.spectral.segment_length) // _segment_step(span, plan.spectral) + 1
     if n_channels > 1 and n_segments < 2:
         raise TooFewSamples("coherence needs at least 2 segments")
+    welch_bytes = n_channels * n_segments * (8 * plan.spectral.segment_length + 16 * plan.frequencies.size)
+    if welch_bytes > _ARRAY_BYTES:
+        raise InvalidConfig(
+            f"{n_channels} x {n_segments} Welch segments of {plan.spectral.segment_length} samples and their spectra"
+            f" need {welch_bytes:.3g} bytes per worker, over {_ARRAY_BYTES}: lower spectral.segment_seconds or spectral.overlap"
+        )
     out = np.empty((n_windows, len(feature_names(n_channels))))
 
     def window(ws: _Workspace, i: int) -> None:

@@ -1,12 +1,13 @@
 """Minority-class oversampling and class weighting.
 
-SMOTE interpolates new minority samples between a seed point and one of
-its k nearest minority neighbors; ADASYN does the same but allocates
-more synthetic samples to minority points whose neighborhoods (searched
-over all classes) contain more majority points. The target minority
-count is ``round(ratio * n_majority)``. Both generators are
-deterministic for a given seed and optionally log, per synthetic row,
-the (seed index, neighbor index, gap) triple that produced it.
+SMOTE and ADASYN share one interpolation: each synthetic row lies at a
+random gap between a minority seed row and one of the seed's k nearest
+minority neighbors. They differ only in how they allocate synthetic rows
+to seeds: SMOTE draws each seed uniformly, ADASYN gives more to minority
+rows whose neighborhoods (searched over all classes) hold more majority
+rows. The target minority count is ``round(ratio * n_majority)``. Both
+are deterministic for a given seed and optionally log, per synthetic
+row, the (seed index, neighbor index, gap) triple that produced it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .rng import STREAM_ADASYN, STREAM_SMOTE, derive_rng
 
 @dataclass
 class ResampleConfig:
-    method: str = "none"  # "smote" | "adasyn" | "none"
+    method: str = "none"  # a key of METHODS
     ratio: float = 1.0  # desired n_minority / n_majority
     k_neighbors: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("smote", "adasyn", "none"):
+        if self.method not in METHODS:
             raise InvalidConfig(f"unknown resample method {self.method!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidConfig("ratio must be in (0, 1]")
@@ -72,48 +73,41 @@ def k_nearest(
     return candidates[order[:k]]
 
 
-def _split_classes(labels: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """(n_true, n_false) of a label vector that holds both classes."""
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise TooFewSamples("both classes must be present")
+    return n_pos, n_neg
+
+
+def _oversample(features, labels, config: ResampleConfig, stream: int, allocate, return_provenance: bool):
+    """The originals in order, then synthetic minority rows, each seeded at
+    its position in ``minority_idx`` from ``allocate(rng, minority_idx, n_new)``."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = _class_counts(labels)
     minority_label = 1 if n_pos <= n_neg else 0
     minority_idx = np.flatnonzero(labels == minority_label)
-    majority_idx = np.flatnonzero(labels != minority_label)
-    return minority_label, minority_idx, majority_idx
-
-
-def _interpolation_targets(
-    features: np.ndarray, labels: np.ndarray, config: ResampleConfig
-) -> tuple[int, np.ndarray, int, list[np.ndarray]]:
-    minority_label, minority_idx, majority_idx = _split_classes(labels)
     if minority_idx.size < 2:
         raise TooFewSamples("oversampling needs at least 2 minority samples")
-    target = int(round(config.ratio * majority_idx.size))
-    n_new = max(0, target - minority_idx.size)
+    n_new = max(0, int(round(config.ratio * (labels.size - minority_idx.size))) - minority_idx.size)
     k = min(config.k_neighbors, minority_idx.size - 1)
-    neighbors = [
-        k_nearest(features, int(i), k, candidates=minority_idx) for i in minority_idx
-    ]
-    return minority_label, minority_idx, n_new, neighbors
-
-
-def _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance):
-    """The originals in order, then one synthetic row with the minority label
-    per entry of seed_draws, each interpolated into its row of the output."""
+    neighbors = [k_nearest(features, int(i), k, candidates=minority_idx) for i in minority_idx]
+    rng = derive_rng(config.seed, stream)
     n = features.shape[0]
-    out_x = np.empty((n + len(seed_draws),) + features.shape[1:])
+    out_x = np.empty((n + n_new,) + features.shape[1:])
     out_x[:n] = features
     log = []
-    for row, pos in zip(out_x[n:], seed_draws):
+    for row, pos in zip(out_x[n:], allocate(rng, minority_idx, n_new)):
         x_idx = int(minority_idx[pos])
-        nn_idx = int(neighbors[pos][rng.integers(len(neighbors[pos]))])
+        nn_idx = int(neighbors[pos][rng.integers(k)])
         gap = float(rng.random())
-        x = features[x_idx]
-        row[...] = x + gap * (features[nn_idx] - x)
+        row[...] = features[x_idx] + gap * (features[nn_idx] - features[x_idx])
         log.append((x_idx, nn_idx, gap))
-    out_y = np.concatenate([labels, np.full(len(seed_draws), minority_label, dtype=labels.dtype)])
+    out_y = np.concatenate([labels, np.full(n_new, minority_label, dtype=labels.dtype)])
     return (out_x, out_y, log) if return_provenance else (out_x, out_y)
 
 
@@ -130,12 +124,7 @@ def smote(
     element lists, per synthetic row, the (seed_index, neighbor_index,
     gap) triple so each row can be re-derived exactly.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    minority_label, minority_idx, n_new, neighbors = _interpolation_targets(features, labels, config)
-    rng = derive_rng(config.seed, STREAM_SMOTE)
-    seed_draws = rng.integers(minority_idx.size, size=n_new)
-    return _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance)
+    return _oversample(features, labels, config, STREAM_SMOTE, lambda rng, idx, n: rng.integers(idx.size, size=n), return_provenance)
 
 
 def adasyn(
@@ -154,42 +143,37 @@ def adasyn(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    minority_label, minority_idx, n_new, neighbors = _interpolation_targets(features, labels, config)
 
-    k_all = min(config.k_neighbors, features.shape[0] - 1)
-    r = np.empty(minority_idx.size)
-    for row, i in enumerate(minority_idx):
-        nn = k_nearest(features, int(i), k_all)
-        r[row] = np.sum(labels[nn] != minority_label) / k_all
-    weights = np.ones_like(r) if r.sum() == 0 else r
-    alloc = largest_remainder(weights, n_new)
+    def allocate(rng, minority_idx, n_new):
+        k_all = min(config.k_neighbors, features.shape[0] - 1)
+        minority_label = labels[minority_idx[0]]
+        majority = [np.sum(labels[k_nearest(features, int(i), k_all)] != minority_label) for i in minority_idx]
+        r = np.array(majority) / k_all
+        return np.repeat(np.arange(minority_idx.size), largest_remainder(r if r.any() else np.ones_like(r), n_new))
 
-    rng = derive_rng(config.seed, STREAM_ADASYN)
-    seed_draws = np.repeat(np.arange(minority_idx.size), alloc)
-    return _oversampled(features, labels, minority_label, minority_idx, neighbors, seed_draws, rng, return_provenance)
+    return _oversample(features, labels, config, STREAM_ADASYN, allocate, return_provenance)
 
 
 def resample(features, labels, config: ResampleConfig):
     """Dispatch on ``config.method``; "none" passes data through."""
-    if config.method == "smote":
-        return smote(features, labels, config)
-    if config.method == "adasyn":
-        return adasyn(features, labels, config)
-    return np.asarray(features, dtype=np.float64).copy(), np.asarray(labels).copy()
+    if config.method == "none":
+        return np.asarray(features, dtype=np.float64).copy(), np.asarray(labels).copy()
+    return METHODS[config.method](features, labels, config)
+
+
+# Each resample method and the oversampler it runs.
+METHODS = {"smote": smote, "adasyn": adasyn, "none": None}
 
 
 def class_weights(labels: np.ndarray) -> ClassWeights:
     """Balanced weights w_c = N / (2 * N_c); weighted sample count is N."""
-    labels = np.asarray(labels)
-    n = labels.size
-    n_pos = int(np.sum(labels == 1))
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise TooFewSamples("both classes must be present")
+    n_pos, n_neg = _class_counts(labels)
+    n = n_pos + n_neg
     return ClassWeights(weight_true=n / (2.0 * n_pos), weight_false=n / (2.0 * n_neg))
 
 
 __all__ = [
+    "METHODS",
     "ResampleConfig",
     "ClassWeights",
     "k_nearest",

@@ -638,6 +638,52 @@ def test_featurize_refuses_a_wavelet_too_wide_to_plan(pipeline, capsys):
     assert not (root / "wide" / "features.csv").exists()
 
 
+def test_featurize_refuses_more_scales_than_a_plan_may_build(pipeline, capsys):
+    """10**12 scales would ask np.logspace for 7.28 TiB: refused first."""
+    root, raw, work, model, cfg = pipeline
+    many = root / "many_scales.json"
+    many.write_text(json.dumps({"wavelet": {"n_scales": 10**12}}))
+    assert run("featurize", str(work), "--config", str(many), "--out", str(root / "many_scales")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidConfig:") and "wavelet.n_scales" in err[0], err
+    assert not (root / "many_scales" / "features.csv").exists()
+
+
+def test_featurize_refuses_a_welch_workspace_too_large(pipeline, capsys):
+    """180 s segments with overlap 0.9999 at 50 Hz would give each worker a
+    (3, 9001, 9000) segment copy and its spectra, 3.6 GiB."""
+    root, raw, work, model, cfg = pipeline
+    dense = root / "dense_welch.json"
+    dense.write_text(json.dumps({"spectral": {"segment_seconds": 180.0, "overlap": 0.9999}}))
+    assert run("featurize", str(work), "--config", str(dense), "--out", str(root / "dense_welch")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidConfig:"), err
+    assert "spectral.segment_seconds" in err[0] and "spectral.overlap" in err[0]
+    assert not (root / "dense_welch" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("option, rows", [(["--resample", "adasyn"], 16), (["--class-weights"], 11)], ids=["adasyn", "class-weights"])
+def test_train_with_each_imbalance_option_then_evaluate(pipeline, capsys, option, rows):
+    """The fixture's train rows minus 5 true alarms, 3 true and 8 false:
+    ADASYN adds 5 true rows, class weights weigh the 11 rows."""
+    root, raw, work, model, cfg = pipeline
+    name = option[-1].lstrip("-")
+    split = json.loads((model / "split.json").read_text())
+    labels = np.load(work / "labels.npy")
+    dropped = [i for i in split["train"] if labels[i] == 1][:5]
+    split["train"] = [i for i in split["train"] if i not in dropped]
+    (root / f"split_{name}.json").write_text(json.dumps(split))
+    config = root / f"train_{name}.json"
+    config.write_text(json.dumps(dict(json.loads(cfg.read_text()), split={"file": str(root / f"split_{name}.json")})))
+    trained, scored = root / f"model_{name}", root / f"eval_{name}"
+    capsys.readouterr()
+    assert run("train", str(work), "--config", str(config), *option, "--out", str(trained)) == 0
+    assert f" on {rows} rows," in capsys.readouterr().out
+    assert run("evaluate", str(trained), str(work), "--config", str(config), "--out", str(scored)) == 0
+    report = json.loads((scored / "report.json").read_text())
+    assert report["n_samples"] == 4 and 0.0 <= report["roc_auc"] <= 1.0
+
+
 def test_failed_ingest_leaves_no_windows_file(pipeline, tmp_path, capsys):
     root, raw, work, model, cfg = pipeline
     broken = tmp_path / "raw"

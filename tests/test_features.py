@@ -272,11 +272,17 @@ def test_wavelet_config_validation():
         {"f_min": 1e-3},  # a 190985-sample half-width: a 272 GiB edge Gram
         {"f_min": 1e-300},
         {"omega0": 1e300},
+        {"n_scales": 10**4 + 1},  # one more than a plan may build
+        {"n_scales": 10**12},  # 7.28 TiB of scales: refused before any is made
     ],
 )
 def test_morlet_scales_rejects_a_bad_setting(settings):
     with pytest.raises(InvalidConfig):
         morlet_scales(fs=50.0, **settings)
+
+
+def test_morlet_scales_gives_the_most_scales_a_plan_may_build():
+    assert morlet_scales(fs=50.0, n_scales=10**4).scales.size == 10**4
 
 
 # ------------------------------------------------------------------ statistics
@@ -508,6 +514,17 @@ def test_row_bytes_do_not_depend_on_the_stack(n):
 def _workers(monkeypatch, n: int) -> None:
     """Run feature_matrix with ``n`` workers, as on a process allowed ``n`` CPUs."""
     monkeypatch.setattr(workers, "usable_cpus", lambda: n)
+
+
+def test_feature_matrix_refuses_a_welch_workspace_too_large_before_any_worker_runs(monkeypatch):
+    """180 s segments with overlap 0.9999 at 50 Hz give 3 channels of 9001
+    segments: a 3.6 GiB segment copy and spectra for each worker."""
+    fs, n = 50.0, 18000
+    plan = FeaturePlan.build(n, spectral_params_for(fs, seconds=180.0, overlap=0.9999), morlet_scales(fs))
+    monkeypatch.setattr(workers, "run", lambda *args: pytest.fail("a worker ran"))
+    with pytest.raises(InvalidConfig, match="spectral.segment_seconds or spectral.overlap") as refused:
+        feature_matrix(np.zeros((1, n, 3)), plan)
+    assert "3 x 9001 Welch segments of 9000 samples" in str(refused.value)
 
 
 def _poisoned_workspaces():

@@ -1,5 +1,6 @@
 """Oversampling and class weighting, including exact benchmark counts."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,73 @@ def test_adasyn_deterministic():
     a_x, _ = adasyn(features, labels, config)
     b_x, _ = adasyn(features, labels, config)
     assert np.array_equal(a_x, b_x)
+
+
+# ----------------------------------------------------------- pinned bytes
+
+
+def grid_case(name):
+    """(features, labels, ratio, k_neighbors) on an integer grid, where every
+    squared distance is exact, so the neighbor order, and with it the bytes,
+    does not depend on how the CPU sums."""
+    if name == "tie":  # [1, 1] has four minority neighbors at sqrt(2), k = 3
+        minority = [[0, 0], [0, 2], [2, 0], [2, 2], [1, 1], [4, 1], [1, 4]]
+        majority = [[1, 2], [3, 3], [5, 5], [2, 4], [6, 0], [0, 6], [5, 2], [3, 6],
+                    [6, 6], [4, 4], [7, 3], [3, 7], [6, 4], [4, 6], [7, 7]]
+        minority_label, ratio, k = 1, 1.0, 3
+    elif name == "clamped":  # 3 minority rows, so k 5 is clamped to 2
+        minority = [[0, 0, 1], [3, 1, 0], [1, 4, 2]]
+        majority = [[x, y, z] for x in (5, 6) for y in (5, 7) for z in (0, 3)]
+        minority_label, ratio, k = 0, 0.75, 5
+    elif name == "met":  # round(0.5 * 10) = 5 <= 6 minority rows
+        minority = [[0, 0], [1, 3], [3, 1], [2, 2], [4, 0], [0, 4]]
+        majority = [[x, y] for x in (6, 7) for y in range(5)]
+        minority_label, ratio, k = 1, 0.5, 2
+    else:  # "fallback": every minority row's nearest rows are minority, so every r_i is 0
+        minority = [[100, 100], [101, 100], [100, 101], [101, 101], [102, 100]]
+        majority = [[x, y] for x in range(4) for y in range(4)]
+        minority_label, ratio, k = 1, 1.0, 2
+    features = np.array(minority + majority, dtype=np.float64)
+    labels = np.array([minority_label] * len(minority) + [1 - minority_label] * len(majority), dtype=np.int64)
+    order = np.argsort((np.arange(labels.size) * 7) % labels.size, kind="stable")  # interleave the classes
+    return features[order], labels[order], ratio, k
+
+
+def test_grid_cases_cover_what_they_are_named_for():
+    features, labels, _, k = grid_case("tie")
+    minority = np.flatnonzero(labels == 1)
+    gaps = [np.sort(np.linalg.norm(features[minority] - features[i], axis=1))[1:] for i in minority]
+    assert any(g[k - 1] == g[k] for g in gaps)
+    features, labels, _, k = grid_case("clamped")
+    assert k > np.sum(labels == 0) - 1
+    features, labels, ratio, _ = grid_case("met")
+    assert round(ratio * np.sum(labels == 0)) <= np.sum(labels == 1)
+    features, labels, _, k = grid_case("fallback")
+    assert all(np.all(labels[k_nearest(features, int(i), k)] == 1) for i in np.flatnonzero(labels == 1))
+
+
+# sha256 of the synthetic rows, labels and provenance at seed 7
+PINNED = {
+    ("tie", "smote"): "9497b9059316679c35dfbc84c1dae36ff24bed0f75feae190cb959a638b242ac",
+    ("tie", "adasyn"): "05f6caca529d74f69f1c77dd0ab9306d64ad9411c371b752d89fd254ad24efc0",
+    ("clamped", "smote"): "cbb001a8eb306174700bf7dcf004d5ec25befa8fa98971f8719ffd180506e1d9",
+    ("clamped", "adasyn"): "c8c7c15f499c540dc3cdfb10a6b472577c18fdabe853864b5b5e293c89a88357",
+    ("met", "smote"): "8de747a9000762dafa8fbbc8c2836a1b374d78fd2b66316b43cc0b3acd90a3fa",
+    ("met", "adasyn"): "8de747a9000762dafa8fbbc8c2836a1b374d78fd2b66316b43cc0b3acd90a3fa",
+    ("fallback", "smote"): "e831c3604e3550388b6e2c34fc00134c3c8d86476b285dfb962d9f1d90d16592",
+    ("fallback", "adasyn"): "689ffb878b5eb82687a3ba1ae148d9b903f29667ec499433dcbb700be4abfb1f",
+}
+
+
+@pytest.mark.parametrize("case, method", PINNED)
+def test_oversampling_writes_its_pinned_bytes(case, method):
+    features, labels, ratio, k = grid_case(case)
+    config = ResampleConfig(method=method, ratio=ratio, k_neighbors=k, seed=7)
+    out_x, out_y, provenance = {"smote": smote, "adasyn": adasyn}[method](features, labels, config, return_provenance=True)
+    digest = hashlib.sha256(np.ascontiguousarray(out_x, "<f8").tobytes())
+    digest.update(np.ascontiguousarray(out_y, "<i8").tobytes())
+    digest.update(repr(provenance).encode())
+    assert digest.hexdigest() == PINNED[case, method]
 
 
 # ------------------------------------------------------------------- dispatch
