@@ -71,9 +71,9 @@ class PsdEstimate:
     df: float
 
 
-# The most bytes a plan's float64 edge Gram, or a feature_matrix worker's Welch segment
-# copy and spectra, may take: a widest Morlet kernel of 11585 samples each side, where
-# the defaults need 381 at 50 Hz and 7639 at 1000 Hz.
+# The most bytes a plan's float64 edge Gram, or any Welch call's segment copy and spectra
+# (one feature_matrix worker's window, say), may take: a widest Morlet kernel of 11585
+# samples each side, where the defaults need 381 at 50 Hz and 7639 at 1000 Hz.
 _ARRAY_BYTES = 2**30
 
 # The most scales morlet_scales gives: FeaturePlan.build makes one fft_len FFT and one
@@ -94,6 +94,8 @@ class WaveletConfig:
             raise InvalidConfig("omega0 must be positive and finite")
         if self.scales.ndim != 1 or self.scales.size == 0:
             raise InvalidConfig("scales must be a non-empty vector")
+        if self.scales.size > _MAX_SCALES:
+            raise InvalidConfig(f"{self.scales.size} scales are over the {_MAX_SCALES} a plan may build: lower wavelet.n_scales")
         if not (np.all(np.isfinite(self.scales)) and np.all(self.scales > 0) and np.all(np.diff(self.scales) > 0)):
             raise InvalidConfig("scales must be finite, positive and strictly ascending")
         half = math.floor(4 * Decimal(float(self.scales[-1])))  # _morlet_kernels' widest, exact at any scale
@@ -178,17 +180,29 @@ def _taper(params: SpectralParams) -> np.ndarray:
     return np.ones(n)
 
 
-def _segment_step(n: int, params: SpectralParams) -> int:
-    """Samples between the starts of consecutive segments of a signal of n samples."""
+def _segment_step(n: int, params: SpectralParams, rows: int = 1) -> int:
+    """Samples between the starts of consecutive Welch segments of ``rows`` signals of
+    n samples. Every Welch path comes here, which refuses a signal shorter than a segment,
+    coherence (rows > 1) from one segment, and segment copies and spectra over _ARRAY_BYTES."""
     seg = params.segment_length
     if n < seg:
         raise TooFewSamples(f"signal of {n} samples shorter than segment_length {seg}")
-    return max(1, int(round(seg * (1.0 - params.overlap))))
+    step = max(1, int(round(seg * (1.0 - params.overlap))))
+    n_segments = (n - seg) // step + 1
+    if rows > 1 and n_segments < 2:
+        raise TooFewSamples("coherence needs at least 2 segments")
+    welch_bytes = rows * n_segments * (8 * seg + 16 * (seg // 2 + 1))
+    if welch_bytes > _ARRAY_BYTES:
+        raise InvalidConfig(
+            f"{rows} x {n_segments} Welch segments of {seg} samples and their spectra need {welch_bytes:.3g}"
+            f" bytes, over {_ARRAY_BYTES}: lower spectral.segment_seconds or spectral.overlap"
+        )
+    return step
 
 
 def _segments(x: np.ndarray, params: SpectralParams) -> np.ndarray:
     """(..., n) -> a read-only view (..., n_segments, segment_length) of x's segments."""
-    step = _segment_step(x.shape[-1], params)
+    step = _segment_step(x.shape[-1], params, math.prod(x.shape[:-1]))
     return sliding_window_view(x, params.segment_length, axis=-1)[..., ::step, :]
 
 
@@ -313,10 +327,7 @@ def coherence(a: np.ndarray, b: np.ndarray, params: SpectralParams) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
         raise ShapeMismatch(f"channel lengths differ: {a.size} vs {b.size}")
-    segments = _segments(np.stack([a, b]), params).copy()
-    if segments.shape[1] < 2:
-        raise TooFewSamples("coherence needs at least 2 segments")
-    spectra = _segment_spectra(segments, _taper(params))
+    spectra = _segment_spectra(_segments(np.stack([a, b]), params).copy(), _taper(params))
     power = _mean_power(spectra, np.empty(spectra.shape))
     return float(_mean_coherence(power[0], power[1], _mean_cross(spectra[0], spectra[1], np.empty_like(spectra[1]))))
 
@@ -460,7 +471,7 @@ class FeaturePlan:
         n = hi - lo
         if n < 16:
             raise TooFewSamples(f"CWT needs at least 16 samples, got {n}")
-        _segment_step(n, spectral)  # refuses a span shorter than one segment
+        _segment_step(n, spectral)  # refuses a span shorter than one segment, or too many segments
 
         kernels = _morlet_kernels(wavelet)
         edge = max(psi.size // 2 for psi in kernels)
@@ -628,16 +639,7 @@ def feature_matrix(windows: np.ndarray, plan: FeaturePlan) -> np.ndarray:
     n_windows, n_samples, n_channels = np.shape(windows)
     if n_samples != plan.n_samples:
         raise ShapeMismatch(f"windows have {n_samples} samples, the plan was built for {plan.n_samples}")
-    span = plan.span.stop - plan.span.start
-    n_segments = (span - plan.spectral.segment_length) // _segment_step(span, plan.spectral) + 1
-    if n_channels > 1 and n_segments < 2:
-        raise TooFewSamples("coherence needs at least 2 segments")
-    welch_bytes = n_channels * n_segments * (8 * plan.spectral.segment_length + 16 * plan.frequencies.size)
-    if welch_bytes > _ARRAY_BYTES:
-        raise InvalidConfig(
-            f"{n_channels} x {n_segments} Welch segments of {plan.spectral.segment_length} samples and their spectra"
-            f" need {welch_bytes:.3g} bytes per worker, over {_ARRAY_BYTES}: lower spectral.segment_seconds or spectral.overlap"
-        )
+    _segment_step(plan.span.stop - plan.span.start, plan.spectral, n_channels)  # each worker's Welch limits
     out = np.empty((n_windows, len(feature_names(n_channels))))
 
     def window(ws: _Workspace, i: int) -> None:

@@ -62,11 +62,11 @@ class Model:
             raise ShapeMismatch(f"expected input {(-1,) + self.input_shape}, got {x.shape}")
         return x
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        """Run the stack; returns one logit per example, shape (B,)."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the stack in training mode; returns one logit per example, shape (B,)."""
         x = self._checked(x)
         for layer in self.layers:
-            x = layer.forward(x, train)
+            x = layer.forward(x, train=True)
         return x[:, 0]
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:

@@ -86,7 +86,7 @@ def train(
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for batch in _batches(n, config.batch_size, perm):
-            logits = model.forward(x_train[batch], train=True)
+            logits = model.forward(x_train[batch])
             loss, dlogits = weighted_bce_with_logits(logits, y_train[batch], sample_w[batch])
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at epoch {epoch}")

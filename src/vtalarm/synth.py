@@ -121,16 +121,19 @@ def generate_waveform_event(
     return record, float(alarm_time)
 
 
+def _shuffled_labels(n: int, class_ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Exactly round(n * class_ratio) ones and the rest zeros, in the order one
+    ``rng.permutation`` draws; refuses a ratio that leaves a single class."""
+    n_true = int(round(n * class_ratio))
+    if n_true == 0 or n_true == n:
+        raise InvalidConfig(f"class_ratio {class_ratio} leaves a single class at n={n}")
+    return rng.permutation(np.concatenate([np.ones(n_true, dtype=np.int64), np.zeros(n - n_true, dtype=np.int64)]))
+
+
 def corpus_labels(config: SynthConfig) -> np.ndarray:
     """Event labels with exactly round(n_events * class_ratio) true alarms,
     in a seed-determined order."""
-    n_true = int(round(config.n_events * config.class_ratio))
-    if n_true == 0 or n_true == config.n_events:
-        raise InvalidConfig(
-            f"class_ratio {config.class_ratio} leaves a single class at n={config.n_events}"
-        )
-    labels = np.concatenate([np.ones(n_true, dtype=np.int64), np.zeros(config.n_events - n_true, dtype=np.int64)])
-    return derive_rng(config.seed, STREAM_SYNTH, index=0).permutation(labels)
+    return _shuffled_labels(config.n_events, config.class_ratio, derive_rng(config.seed, STREAM_SYNTH, index=0))
 
 
 def generate_corpus(config: SynthConfig, out_dir: str | Path) -> list[tuple[str, float, int]]:
@@ -171,15 +174,11 @@ def generate_feature_dataset(
         raise InvalidConfig(f"class_ratio must be in (0, 1), got {class_ratio}")
     if not 0 <= separability < np.inf:
         raise InvalidConfig(f"separability must be finite and >= 0, got {separability}")
-    n_true = int(round(n * class_ratio))
-    if n_true == 0 or n_true == n:
-        raise InvalidConfig(f"class_ratio {class_ratio} leaves a single class at n={n}")
 
     rng = derive_rng(seed, STREAM_SYNTH)
     direction = rng.normal(size=d)
     direction /= np.linalg.norm(direction)
-    labels = np.concatenate([np.ones(n_true, dtype=np.int64), np.zeros(n - n_true, dtype=np.int64)])
-    labels = rng.permutation(labels)
+    labels = _shuffled_labels(n, class_ratio, rng)
     features = rng.normal(size=(n, d))
     features[labels == 1] += separability * direction
     return features, labels

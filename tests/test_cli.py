@@ -14,7 +14,7 @@ import pytest
 from vtalarm import cli, wfdb_io
 from vtalarm.cli import DEFAULT_CONFIG, config_hash, main, resolve_config
 from vtalarm.errors import InvalidConfig
-from vtalarm.evaluate import classification_metrics
+from vtalarm.evaluate import classification_metrics, roc_auc
 from vtalarm.features import morlet_scales, spectral_params_for
 from vtalarm.imbalance import ResampleConfig
 from vtalarm.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -169,7 +169,7 @@ def pipeline(tmp_path_factory):
     cfg = root / "train.json"
     cfg.write_text(json.dumps({
         "seed": 6,
-        "train": {"max_epochs": 12, "patience": 12, "batch_size": 8},
+        "train": {"max_epochs": 12, "patience": 12, "batch_size": 8, "learning_rate": 0.01},
         "model": {"fcnn": {"hidden_sizes": [16], "dropout_p": 0.0}},
         "split": {"ratios": [0.6, 0.2, 0.2]},
     }))
@@ -323,6 +323,21 @@ def test_predict_emits_one_decision_per_row(pipeline):
         rid, score, alert = line.split(",")
         assert 0.0 <= float(score) <= 1.0
         assert alert in ("true", "false")
+
+
+def test_the_fixture_model_ranks_every_true_alarm_above_every_false_one(pipeline):
+    """The fixture's separability-4 corpus is easy, so a model that learns it
+    scores AUC 1 in train's history, evaluate's report and predict's rows; an
+    inverted score would read 0 and a constant one 0.5."""
+    root, raw, work, model, cfg = pipeline
+    history = (model / "history.csv").read_text().splitlines()[2:]
+    assert max(float(line.split(",")[2]) for line in history) == 1.0
+    out = root / "eval_auc"
+    assert run("evaluate", str(model), str(work), "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["roc_auc"] == 1.0
+    assert run("predict", str(model), str(work), "--config", str(cfg), "--out", str(out)) == 0
+    scores = [float(line.split(",")[1]) for line in (out / "predictions.csv").read_text().splitlines()[2:]]
+    assert roc_auc(np.array(scores), np.load(work / "labels.npy")) == 1.0
 
 
 def test_predict_alerts_exactly_the_rows_whose_score_reaches_the_threshold(pipeline, tmp_path, capsys):

@@ -251,6 +251,12 @@ def test_cwt_minimum_length():
         cwt_morlet(np.zeros(15), morlet_scales(fs=50.0))
 
 
+def test_wavelet_config_refuses_more_scales_than_a_plan_may_build():
+    """Every kernel is one tap wide here, so no other limit refuses them."""
+    with pytest.raises(InvalidConfig, match="wavelet.n_scales"):
+        WaveletConfig(6.0, np.linspace(0.1, 0.2, 10**4 + 1))
+
+
 def test_wavelet_config_validation():
     with pytest.raises(InvalidConfig):
         WaveletConfig(omega0=6.0, scales=np.array([2.0, 1.0]))
@@ -517,14 +523,40 @@ def _workers(monkeypatch, n: int) -> None:
 
 
 def test_feature_matrix_refuses_a_welch_workspace_too_large_before_any_worker_runs(monkeypatch):
-    """180 s segments with overlap 0.9999 at 50 Hz give 3 channels of 9001
-    segments: a 3.6 GiB segment copy and spectra for each worker."""
+    """120 s segments with overlap 0.9995 at 50 Hz give 4001 segments: one
+    channel's copy and spectra take 3.84e8 bytes, so the plan builds, and
+    three channels' take 1.15e9, over the budget of each worker."""
     fs, n = 50.0, 18000
-    plan = FeaturePlan.build(n, spectral_params_for(fs, seconds=180.0, overlap=0.9999), morlet_scales(fs))
+    plan = FeaturePlan.build(n, spectral_params_for(fs, seconds=120.0, overlap=0.9995), morlet_scales(fs))
     monkeypatch.setattr(workers, "run", lambda *args: pytest.fail("a worker ran"))
     with pytest.raises(InvalidConfig, match="spectral.segment_seconds or spectral.overlap") as refused:
         feature_matrix(np.zeros((1, n, 3)), plan)
-    assert "3 x 9001 Welch segments of 9000 samples" in str(refused.value)
+    assert "3 x 4001 Welch segments of 6000 samples" in str(refused.value)
+
+
+# 180 s segments with overlap 0.9999 at 50 Hz: one 18000-sample channel has 9001
+# segments, whose copy and spectra would take 1.3e9 bytes.
+DENSE_WELCH = spectral_params_for(50.0, seconds=180.0, overlap=0.9999)
+
+
+def test_feature_plan_refuses_welch_segments_too_large_for_one_channel():
+    with pytest.raises(InvalidConfig, match="spectral.segment_seconds or spectral.overlap") as refused:
+        FeaturePlan.build(18000, DENSE_WELCH, morlet_scales(50.0))
+    assert "1 x 9001 Welch segments of 9000 samples" in str(refused.value)
+
+
+def test_welch_psd_and_coherence_refuse_welch_segments_too_large_before_copying():
+    x = np.random.default_rng(51).normal(size=18000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match="1 x 9001 Welch segments of 9000 samples"):
+            welch_psd(x, DENSE_WELCH)
+        with pytest.raises(InvalidConfig, match="2 x 9001 Welch segments of 9000 samples"):
+            coherence(x, x, DENSE_WELCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the two stacked channels take 288 kB
 
 
 def _poisoned_workspaces():

@@ -119,9 +119,9 @@ def test_hyperparams_for_overlays_the_checked_values_on_the_defaults():
 
 def test_model_forward_shapes():
     fcnn = build_model("fcnn", (17,), seed=1)
-    assert fcnn.forward(np.zeros((5, 17)), train=False).shape == (5,)
+    assert fcnn.forward(np.zeros((5, 17))).shape == (5,)
     cnn = build_model("cnn", (64, 3), seed=1)
-    assert cnn.forward(np.zeros((4, 64, 3)), train=False).shape == (4,)
+    assert cnn.forward(np.zeros((4, 64, 3))).shape == (4,)
 
 
 def test_same_seed_gives_identical_init_different_seed_does_not():
@@ -258,8 +258,8 @@ def test_class_weights_change_the_fit():
 def test_cnn_predict_scores_do_not_depend_on_the_batch_size(seed, t, c, monkeypatch):
     model = build_model("cnn", (t, c), seed=seed)
     x = np.random.default_rng(seed).normal(size=(96, t, c))
-    model.forward(x[:8], train=True)  # move the batch-norm running stats off their start
-    whole = sigmoid(model.forward(x, train=False))
+    model.forward(x[:8])  # move the batch-norm running stats off their start
+    whole = sigmoid(nn_model._infer(model.layers, x)[:, 0])  # every row in one batch
     assert np.array_equal(model.predict(x), whole)  # the byte budget's batch
     for batch_size in (1, 5, 27, 47, 48, 64):
         monkeypatch.setattr(nn_model, "PREDICT_BYTES", batch_size * model._row_bytes())
@@ -289,12 +289,13 @@ def test_predict_of_no_rows_gives_no_scores_and_still_checks_the_shape(arch, sha
 
 @pytest.mark.parametrize("arch, shape", [("fcnn", (17,)), ("cnn", (64, 3))])
 def test_predict_leaves_the_callers_array_untouched(arch, shape):
-    # BatchNorm's and ReLU's inference forwards write into their input, which must never be the caller's
+    # BatchNorm's and ReLU's inference forwards write into their input, which must never be the caller's;
+    # nor may the training forward write into it
     model = build_model(arch, shape, seed=7)
     x = np.random.default_rng(8).normal(size=(5,) + shape)
     before = x.copy()
     model.predict(x)
-    model.forward(x, train=False)
+    model.forward(x)
     assert x.tobytes() == before.tobytes()
 
 
@@ -303,7 +304,7 @@ def test_predict_leaves_no_activation_on_any_layer(arch, shape):
     model = build_model(arch, shape, seed=2)
     model.set_dropout_rng(np.random.default_rng(3))
     x = np.random.default_rng(4).normal(size=(6,) + shape)
-    model.backward(np.ones_like(model.forward(x, train=True)))
+    model.backward(np.ones_like(model.forward(x)))
     assert sum(layer._cache is not None for layer in model.layers) > len(model.layers) // 2
     model.predict(x)
     assert [type(layer).__name__ for layer in model.layers if layer._cache is not None] == []
@@ -338,7 +339,7 @@ def test_default_cnn_trains_one_step_at_batch_32_within_1_gb():
 def test_checkpoint_round_trip_preserves_everything():
     model = build_model("cnn", (96, 3), seed=6, hyperparams={"n_filters": 8, "n_heads": 2, "dense_sizes": [16], "decimation": 2})
     x = np.random.default_rng(0).normal(size=(3, 96, 3))
-    model.forward(x, train=True)  # populate batch-norm running stats
+    model.forward(x)  # populate batch-norm running stats
     blob = serialize_model(model)
     clone = deserialize_model(blob)
     assert clone.architecture == model.architecture

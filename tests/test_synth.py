@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, geometry, and class structure."""
 
+import hashlib
 import math
 import time
 
@@ -145,6 +146,30 @@ def test_feature_dataset_counts_and_shuffle():
     assert y[:25].sum() != 25  # shuffled
     x2, y2 = generate_feature_dataset(100, 5, 2.0, class_ratio=0.25, seed=0)
     assert np.array_equal(x, x2) and np.array_equal(y, y2)
+
+
+# sha256 of corpus_labels(37 events, ratio 0.3) and of generate_feature_dataset(41, 3,
+# 2.5, 0.7)'s features then labels, as the code before the shared label rule wrote them
+LABEL_DIGESTS = {
+    0: ("c00eb6a5312c24764c8b9df44ae242dc08c0ed2ff188b55d556f4a89638f5f55",
+        "74f092b8dce311e932092a9b3a00604be46a469d01543534b9a7a395855edad0"),
+    5: ("56f2f87ce30f3951046a3c9ddb3222c6edd58f77b9031fe5700bf7f0226a6b0d",
+        "cdf26ac87776e94b8b07f84f34ed95c1ef113dcb09db62f40ee9cda126861d38"),
+    2**40 + 3: ("f618fce84375d5c85a34729c47127e0b623a0ad5270cadc042f7bda159d61f4b",
+                "e416043783d652b0d220a06d681233e86c0f970c66e91801d8cd2a4bad3c49d3"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LABEL_DIGESTS))
+def test_labels_and_feature_dataset_keep_their_bytes(seed):
+    labels = corpus_labels(SynthConfig(n_events=37, class_ratio=0.3, seed=seed))
+    x, y = generate_feature_dataset(41, 3, 2.5, 0.7, seed)
+    assert labels.sum() == 11 and y.sum() == 29
+    got = (
+        hashlib.sha256(np.ascontiguousarray(labels, "<i8").tobytes()).hexdigest(),
+        hashlib.sha256(np.ascontiguousarray(x, "<f8").tobytes() + np.ascontiguousarray(y, "<i8").tobytes()).hexdigest(),
+    )
+    assert got == LABEL_DIGESTS[seed]
 
 
 def test_feature_dataset_separability_controls_auc():
