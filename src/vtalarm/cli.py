@@ -228,8 +228,8 @@ class _WindowFile:
     through this, featurize and the cnn inputs hold one window at a time."""
 
     def __init__(self, mapped: np.memmap):
-        if mapped.ndim != 3 or not mapped.flags.c_contiguous:
-            raise InvalidConfig(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array")
+        if mapped.ndim != 3 or not mapped.flags.c_contiguous or mapped.dtype.kind not in "fiu":
+            raise InvalidConfig(f"{mapped.filename} must hold a C-ordered (windows, samples, channels) array of real numbers")
         self.path, self.shape, self.dtype, self.offset = mapped.filename, mapped.shape, mapped.dtype, mapped.offset
 
     def __getitem__(self, i: int) -> np.ndarray:

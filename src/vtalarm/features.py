@@ -136,7 +136,8 @@ def morlet_scales(
     if min(f_min, f_max) <= 0:
         raise InvalidConfig(f"need positive frequencies, got {f_min}, {f_max}")
     freqs = np.logspace(np.log10(f_max), np.log10(f_min), n_scales)
-    scales = omega0 * fs / (2.0 * np.pi * freqs)
+    with np.errstate(over="ignore"):  # WaveletConfig refuses an infinite scale
+        scales = omega0 * fs / (2.0 * np.pi * freqs)
     return WaveletConfig(omega0=omega0, scales=scales)
 
 
@@ -464,8 +465,8 @@ class FeaturePlan:
         fs = spectral.fs
         lo, hi = 0, n_samples
         if analysis_span is not None:
-            lo = int(round(analysis_span[0] * fs))
-            hi = int(round(analysis_span[1] * fs))
+            # a product too large to round lies outside any window
+            lo, hi = (int(round(s * fs)) if np.isfinite(s * fs) else -1 for s in analysis_span)
             if not 0 <= lo < hi <= n_samples:
                 raise InvalidConfig(f"analysis_span {analysis_span} outside the {n_samples / fs:g} s window")
         n = hi - lo

@@ -5,19 +5,21 @@ header | concatenated float64 little-endian arrays. The header records
 the architecture, input shape, hyperparameters, and the name/shape of
 every array in payload order, so a checkpoint is sufficient to rebuild
 the model without any other context. The arrays are
-``Model.named_arrays()`` in its order; a name the model does not have,
-or one listed twice, is refused.
+``Model.named_arrays()`` in its order. Loading builds the declared model
+and requires the header's list to equal its ``named_arrays()`` in names,
+shapes and order, with or without the trailing input range, and the
+payload to be exactly 8 bytes per float of those arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, InvalidConfig, ShapeMismatch, VersionMismatch
+from ..errors import CorruptCheckpoint, InvalidConfig, VersionMismatch
+from ..preprocess import ScalerParams
 from .model import Model, build_model
 
 MAGIC = b"VTCK"
@@ -50,35 +52,31 @@ def deserialize_model(data: bytes) -> Model:
         raise CorruptCheckpoint("truncated header")
     try:
         header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
-        architecture = header["architecture"]
-        input_shape = tuple(header["input_shape"])
-        hyperparams = header["hyperparams"]
-        entries = [(e["name"], tuple(int(v) for v in e["shape"])) for e in header["arrays"]]
-        if any(not isinstance(name, str) or min(shape, default=0) < 0 for name, shape in entries):
-            raise ValueError("every array needs a name and a non-negative shape")
-        if len({name for name, _ in entries}) != len(entries):
-            raise ValueError("an array name is listed twice")
+        model = build_model(header["architecture"], tuple(header["input_shape"]), seed=0, hyperparams=header["hyperparams"])
+        listed = [(entry["name"], entry["shape"]) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
-
-    payload = data[16 + header_len :]
-    total = sum(math.prod(shape) for _, shape in entries)
-    if len(payload) != total * 8:
-        raise CorruptCheckpoint(f"payload holds {len(payload)} bytes, header promises {total * 8}")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in entries:
-        size = math.prod(shape)
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=size, offset=offset * 8).reshape(shape).copy()
-        offset += size
-
-    try:
-        model = build_model(architecture, input_shape, seed=0, hyperparams=hyperparams)
-        model.load_arrays(arrays)
-    except ShapeMismatch as exc:
-        raise CorruptCheckpoint(f"arrays do not fit the declared model: {exc}") from exc
     except InvalidConfig as exc:
         raise CorruptCheckpoint(f"header declares no valid model: {exc}") from exc
+
+    if [name for name, _ in listed[-2:]] == ["input.minimum", "input.maximum"]:
+        width = model.input_shape[-1]
+        model.scaler = ScalerParams(np.empty(width), np.empty(width))
+    arrays = model.named_arrays()
+    expected = [(name, list(arr.shape)) for name, arr in arrays]
+    if listed != expected:
+        i = next(i for i in range(len(listed) + 1) if listed[i : i + 1] != expected[i : i + 1])
+        raise CorruptCheckpoint(f"header lists {listed[i : i + 1]} as array {i}, the declared model holds {expected[i : i + 1]}")
+
+    payload = data[16 + header_len :]
+    total = sum(arr.size for _, arr in arrays)
+    if len(payload) != 8 * total:
+        raise CorruptCheckpoint(f"payload holds {len(payload)} bytes, the declared model's {total} floats take {8 * total}")
+    values = np.frombuffer(payload, dtype="<f8")
+    offset = 0
+    for _, arr in arrays:
+        arr[...] = values[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return model
 
 

@@ -87,27 +87,6 @@ class Model:
             out += [("input.minimum", self.scaler.minimum), ("input.maximum", self.scaler.maximum)]
         return out
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy in exactly what ``named_arrays`` lists: every layer array, and
-        the input range whole or not at all, which sets ``scaler`` or leaves
-        it ``None``. Any other name, a missing name or a wrong shape raises
-        ``ShapeMismatch`` and leaves the model partly loaded."""
-        width = self.input_shape[-1]
-        ranged = "input.minimum" in arrays or "input.maximum" in arrays
-        self.scaler = ScalerParams(np.empty(width), np.empty(width)) if ranged else None
-        targets = self.named_arrays()
-        names, given = {name for name, _ in targets}, set(arrays)
-        if given != names:
-            raise ShapeMismatch(f"missing arrays {sorted(names - given)}, unknown arrays {sorted(given - names)}")
-        for name, target in targets:
-            src = arrays[name]
-            if src.shape != target.shape:
-                raise ShapeMismatch(f"{name}: expected {target.shape}, got {src.shape}")
-            target[...] = src
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.named_arrays()}
-
     def parameter_count(self) -> int:
         return int(sum(arr.size for layer in self.layers for arr in layer.params.values()))
 

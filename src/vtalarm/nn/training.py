@@ -79,7 +79,7 @@ def train(
     optimizer = Adam(lr=config.learning_rate)
 
     history: list[dict] = []
-    best_auc = -np.inf  # any AUC beats it, so epoch 1 always takes the first snapshot
+    best_auc = -np.inf  # any AUC beats it, so epoch 1 always keeps the first copy
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -105,14 +105,15 @@ def train(
 
         if val_auc > best_auc:
             best_auc = val_auc
-            best_snapshot = model.snapshot()
+            best = [arr.copy() for _, arr in model.named_arrays()]
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
 
-    model.load_arrays(best_snapshot)
+    for (_, arr), kept in zip(model.named_arrays(), best):
+        arr[...] = kept
     return history
 
 

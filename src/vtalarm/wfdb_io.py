@@ -360,8 +360,12 @@ def _format_number(x: float) -> str:
 def window_bounds(fs: float) -> tuple[int, int]:
     """(n_pre, n_post): the samples an alarm window at ``fs`` Hz keeps before
     the onset and from it on. A window has n_pre + n_post samples, which
-    may differ by one from round(WINDOW_S * fs)."""
-    return int(round(PRE_ALARM_S * fs)), int(round(POST_ALARM_S * fs))
+    may differ by one from round(WINDOW_S * fs). A rate at which those
+    counts are not finite raises WindowOutOfBounds."""
+    sides = PRE_ALARM_S * fs, POST_ALARM_S * fs
+    if not np.isfinite(sides).all():
+        raise WindowOutOfBounds(f"a window at {fs} Hz would hold more samples than a float can count")
+    return int(round(sides[0])), int(round(sides[1]))
 
 
 def extract_alarm_window(record: WaveformRecord, alarm_time: float) -> WaveformRecord:

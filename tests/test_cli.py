@@ -975,6 +975,62 @@ def test_featurize_of_a_damaged_ingest_output_exits_nonzero(pipeline, tmp_path, 
     assert capsys.readouterr().err.startswith(f"error: InvalidConfig: {data}")
 
 
+@pytest.mark.parametrize("argv, written", [(["featurize"], "features.csv"), (["train", "--arch", "cnn"], "model.ckpt")], ids=["featurize", "train-cnn"])
+def test_windows_that_are_not_real_numbers_exit_nonzero(pipeline, tmp_path, capsys, argv, written):
+    root, raw, work, model, cfg = pipeline
+    data = tmp_path / "work"
+    shutil.copytree(work, data)
+    np.save(data / "windows.npy", np.load(data / "windows.npy").astype(np.complex64))
+    assert run(argv[0], str(data), *argv[1:], "--out", str(tmp_path / "out")) == 1
+    _one_error_line(capsys, "InvalidConfig", data / "windows.npy")
+    assert not (tmp_path / "out" / written).exists()
+
+
+def _records_at_1e307_hz(pipeline, tmp_path):
+    raw = tmp_path / "raw"
+    shutil.copytree(pipeline[1], raw)
+    for header in raw.glob("*.hea"):
+        _rewrite(header, r"^(\S+ \d+) \S+", r"\g<1> 1e307")
+    return ["ingest", str(raw)]
+
+
+def _ingest_output_at_1e307_hz(pipeline, tmp_path):
+    data = tmp_path / "work"
+    shutil.copytree(pipeline[2], data)
+    meta = data / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "fs": 1e307}))
+    return ["featurize", str(data)]
+
+
+def _featurize_with(settings):
+    def argv(pipeline, tmp_path):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(settings))
+        return ["featurize", str(pipeline[2]), "--config", str(path)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (_records_at_1e307_hz, "WindowOutOfBounds"),
+        (_ingest_output_at_1e307_hz, "WindowOutOfBounds"),
+        (_featurize_with({"features": {"analysis_span": [0, 1e308]}}), "InvalidConfig"),
+        (_featurize_with({"wavelet": {"f_min": 1e-308}}), "InvalidConfig"),
+    ],
+    ids=["ingest-a-record-at-1e307-hz", "featurize-windows-at-1e307-hz", "a-span-to-1e308-s", "f-min-1e-308-hz"],
+)
+def test_a_rate_or_span_whose_sample_count_overflows_exits_nonzero(pipeline, tmp_path, capsys, argv, error):
+    """Finite settings whose products in samples are not finite: each is
+    refused in one line, with no traceback and no warning."""
+    assert run(*argv(pipeline, tmp_path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}:"), err
+    assert not (tmp_path / "out" / "windows.npy").exists()
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
 def test_featurize_of_windows_cut_short_after_loading_exits_nonzero(pipeline, tmp_path, capsys, monkeypatch):
     """windows.npy loses its last bytes after featurize has checked it: the
     read of the last window names the file and the window."""

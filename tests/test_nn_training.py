@@ -188,6 +188,29 @@ def test_early_stopping_restores_best_weights():
     assert roc_auc(model.predict(x_va), y_va) == pytest.approx(max(aucs), abs=1e-12)
 
 
+def test_early_stopping_restores_every_array_of_the_best_epoch_bit_for_bit():
+    """A run that trains past its best epoch ends holding exactly what a run
+    stopped at that epoch holds: weights, batch-norm running statistics and
+    the input range."""
+    x_tr, y_tr, x_va, y_va = blobs(n=100, separability=3.0)
+
+    def run(max_epochs):
+        model = build_model("fcnn", (17,), seed=2, hyperparams={"hidden_sizes": [16], "dropout_p": 0.3})
+        model.scaler = ScalerParams(x_tr.min(axis=0), x_tr.max(axis=0))
+        history = train(model, x_tr, y_tr, x_va, y_va, TrainConfig(max_epochs=max_epochs, patience=3, seed=2))
+        return model, history
+
+    full, history = run(100)
+    best_epoch = int(np.argmax([row["val_auc"] for row in history])) + 1
+    assert best_epoch < len(history)
+    stopped, _ = run(best_epoch)
+    names = [name for name, _ in full.named_arrays()]
+    assert names == [name for name, _ in stopped.named_arrays()]
+    assert "layer1.state.running_var" in names and names[-2:] == ["input.minimum", "input.maximum"]
+    for (name, kept), (_, expected) in zip(full.named_arrays(), stopped.named_arrays()):
+        assert kept.tobytes() == expected.tobytes(), name
+
+
 def test_diverged_loss_raises():
     x_tr, y_tr, x_va, y_va = blobs(n=40)
     model = build_model("fcnn", (17,), seed=0, hyperparams={"hidden_sizes": [8], "dropout_p": 0.0})
@@ -378,14 +401,13 @@ def test_checkpoint_rejects_corruption():
     assert blob[:4] == MAGIC
 
 
-def _with_one_more_array(blob, entry, payload):
-    """``blob`` with ``entry`` appended to its header's array list and
-    ``payload`` to its arrays, so the byte count still fits the header."""
+def _with_header_edited(blob, edit):
+    """``blob`` with ``edit`` applied to its header and the payload kept."""
     n = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + n])
-    header["arrays"].append(entry)
+    edit(header)
     raw = json.dumps(header).encode()
-    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :] + payload
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :]
 
 
 @pytest.mark.parametrize("entry", [{"name": "bogus", "shape": [2]}, {"name": "input.maximum", "shape": [2]}], ids=["an-unknown-name", "a-repeated-name"])
@@ -394,26 +416,45 @@ def test_checkpoint_refuses_an_array_the_model_does_not_hold_once(entry):
     model.scaler = ScalerParams(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
     blob = serialize_model(model)
     assert deserialize_model(blob).scaler.maximum.tolist() == [2.0, 3.0]
+    one_more = _with_header_edited(blob, lambda header: header["arrays"].append(entry))
     with pytest.raises(CorruptCheckpoint):
-        deserialize_model(_with_one_more_array(blob, entry, np.array([2.0, 3.0]).astype("<f8").tobytes()))
+        deserialize_model(one_more + np.array([2.0, 3.0]).astype("<f8").tobytes())
 
 
-def test_load_arrays_takes_the_input_range_whole_or_not_at_all():
+def test_checkpoint_takes_the_input_range_whole_or_not_at_all():
     model = build_model("fcnn", (2,), seed=0, hyperparams={"hidden_sizes": [4]})
-    arrays = model.snapshot()
-    model.load_arrays({**arrays, "input.minimum": np.zeros(2), "input.maximum": np.ones(2)})
-    assert model.scaler.maximum.tolist() == [1.0, 1.0]
-    assert [name for name, _ in model.named_arrays()][-2:] == ["input.minimum", "input.maximum"]
-    with pytest.raises(ShapeMismatch):
-        model.load_arrays({**arrays, "input.minimum": np.zeros(2)})
-    model.load_arrays(arrays)
-    assert model.scaler is None
+    assert deserialize_model(serialize_model(model)).scaler is None
+    model.scaler = ScalerParams(np.zeros(2), np.ones(2))
+    blob = serialize_model(model)
+    loaded = deserialize_model(blob)
+    assert loaded.scaler.maximum.tolist() == [1.0, 1.0]
+    assert [name for name, _ in loaded.named_arrays()][-2:] == ["input.minimum", "input.maximum"]
+    with pytest.raises(CorruptCheckpoint):
+        deserialize_model(_with_header_edited(blob, lambda header: header["arrays"].pop())[:-16])
 
 
-def test_load_arrays_shape_check():
+def test_checkpoint_refuses_an_array_of_another_shape_even_of_the_same_size():
     model = build_model("fcnn", (5,), seed=0, hyperparams={"hidden_sizes": [4]})
-    arrays = dict(model.named_arrays())
-    name = next(iter(arrays))
-    arrays[name] = np.zeros(np.asarray(arrays[name]).size + 1)
-    with pytest.raises(ShapeMismatch):
-        model.load_arrays(arrays)
+    blob = serialize_model(model)
+    assert model.named_arrays()[0][1].shape == (4, 5)
+
+    def transpose_the_first(header):
+        header["arrays"][0]["shape"] = [5, 4]
+
+    with pytest.raises(CorruptCheckpoint):
+        deserialize_model(_with_header_edited(blob, transpose_the_first))
+
+
+def test_checkpoint_refuses_same_shape_arrays_listed_in_another_order():
+    """Swapped batch-norm statistics fit every name and shape and the byte
+    count; only their order tells the values would land exchanged."""
+    model = build_model("fcnn", (5,), seed=0, hyperparams={"hidden_sizes": [4]})
+    blob = serialize_model(model)
+
+    def swap_the_running_stats(header):
+        names = [entry["name"] for entry in header["arrays"]]
+        i, j = names.index("layer1.state.running_mean"), names.index("layer1.state.running_var")
+        header["arrays"][i]["name"], header["arrays"][j]["name"] = names[j], names[i]
+
+    with pytest.raises(CorruptCheckpoint):
+        deserialize_model(_with_header_edited(blob, swap_the_running_stats))
